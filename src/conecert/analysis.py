@@ -21,9 +21,10 @@ from .model import (
     CertificateReport,
     DisjunctiveSet,
     Inequality,
+    RhsRecord,
+    SetFacts,
     Status,
-    assumption2_check,
-    feasible_rhs,
+    set_facts,
 )
 from .solver import ConicProgram, SolveStatus, SolverOptions, solve
 
@@ -151,19 +152,12 @@ class SupportHandle:
         return val
 
 
-def support_eval(dset: DisjunctiveSet, mu, z, opts: AnalysisOptions | None = None) -> float:
-    return SupportHandle(dset, mu, opts).eval(z)
-
-
-def check_A0(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None):
+def check_A0(handle: SupportHandle):
     """Feasibility of D_mu, i.e. mu in K* + Im(A*)."""
-    opts = opts or AnalysisOptions()
-    mu = _vec(mu, dset.n)
-    sol = SupportHandle(dset, mu, opts).feasibility()
+    sol = handle.feasibility()
+    m = handle.dset.m
     if sol.status is SolveStatus.OPTIMAL:
-        lam = sol.x[: dset.m]
-        gamma = sol.x[dset.m :]
-        return Status.HOLDS, {"lambda": lam, "gamma": gamma}
+        return Status.HOLDS, {"lambda": sol.x[:m], "gamma": sol.x[m:]}
     if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
         u = -sol.certificate
         return Status.FAILS, {"ray": u}
@@ -265,18 +259,10 @@ class TightRay:
     gap: float
 
 
-def tight_extreme_ray_search(
-    dset: DisjunctiveSet,
-    mu,
-    budget: int = 256,
-    seed: int = 0,
-    opts: AnalysisOptions | None = None,
-):
+def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int = 0):
     """Sampled (plus locally refined) extreme rays z of K whose support gap
     <mu,z> - sigma(Az) is at most tol. Returns (tight rays, all sampled gaps)."""
-    opts = opts or AnalysisOptions()
-    mu = _vec(mu, dset.n)
-    handle = SupportHandle(dset, mu, opts)
+    dset, mu = handle.dset, handle.mu
 
     def gap_of(z):
         s = handle.eval(dset.A @ z)
@@ -355,7 +341,7 @@ def tight_extreme_ray_search(
                 if z is not None:
                     candidates.append((z, gap_of(z)))
 
-    tight = [(z, g) for z, g in candidates if g <= opts.tol]
+    tight = [(z, g) for z, g in candidates if g <= handle.opts.tol]
     tight.sort(key=lambda t: t[1])
     dedup: list[TightRay] = []
     for z, g in tight:
@@ -369,27 +355,20 @@ def tight_extreme_ray_search(
 
 
 def check_sublinear_sufficient(
-    dset: DisjunctiveSet,
-    mu,
+    handle: SupportHandle,
     eta0: float,
-    opts: AnalysisOptions | None = None,
-    handle: SupportHandle | None = None,
-    tight_rays: list | None = None,
+    sigma: SigmaOverRhs,
+    tight_rays: list[TightRay],
 ):
     """Certify sublinearity through tight extreme rays summing into int(K).
     Validity is pre-certified through eta0 <= inf_b sigma(b)."""
-    opts = opts or AnalysisOptions()
-    mu = _vec(mu, dset.n)
-    handle = handle or SupportHandle(dset, mu, opts)
-    sigma = sigma_over_rhs(dset, handle)
+    opts, K = handle.opts, handle.dset.K
     if math.isnan(sigma.value) or eta0 > sigma.value + opts.tol:
         return Status.INCONCLUSIVE, {"inf_sigma": sigma.value}
-    if tight_rays is None:
-        tight_rays, _ = tight_extreme_ray_search(dset, mu, opts.samples, opts.seed, opts)
     if not tight_rays:
         return Status.INCONCLUSIVE, {"inf_sigma": sigma.value, "tight_rays": []}
-    chosen, total = _greedy_interior_sum([t.z for t in tight_rays], dset.K)
-    margin = dset.K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
+    chosen, total = _greedy_interior_sum([t.z for t in tight_rays], K)
+    margin = K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
     if margin > opts.margin_tol:
         return Status.HOLDS, {
             "rays": chosen,
@@ -424,19 +403,10 @@ def _greedy_interior_sum(vectors: list, K: ConeProduct):
     return order[:best], sums[best]
 
 
-def check_minimal_sufficient(
-    dset: DisjunctiveSet,
-    mu,
-    eta0: float,
-    opts: AnalysisOptions | None = None,
-    handle: SupportHandle | None = None,
-):
+def check_minimal_sufficient(handle: SupportHandle, eta0: float, sigma: SigmaOverRhs):
     """Certify minimality through points x^i on tight branches whose sum is
     interior. Applies only when eta0 equals inf_b sigma(b)."""
-    opts = opts or AnalysisOptions()
-    mu = _vec(mu, dset.n)
-    handle = handle or SupportHandle(dset, mu, opts)
-    sigma = sigma_over_rhs(dset, handle)
+    dset, mu, opts = handle.dset, handle.mu, handle.opts
     if math.isnan(sigma.value) or not math.isfinite(sigma.value):
         return Status.NOT_APPLICABLE, {"inf_sigma": sigma.value}
     if abs(eta0 - sigma.value) > opts.tol:
@@ -527,21 +497,21 @@ def decide_minimal_exact(
     dset: DisjunctiveSet,
     mu,
     eta0: float,
+    th: ThetaResult,
+    rhs: list[RhsRecord],
     opts: AnalysisOptions | None = None,
 ):
     """Exact minimality decision on the orthant: maximize sum(delta) over
     delta >= 0 such that (mu - delta; eta0) stays valid, encoded through one
-    multiplier per feasible branch. Minimal iff the optimum is ~0."""
+    multiplier per feasible branch. Minimal iff the optimum is ~0. `th` is
+    theta(dset, mu) and `rhs` the feasible_rhs table of the set."""
     opts = opts or AnalysisOptions()
     mu = _vec(mu, dset.n)
     if not dset.is_orthant():
         return Status.NOT_APPLICABLE, {}
-    th = theta(dset, mu, opts)
     if math.isnan(th.value) or eta0 > th.value + opts.tol:
         raise ValueError("decide_minimal_exact needs a valid inequality")
-    branches = [
-        (r.label, r.b) for r in feasible_rhs(dset, opts.solver) if r.status is Status.HOLDS
-    ]
+    branches = [(r.label, r.b) for r in rhs if r.status is Status.HOLDS]
     if not branches:
         raise ModelError("every branch of the disjunction is infeasible")
 
@@ -615,12 +585,9 @@ def dominance_repair(
     handle = SupportHandle(dset, mu, opts)
     mu_new = np.empty(dset.n)
     for i in range(dset.n):
-        v = handle.eval(dset.A[:, i])
-        if not math.isfinite(v):
-            return Status.INCONCLUSIVE, None
-    # evaluate again from cache for clarity
-    for i in range(dset.n):
         mu_new[i] = handle.eval(dset.A[:, i])
+        if not math.isfinite(mu_new[i]):
+            return Status.INCONCLUSIVE, None
     sigma = sigma_over_rhs(dset, handle)
     if not math.isfinite(sigma.value):
         return Status.INCONCLUSIVE, None
@@ -692,7 +659,12 @@ def full_report(
     dset: DisjunctiveSet,
     ineq: Inequality,
     opts: AnalysisOptions | None = None,
+    facts: SetFacts | None = None,
 ) -> CertificateReport:
+    """Run the verdict ladder on one inequality. `facts` are the set-level
+    facts (set_facts(dset, opts.solver, opts.margin_tol)); callers that
+    report several inequalities over one set pass them in so they are solved
+    once, otherwise they are computed here."""
     opts = opts or AnalysisOptions()
     mu = _vec(ineq.mu, dset.n)
     eta0 = float(ineq.eta0)
@@ -729,12 +701,11 @@ def full_report(
     tight = abs(eta0 - th.value) <= opts.tol if math.isfinite(th.value) else False
     rep.add("tightness", Status.HOLDS if tight else Status.FAILS, {"theta": th.value})
 
-    a0_status, a0_payload = check_A0(dset, mu, opts)
+    handle = SupportHandle(dset, mu, opts)
+    a0_status, a0_payload = check_A0(handle)
     rep.add("A0", a0_status, witness=a0_payload)
     sigma = None
-    handle = None
     if a0_status is Status.HOLDS:
-        handle = SupportHandle(dset, mu, opts)
         sigma = sigma_over_rhs(dset, handle)
         rep.add(
             "inf_sigma",
@@ -748,9 +719,8 @@ def full_report(
         )
     mono_ok = sigma.monotone_ok if sigma is not None else True
 
-    a2_status, a2_witness, a2_margin = assumption2_check(
-        dset, opts.solver, opts.margin_tol
-    )
+    facts = facts or set_facts(dset, opts.solver, opts.margin_tol)
+    a2_status, a2_witness, a2_margin = facts.assumption2
     rep.add("assumption2", a2_status, {"margin": a2_margin},
             {"witness": a2_witness} if a2_witness is not None else {})
 
@@ -771,18 +741,14 @@ def full_report(
         sublinear = rep.entry("sublinearity").status
     else:
         if a0_status is Status.HOLDS:
-            rays, sampled_gaps = tight_extreme_ray_search(
-                dset, mu, opts.samples, opts.seed, opts
-            )
+            rays, sampled_gaps = tight_extreme_ray_search(handle, opts.samples, opts.seed)
             rep.add(
                 "tight_rays",
                 Status.HOLDS if rays else Status.INCONCLUSIVE,
                 {"count": len(rays), "min_sampled_gap": float(min(sampled_gaps))},
                 {"rays": [t.z for t in rays], "gaps": [t.gap for t in rays]},
             )
-            sub_status, sub_payload = check_sublinear_sufficient(
-                dset, mu, eta0, opts, handle, rays
-            )
+            sub_status, sub_payload = check_sublinear_sufficient(handle, eta0, sigma, rays)
         else:
             sub_status, sub_payload = Status.FAILS, {}
         rep.add("sublinearity", sub_status, sub_payload)
@@ -790,7 +756,7 @@ def full_report(
 
     verdict = None
     if orthant:
-        ex_status, ex_payload = decide_minimal_exact(dset, mu, eta0, opts)
+        ex_status, ex_payload = decide_minimal_exact(dset, mu, eta0, th, facts.rhs, opts)
         rep.add("minimality_exact", ex_status, ex_payload)
         if ex_status is Status.HOLDS:
             # a CertifiedMinimal verdict additionally needs a full-dimensional
@@ -808,10 +774,8 @@ def full_report(
             fails_theta = abs(eta0 - th.value) > opts.tol
             if fails_theta or mono_ok:
                 verdict = VERDICT_NOT_MINIMAL
-        if verdict is None and handle is not None:
-            suf_status, suf_payload = check_minimal_sufficient(
-                dset, mu, eta0, opts, handle
-            )
+        if verdict is None and sigma is not None:
+            suf_status, suf_payload = check_minimal_sufficient(handle, eta0, sigma)
             rep.add("minimal_sufficient", suf_status, suf_payload)
             if (
                 suf_status is Status.HOLDS

@@ -33,9 +33,8 @@ from .model import (
     Problem,
     ProblemFormatError,
     Status,
-    assumption2_check,
-    feasible_rhs,
     load_problem,
+    set_facts,
     _plain,
 )
 from .separation import branches_from_set, generate_cut
@@ -153,9 +152,11 @@ def cmd_report(args) -> int:
     cfg = _config_from(args)
     problem = _load(args.problem)
     opts = cfg.analysis()
+    ineqs = _select_inequalities(problem, args.inequality)
+    facts = set_facts(problem.dset, opts.solver, opts.margin_tol)
     out = []
-    for q in _select_inequalities(problem, args.inequality):
-        rep = full_report(problem.dset, q, opts)
+    for q in ineqs:
+        rep = full_report(problem.dset, q, opts, facts)
         out.append({"inequality": q.name, **rep.to_dict()})
         if not cfg.json_output:
             print(f"== {q.name or '(unnamed)'} ==")
@@ -268,38 +269,32 @@ def cmd_demo(args) -> int:
     def check(label, ok, detail=""):
         checks.append({"check": label, "pass": bool(ok), "detail": detail})
 
-    a2_status, _, a2_margin = assumption2_check(fx.dset, opts.solver)
+    facts = set_facts(fx.dset, opts.solver, opts.margin_tol)
+    a2_status, _, a2_margin = facts.assumption2
     expected_a2 = fx.notes.get("assumption2")
     if expected_a2 is not None:
         check(f"assumption2 {expected_a2}", a2_status.value == expected_a2,
               f"margin={_fmt(a2_margin)}")
     if "infeasible_rhs" in fx.notes:
-        recs = feasible_rhs(fx.dset, opts.solver)
-        bad = [float(r.b[0]) for r in recs if r.status is Status.FAILS]
+        bad = [float(r.b[0]) for r in facts.rhs if r.status is Status.FAILS]
         check("infeasible rhs detected", bad == fx.notes["infeasible_rhs"],
               f"found {bad}")
     for fi in fx.inequalities:
-        rep = full_report(fx.dset, fi.inequality, opts)
+        rep = full_report(fx.dset, fi.inequality, opts, facts)
         if fi.expected_verdict is not None:
             check(
                 f"{fi.inequality.name} verdict {fi.expected_verdict}",
                 rep.final_verdict == fi.expected_verdict,
                 f"got {rep.final_verdict}",
             )
-        if "theta" in fi.scalars:
-            th = theta(fx.dset, fi.inequality.mu, opts)
-            check(
-                f"{fi.inequality.name} theta",
-                abs(th.value - fi.scalars["theta"]) <= cfg.tol,
-                f"got {_fmt(th.value)}",
-            )
-        if "inf_sigma" in fi.scalars:
-            sig = sigma_over_rhs(fx.dset, SupportHandle(fx.dset, fi.inequality.mu, opts))
-            check(
-                f"{fi.inequality.name} inf_sigma",
-                abs(sig.value - fi.scalars["inf_sigma"]) <= cfg.tol,
-                f"got {_fmt(sig.value)}",
-            )
+        for key, rung in (("theta", "validity"), ("inf_sigma", "inf_sigma")):
+            if key in fi.scalars:
+                got = _report_value(rep, rung, key)
+                check(
+                    f"{fi.inequality.name} {key}",
+                    abs(got - fi.scalars[key]) <= cfg.tol,
+                    f"got {_fmt(got)}",
+                )
     if fx.notes.get("dmu_vertices"):
         verts = dmu_vertices_2d(fx.dset, fx.inequalities[0].inequality.mu, 16, opts)
         want = sorted(tuple(v) for v in fx.notes["dmu_vertices"])
@@ -318,6 +313,12 @@ def cmd_demo(args) -> int:
             detail = f"  ({c['detail']})" if c["detail"] else ""
             print(f"{line}  {c['check']}{detail}")
     return EXIT_OK if all_pass else EXIT_SOLVER
+
+
+def _report_value(rep, rung: str, key: str) -> float:
+    """A scalar the report recorded, nan when the ladder stopped before it."""
+    entry = rep.entry(rung)
+    return entry.values.get(key, math.nan) if entry is not None else math.nan
 
 
 def _parse_vector(text: str, n: int, flag: str) -> np.ndarray:

@@ -18,9 +18,6 @@ class BlockKind(Enum):
     FREE = "free"
     NONNEG = "nonneg"
     LORENTZ = "lorentz"
-    # Reserved for future extension; constructing a cone with PSD blocks
-    # is rejected everywhere.
-    PSD = "psd"
 
 
 @dataclass(frozen=True)
@@ -33,8 +30,6 @@ class ConeBlock:
             raise ValueError(f"block dim must be >= 1, got {self.dim}")
         if self.kind is BlockKind.LORENTZ and self.dim < 2:
             raise ValueError(f"Lorentz block needs dim >= 2, got {self.dim}")
-        if self.kind is BlockKind.PSD:
-            raise ValueError("PSD blocks are reserved and not supported")
 
 
 def zero(dim: int) -> ConeBlock:

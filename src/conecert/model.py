@@ -68,14 +68,6 @@ class RhsFamily:
     def expand(self) -> list[np.ndarray]:
         return [b for _, b in self.expand_labeled()]
 
-    def lattice_labels(self) -> dict[str, int]:
-        """Map label -> lattice shift k for entries that came from the lattice."""
-        out = {}
-        for label, _ in self.expand_labeled():
-            if label.startswith("lattice["):
-                out[label] = int(label[8:-1])
-        return out
-
 
 @dataclass(frozen=True)
 class DisjunctiveSet:
@@ -330,19 +322,21 @@ def feasible_rhs(dset: DisjunctiveSet, opts: SolverOptions | None = None) -> lis
 
 def assumption2_check(
     dset: DisjunctiveSet,
+    rhs: list[RhsRecord],
     opts: SolverOptions | None = None,
     tol: float = 1e-7,
 ) -> tuple[Status, np.ndarray | None, float]:
     """Look for a strictly interior feasible point: maximize t subject to
-    x - t*e in K, Ax = b over the feasible branches. Returns the status,
-    the best witness x, and the best margin found."""
+    x - t*e in K, Ax = b over the branches that `rhs` (the feasible_rhs
+    table of the set) marks feasible. Returns the status, the best witness
+    x, and the best margin found."""
     opts = opts or SolverOptions()
     e = dset.K.canonical_interior_point()
     best_margin = -np.inf
     best_witness = None
     saw_feasible = False
     saw_limit = False
-    for rec in feasible_rhs(dset, opts):
+    for rec in rhs:
         if rec.status is Status.INCONCLUSIVE:
             saw_limit = True
             continue
@@ -376,3 +370,19 @@ def assumption2_check(
     if saw_limit:
         return Status.INCONCLUSIVE, None, best_margin
     return Status.FAILS, None, best_margin
+
+
+@dataclass
+class SetFacts:
+    """What the ladder needs to know about the set alone, independent of the
+    inequality: the feasible_rhs table and the assumption2_check result."""
+
+    rhs: list[RhsRecord]
+    assumption2: tuple[Status, np.ndarray | None, float]
+
+
+def set_facts(dset: DisjunctiveSet, opts: SolverOptions | None = None,
+              tol: float = 1e-7) -> SetFacts:
+    """One feasible_rhs pass, shared with assumption2_check (margin tol)."""
+    rhs = feasible_rhs(dset, opts)
+    return SetFacts(rhs, assumption2_check(dset, rhs, opts, tol))

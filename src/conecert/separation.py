@@ -87,6 +87,9 @@ class CutResult:
     violation: float | None = None
     verified: bool = False
     diagnostic: str = ""
+    # validity certificate: the cut program's lambda_k per branch (None for
+    # an infeasible branch), checked by _verify_cut
+    multipliers: list | None = None
 
 
 def generate_cut(
@@ -107,15 +110,15 @@ def generate_cut(
     if xhat.size != ns or ns > min(br.K.dim for br in branches):
         raise ValueError(f"xhat must have the shared-variable length (got {xhat.size})")
 
-    feasible = []
+    is_feasible = []
     for br in branches:
         sol = solve(
             ConicProgram(np.zeros(br.K.dim), br.A, br.b, br.K), solver
         )
-        if sol.status is SolveStatus.OPTIMAL:
-            feasible.append(br)
-        elif sol.status is not SolveStatus.PRIMAL_INFEASIBLE:
+        if sol.status not in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE):
             return CutResult(False, diagnostic=f"branch feasibility {sol.status.value}")
+        is_feasible.append(sol.status is SolveStatus.OPTIMAL)
+    feasible = [br for br, ok in zip(branches, is_feasible) if ok]
     if not feasible:
         raise ValueError("every branch of the disjunction is infeasible")
 
@@ -202,21 +205,26 @@ def generate_cut(
     mu = sol.x[:ns]
     eta0 = float(sol.x[ns])
     violation = eta0 - float(mu @ xhat)
-    verified = _verify_cut(feasible, mu, eta0, ns, tol, solver)
-    return CutResult(True, Inequality(mu, eta0, "cut"), violation, verified)
+    lams = iter(sol.x[o : o + br.A.shape[0]] for br, o in zip(feasible, offs))
+    multipliers = [next(lams) if ok else None for ok in is_feasible]
+    verified = _verify_cut(branches, multipliers, mu, eta0, tol, solver)
+    return CutResult(True, Inequality(mu, eta0, "cut"), violation, verified,
+                     multipliers=multipliers)
 
 
-def _verify_cut(branches, mu, eta0, ns, tol, solver) -> bool:
-    """Validity of the returned cut: per-branch optimum of <mu, x> over the
-    shared variables stays above eta0."""
-    for br in branches:
-        c = np.zeros(br.K.dim)
-        c[:ns] = mu
-        sol = solve(ConicProgram(c, br.A, br.b, br.K), solver)
-        if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
+def _verify_cut(branches, multipliers, mu, eta0, tol, solver) -> bool:
+    """Validity of the cut <mu, x> >= eta0 on every branch with a multiplier,
+    by weak duality and without a solve: gamma_k = (mu; 0) - A_k^T lambda_k
+    in K_k* and b_k . lambda_k >= eta0 give <mu, x> = b_k . lambda_k +
+    gamma_k . x >= eta0 for every x in K_k with A_k x = b_k."""
+    cone_tol = 100.0 * solver.feas_tol * (1.0 + float(np.linalg.norm(mu, np.inf)))
+    for br, lam in zip(branches, multipliers):
+        if lam is None:
             continue
-        if sol.status is not SolveStatus.OPTIMAL:
+        gamma = -(br.A.T @ lam)
+        gamma[: mu.size] += mu
+        if not br.K.dual().contains(gamma, cone_tol):
             return False
-        if sol.objective < eta0 - 10 * tol:
+        if float(br.b @ lam) < eta0 - 10 * tol:
             return False
     return True

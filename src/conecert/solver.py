@@ -66,7 +66,6 @@ class Solution:
     objective: float | None = None
     certificate: np.ndarray | None = None
     iterations: int = 0
-    diverging: bool = False
 
 
 class _EmbeddingCone:
@@ -206,11 +205,6 @@ class _Embedding:
         self.bhat = np.concatenate([p.b, np.zeros(len(zero_idx))])
         self.m_orig = m
         self.n = n
-        P = np.zeros((self.work.dim, n))
-        for r, i in enumerate(self.cidx):
-            P[r, i] = 1.0
-        self.P = P
-        self.G = -P
 
 
 def solve(p: ConicProgram, opts: SolverOptions | None = None) -> Solution:
@@ -218,7 +212,8 @@ def solve(p: ConicProgram, opts: SolverOptions | None = None) -> Solution:
     emb = _Embedding(p)
     work = emb.work
     n, mh, pc = emb.n, emb.Ahat.shape[0], work.dim
-    Ah, bh, G, c = emb.Ahat, emb.bhat, emb.G, p.c
+    Ah, bh, cidx, c = emb.Ahat, emb.bhat, emb.cidx, p.c
+    slots = np.arange(pc)
     ftol, gtol, reg = opts.feas_tol, opts.gap_tol, opts.static_reg
 
     e = work.identity()
@@ -233,6 +228,12 @@ def solve(p: ConicProgram, opts: SolverOptions | None = None) -> Solution:
     norm_c = 1.0 + (np.linalg.norm(c, np.inf) if n else 0.0)
     scale_A = 1.0 + (np.abs(Ah).max() if Ah.size else 0.0)
 
+    # the slacks are s = -G x = x[cidx]; Gt(v) applies G^T without forming G
+    def Gt(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(n)
+        out[cidx] = -v
+        return out
+
     def _optimal_solution(iters: int) -> Solution:
         xt = x / tau
         y = -yh[: emb.m_orig] / tau
@@ -244,15 +245,14 @@ def solve(p: ConicProgram, opts: SolverOptions | None = None) -> Solution:
             s=sdual,
             objective=float(c @ xt),
             iterations=iters,
-            diverging=bool(np.linalg.norm(xt, np.inf) > 1e8),
         )
 
     def _check_termination(iters: int) -> Solution | None:
         # optimality
         if tau > 1e-12:
             pres = np.linalg.norm(Ah @ x - bh * tau, np.inf) / tau if mh else 0.0
-            link = np.linalg.norm(s - emb.P @ x, np.inf) / tau
-            dres = np.linalg.norm(Ah.T @ yh + G.T @ z + c * tau, np.inf) / tau
+            link = np.linalg.norm(s - x[cidx], np.inf) / tau
+            dres = np.linalg.norm(Ah.T @ yh + Gt(z) + c * tau, np.inf) / tau
             pobj = float(c @ x) / tau
             dobj = float(-bh @ yh) / tau
             gap = float(s @ z) / (tau * tau)
@@ -268,7 +268,7 @@ def solve(p: ConicProgram, opts: SolverOptions | None = None) -> Solution:
         if dp > ftol:
             yc = yh / dp
             zc = z / dp
-            if np.linalg.norm(Ah.T @ yc + G.T @ zc, np.inf) <= ftol * scale_A * (
+            if np.linalg.norm(Ah.T @ yc + Gt(zc), np.inf) <= ftol * scale_A * (
                 1.0 + np.linalg.norm(yc, np.inf)
             ):
                 cert = -yc[: emb.m_orig]
@@ -285,7 +285,7 @@ def solve(p: ConicProgram, opts: SolverOptions | None = None) -> Solution:
             scale_x = 1.0 + np.linalg.norm(xc, np.inf)
             if (
                 (not mh or np.linalg.norm(Ah @ xc, np.inf) <= ftol * scale_A * scale_x)
-                and np.linalg.norm(sc - emb.P @ xc, np.inf) <= ftol * scale_x
+                and np.linalg.norm(sc - xc[cidx], np.inf) <= ftol * scale_x
             ):
                 ray = xc.copy()
                 return Solution(
@@ -303,9 +303,9 @@ def solve(p: ConicProgram, opts: SolverOptions | None = None) -> Solution:
             break
 
         mu = (float(s @ z) + tau * kappa) / deg
-        hres_x = Ah.T @ yh + G.T @ z + c * tau
+        hres_x = Ah.T @ yh + Gt(z) + c * tau
         hres_y = Ah @ x - bh * tau
-        hres_z = s + G @ x
+        hres_z = s - x[cidx]
         hres_k = kappa + float(c @ x) + float(bh @ yh)
 
         W = work.nt_scaling(s, z)
@@ -322,8 +322,8 @@ def solve(p: ConicProgram, opts: SolverOptions | None = None) -> Solution:
             K3[:n, n : n + mh] = Ah.T
             K3[n : n + mh, :n] = Ah
             K3[n : n + mh, n : n + mh] = -rr * np.eye(mh)
-            K3[:n, n + mh :] = G.T
-            K3[n + mh :, :n] = G
+            K3[cidx, n + mh + slots] = -1.0
+            K3[n + mh + slots, cidx] = -1.0
             K3[n + mh :, n + mh :] = -(W2 + rr * np.eye(pc))
             if not np.all(np.isfinite(K3)):
                 lu = None
@@ -431,7 +431,6 @@ def solve(p: ConicProgram, opts: SolverOptions | None = None) -> Solution:
             s=sol.s,
             objective=sol.objective,
             iterations=sol.iterations,
-            diverging=sol.diverging,
         )
     return sol
 

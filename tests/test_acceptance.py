@@ -118,7 +118,7 @@ def test_acceptance_4_single_tight_ray():
                 cert_ok = True
     ok &= cert_ok
 
-    rays, gaps = tight_extreme_ray_search(fx.dset, [0.0, 0.0, 1.0], budget=64)
+    rays, gaps = tight_extreme_ray_search(SupportHandle(fx.dset, [0.0, 0.0, 1.0]), budget=64)
     ok &= len(rays) == 1
     expected = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
     ok &= np.linalg.norm(rays[0].z / np.linalg.norm(rays[0].z) - expected) <= 1e-6

@@ -25,7 +25,7 @@ from conecert.analysis import (
 )
 from conecert.cones import ConeProduct, lorentz, nonneg
 from conecert.fixtures import builtin
-from conecert.model import DisjunctiveSet, Inequality, RhsFamily, Status
+from conecert.model import DisjunctiveSet, Inequality, RhsFamily, Status, feasible_rhs
 
 from oracles import oracle_lp
 
@@ -116,14 +116,14 @@ def test_support_empty_cut_set():
 
 def test_check_A0():
     fx = builtin("ex4_1")
-    status, payload = check_A0(fx.dset, [0.0, 1.0, 2.0])
+    status, payload = check_A0(SupportHandle(fx.dset, [0.0, 1.0, 2.0]))
     assert status is Status.HOLDS
     lam, gamma = payload["lambda"], payload["gamma"]
     resid = fx.dset.A.T @ lam + gamma - np.array([0.0, 1.0, 2.0])
     assert np.linalg.norm(resid) < 1e-6
     assert fx.dset.K.contains(gamma, tol=1e-7)
 
-    status, payload = check_A0(fx.dset, [0.0, 2.0, 1.0])
+    status, payload = check_A0(SupportHandle(fx.dset, [0.0, 2.0, 1.0]))
     assert status is Status.FAILS
     u = payload["ray"]
     assert fx.dset.K.contains(u, tol=1e-6)
@@ -183,17 +183,19 @@ def test_check_A1i_requires_orthant():
 
 def test_tight_rays_unique_direction():
     fx = builtin("ex4_2")
-    rays, gaps = tight_extreme_ray_search(fx.dset, [0.0, 0.0, 1.0], budget=64, seed=0)
+    rays, gaps = tight_extreme_ray_search(
+        SupportHandle(fx.dset, [0.0, 0.0, 1.0]), budget=64, seed=0
+    )
     assert len(rays) == 1
     z = rays[0].z
-    assert np.allclose(z, [0.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2)], atol=1e-6)
+    assert np.allclose(z, fx.notes["tight_ray"], atol=1e-6)
     others = sorted(g for g in gaps if g > 1e-6)
     assert others[0] > 1e-3
 
 
 def test_tight_rays_refinement_finds_offgrid_directions():
     fx = builtin("ex4_1")
-    rays, _ = tight_extreme_ray_search(fx.dset, [0.0, 1.0, 2.0], budget=64, seed=0)
+    rays, _ = tight_extreme_ray_search(SupportHandle(fx.dset, [0.0, 1.0, 2.0]), budget=64, seed=0)
     assert len(rays) == 2
     expected = [
         np.array([1.0 / math.sqrt(3.0), -1.0 / 3.0, 2.0 / 3.0]),
@@ -207,18 +209,24 @@ def test_tight_rays_refinement_finds_offgrid_directions():
 def test_tight_rays_cmir_all_five():
     fx = builtin("cmir")
     mu = fx.inequalities[0].inequality.mu
-    rays, _ = tight_extreme_ray_search(fx.dset, mu, budget=16, seed=0)
+    rays, _ = tight_extreme_ray_search(SupportHandle(fx.dset, mu), budget=16, seed=0)
     assert len(rays) == 5
+
+
+def _sublinear_sufficient(dset, mu, eta0):
+    h = SupportHandle(dset, mu)
+    rays, _ = tight_extreme_ray_search(h)
+    return check_sublinear_sufficient(h, eta0, sigma_over_rhs(dset, h), rays)
 
 
 def test_sublinear_sufficient():
     fx = builtin("ex4_1")
-    status, payload = check_sublinear_sufficient(fx.dset, [0.0, 1.0, math.sqrt(2.0)], 1.0)
+    status, payload = _sublinear_sufficient(fx.dset, [0.0, 1.0, math.sqrt(2.0)], 1.0)
     assert status is Status.HOLDS
     assert payload["margin"] > 1e-6
 
     fx = builtin("ex4_2")
-    status, payload = check_sublinear_sufficient(fx.dset, [0.0, 0.0, 1.0], 0.5)
+    status, payload = _sublinear_sufficient(fx.dset, [0.0, 0.0, 1.0], 0.5)
     assert status is Status.INCONCLUSIVE
 
 
@@ -226,9 +234,14 @@ def test_sublinear_sufficient():
 # minimality
 
 
+def _minimal_sufficient(dset, mu, eta0):
+    h = SupportHandle(dset, mu)
+    return check_minimal_sufficient(h, eta0, sigma_over_rhs(dset, h))
+
+
 def test_minimal_sufficient_holds():
     fx = builtin("ex4_1")
-    status, payload = check_minimal_sufficient(fx.dset, [0.0, 1.0, math.sqrt(2.0)], 1.0)
+    status, payload = _minimal_sufficient(fx.dset, [0.0, 1.0, math.sqrt(2.0)], 1.0)
     assert status is Status.HOLDS
     assert payload["margin"] > 1e-6
     total = payload["sum"]
@@ -237,7 +250,7 @@ def test_minimal_sufficient_holds():
 
 def test_minimal_sufficient_not_applicable():
     fx = builtin("ex4_1")
-    status, payload = check_minimal_sufficient(fx.dset, [0.0, 1.0, 2.0], 1.0)
+    status, payload = _minimal_sufficient(fx.dset, [0.0, 1.0, 2.0], 1.0)
     assert status is Status.NOT_APPLICABLE
     assert payload["inf_sigma"] == pytest.approx(math.sqrt(3.0), abs=1e-6)
 
@@ -259,25 +272,29 @@ def test_minimal_necessary_interior():
     assert status is Status.NOT_APPLICABLE
 
 
+def _decide_minimal_exact(dset, mu, eta0):
+    return decide_minimal_exact(dset, mu, eta0, theta(dset, mu), feasible_rhs(dset))
+
+
 def test_decide_minimal_exact_trio():
     fx = builtin("ex2_4")
-    status, payload = decide_minimal_exact(fx.dset, [1.0, -1.0], -2.0)
+    status, payload = _decide_minimal_exact(fx.dset, [1.0, -1.0], -2.0)
     assert status is Status.HOLDS
     assert payload["optimum"] <= 1e-6
 
-    status, payload = decide_minimal_exact(fx.dset, [1.0, 0.0], 0.0)
+    status, payload = _decide_minimal_exact(fx.dset, [1.0, 0.0], 0.0)
     assert status is Status.FAILS
     assert np.allclose(payload["delta"], [1.0, 0.0], atol=1e-6)
     assert payload["witness_verified"]
 
     fx = builtin("ex2_4_r25")
-    status, payload = decide_minimal_exact(fx.dset, [1.0, -1.0], 0.5)
+    status, payload = _decide_minimal_exact(fx.dset, [1.0, -1.0], 0.5)
     assert status is Status.HOLDS
 
 
 def test_decide_minimal_exact_unbounded_improvement():
     fx = builtin("ex4_3")
-    status, payload = decide_minimal_exact(fx.dset, [-1.0, 1.0], 1.0)
+    status, payload = _decide_minimal_exact(fx.dset, [-1.0, 1.0], 1.0)
     assert status is Status.FAILS
     assert payload["optimum"] > 0.5
     assert payload["witness_verified"]
@@ -286,12 +303,12 @@ def test_decide_minimal_exact_unbounded_improvement():
 def test_decide_minimal_exact_requires_validity():
     fx = builtin("ex2_4")
     with pytest.raises(ValueError):
-        decide_minimal_exact(fx.dset, [1.0, -1.0], 5.0)
+        _decide_minimal_exact(fx.dset, [1.0, -1.0], 5.0)
 
 
 def test_decide_minimal_exact_not_applicable_off_orthant():
     fx = builtin("ex2_1")
-    status, _ = decide_minimal_exact(fx.dset, [1.0, 0.0, -1.0], -2.0)
+    status, _ = _decide_minimal_exact(fx.dset, [1.0, 0.0, -1.0], -2.0)
     assert status is Status.NOT_APPLICABLE
 
 

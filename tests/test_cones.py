@@ -22,11 +22,6 @@ def test_block_validation():
     assert nonneg(3).kind is BlockKind.NONNEG
 
 
-def test_psd_rejected():
-    with pytest.raises(ValueError):
-        ConeBlock(BlockKind.PSD, 3)
-
-
 def test_product_dim_and_offsets():
     K = ConeProduct([nonneg(3), lorentz(2)])
     assert K.dim == 5

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import conecert.fixtures as fixtures
-from conecert.analysis import full_report, sigma_over_rhs, theta, SupportHandle
+from conecert.analysis import (
+    SupportHandle,
+    full_report,
+    sigma_over_rhs,
+    theta,
+    tight_extreme_ray_search,
+)
 from conecert.model import load_problem, save_problem
 
 
@@ -39,6 +45,7 @@ def test_data_files_match_builtins():
         fx = fixtures.builtin(name)
         assert np.array_equal(problem.dset.A, fx.dset.A)
         assert len(problem.inequalities) == len(fx.inequalities)
+        assert text == save_problem(fx.to_problem()), name
 
 
 def test_expected_verdicts():
@@ -62,11 +69,21 @@ def test_expected_scalars():
             if "theta" in fi.scalars:
                 th = theta(fx.dset, fi.inequality.mu)
                 assert th.value == pytest.approx(fi.scalars["theta"], abs=1e-6)
+            handle = SupportHandle(fx.dset, fi.inequality.mu)
             if "inf_sigma" in fi.scalars:
-                sig = sigma_over_rhs(
-                    fx.dset, SupportHandle(fx.dset, fi.inequality.mu)
-                )
+                sig = sigma_over_rhs(fx.dset, handle)
                 assert sig.value == pytest.approx(fi.scalars["inf_sigma"], abs=1e-6)
+                if "inf_sigma_argmin" in fx.notes:
+                    assert sig.argmin == fx.notes["inf_sigma_argmin"]
+            if "support_at_pm1" in fi.scalars:
+                for z in (1.0, -1.0):
+                    assert handle.eval([z]) == pytest.approx(
+                        fi.scalars["support_at_pm1"], abs=1e-6
+                    )
+            if "tight_ray" in fx.notes:
+                rays, _ = tight_extreme_ray_search(handle, budget=64, seed=0)
+                assert len(rays) == 1
+                assert np.allclose(rays[0].z, fx.notes["tight_ray"], atol=1e-6)
 
 
 def test_cmir_parameterization():

@@ -114,7 +114,7 @@ def test_feasible_rhs_flags_empty_branch():
 
 def test_assumption2_interior_witness():
     fx = builtin("ex2_1")
-    status, witness, margin = assumption2_check(fx.dset)
+    status, witness, margin = assumption2_check(fx.dset, feasible_rhs(fx.dset))
     assert status is Status.HOLDS
     assert margin > 1e-3
     assert fx.dset.K.interior_margin(witness) > 1e-6
@@ -122,6 +122,17 @@ def test_assumption2_interior_witness():
 
 def test_assumption2_fails_on_flat_set():
     fx = builtin("ex2_2")
-    status, witness, margin = assumption2_check(fx.dset)
+    status, witness, margin = assumption2_check(fx.dset, feasible_rhs(fx.dset))
     assert status is Status.FAILS
     assert margin <= 1e-7
+
+
+def test_readme_problem_file_loads():
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    problem = load_problem(block)
+    assert problem.dset.A.tolist() == [[-1.0, 0.0, 1.0]]
+    assert [b.tolist() for b in problem.dset.B.expand()] == [[0.0], [2.0]]
+    assert [q.name for q in problem.inequalities] == ["cut"]

@@ -7,11 +7,12 @@ from conecert.model import DisjunctiveSet, RhsFamily
 from conecert.separation import (
     Branch,
     SplitDisjunction,
+    _verify_cut,
     branches_from_set,
     build_split_set,
     generate_cut,
 )
-from conecert.solver import ConicProgram, SolveStatus, solve
+from conecert.solver import ConicProgram, SolveStatus, SolverOptions, solve
 
 
 def test_split_construction():
@@ -128,3 +129,44 @@ def test_branch_union_fidelity():
             assert x[0] <= 1e-6 or x[0] >= 1.0 - 1e-6
             if res.found:
                 assert res.inequality.mu @ x >= res.inequality.eta0 - 1e-6
+
+
+# Instance "lorentz-n12-3" of `perfbench/run.py --workload separation --seed
+# 204`: a split of four L^3 blocks. Its cut is valid, but re-solving a branch
+# with the cut as objective ends in NumericalLimit at a non-strictly
+# complementary optimum, so only the cut program's own multipliers verify it.
+LORENTZ_SPLIT_A = [
+    [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0],
+    [-0.25683049698237487, 0.370084385906044, 0.4871989192479377, -1.5302793609257457,
+     -0.9114393243249646, -0.24352169027766796, -0.01563984774058959, -0.05092068507391588,
+     -2.399102103734309, -0.3636470997879122, 0.22862659435224472, -1.1966646964978653],
+    [0.3590438706401521, 0.5208946031876064, 0.7848211332636525, 0.28708908723021465,
+     0.3169148533769202, -0.5322526993384986, 0.2814983003925007, -0.8503073676312796,
+     -1.024568985501752, -0.010162015521922474, 0.3393702819225644, -0.19696012825991735],
+]
+LORENTZ_SPLIT_B = [3.5739148559851506, -3.88748728488828, -1.01869513806032]
+LORENTZ_SPLIT_D = [-1.0, 0.0, -1.0, 1.0, -1.0, 0.0, 2.0, -2.0, -1.0, -2.0, -2.0, 2.0]
+LORENTZ_SPLIT_XHAT = [0.0, 0.0, 0.0, 0.675754550157543, 2.175754550157543,
+                      3.5739148559851506, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def _lorentz_split_cut():
+    sd = SplitDisjunction(LORENTZ_SPLIT_A, LORENTZ_SPLIT_B, ConeProduct([lorentz(3)] * 4),
+                          LORENTZ_SPLIT_D, -2)
+    branches = build_split_set(sd)
+    return branches, generate_cut(branches, LORENTZ_SPLIT_XHAT)
+
+
+def test_cut_verified_by_its_multipliers():
+    _, res = _lorentz_split_cut()
+    assert res.found and res.verified
+    assert res.violation > 1e-6
+    assert all(lam is not None for lam in res.multipliers)
+
+
+def test_raised_rhs_is_not_verified():
+    branches, res = _lorentz_split_cut()
+    mu, eta0 = res.inequality.mu, res.inequality.eta0
+    solver = SolverOptions()
+    assert _verify_cut(branches, res.multipliers, mu, eta0, 1e-6, solver)
+    assert not _verify_cut(branches, res.multipliers, mu, eta0 + 1e-3, 1e-6, solver)
