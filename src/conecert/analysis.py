@@ -110,7 +110,12 @@ def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> Thet
 
 
 class SupportHandle:
-    """Evaluator for the support function of D_mu = {lambda : mu - A* lambda in K*}."""
+    """Evaluator for the support function of D_mu = {lambda : mu - A* lambda in K*}.
+
+    With one row (m = 1), D_mu is an interval [lo, hi] computed once without
+    a solve, and sigma(z) is z*hi for z >= 0 and z*lo for z < 0, so `eval`
+    makes no solve, unless the interval fails its check in K* (see
+    `_one_row_dmu`)."""
 
     def __init__(self, dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None):
         self.dset = dset
@@ -124,6 +129,10 @@ class SupportHandle:
         )
         self._m = m
         self._cache: dict[tuple, float] = {}
+        self._interval = None
+        if m == 1:
+            tol = 100.0 * self.opts.solver.feas_tol * (1.0 + float(np.max(np.abs(self.mu))))
+            self._interval = _one_row_dmu(dset.K, self.mu, dset.A[0], tol)
 
     def feasibility(self):
         """Solve the (A.0) feasibility problem; returns the raw Solution."""
@@ -135,6 +144,12 @@ class SupportHandle:
     def eval(self, z) -> float:
         """sigma_{D_mu}(z); +inf when unbounded, nan on solver limits."""
         z = _vec(z, self._m)
+        if self._interval is not None:
+            lo, hi = self._interval
+            if lo > hi:
+                raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
+            t = float(z[0])
+            return t * hi if t > 0 else t * lo if t < 0 else 0.0
         key = tuple(np.round(z, 12))
         if key in self._cache:
             return self._cache[key]
@@ -150,6 +165,88 @@ class SupportHandle:
             val = math.nan
         self._cache[key] = val
         return val
+
+
+def _one_row_dmu(K: ConeProduct, mu: np.ndarray, a: np.ndarray, tol: float):
+    """D_mu = {lam : mu - lam*a in K*} for the single row a of A, as (lo, hi),
+    with lo > hi when it is empty; None when the result fails its check.
+
+    K is regular, so K* = K block by block and D_mu is the intersection of
+    the per-block intervals. Each finite end must put mu - lam*a in K*
+    within tol, and an infinite end needs its recession direction: -a in K*
+    for hi = +inf, a in K* for lo = -inf. An empty result stands only when
+    no block end (or 0) puts mu - lam*a in K* within tol: otherwise it may
+    be the rounding of a one-point set."""
+    lo, hi = -math.inf, math.inf
+    ends = []
+    for blk, off in K.offsets():
+        g, d = mu[off:off + blk.dim], a[off:off + blk.dim]
+        interval = _nonneg_interval if blk.kind is BlockKind.NONNEG else _lorentz_interval
+        blo, bhi = interval(g, d)
+        lo, hi = max(lo, blo), min(hi, bhi)
+        ends += [v for v in (blo, bhi) if math.isfinite(v)]
+    dual = K.dual()
+
+    def inside(lam: float) -> bool:
+        return dual.contains(mu - lam * a, tol)
+
+    if lo <= hi:
+        ok = (inside(lo) if lo > -math.inf else dual.contains(a, tol)) and (
+            inside(hi) if hi < math.inf else dual.contains(-a, tol))
+        return (lo, hi) if ok else None
+    return None if any(inside(v) for v in ends or [0.0]) else (lo, hi)
+
+
+def _nonneg_interval(g: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """{lam : g - lam*d >= 0}; lo > hi when empty."""
+    if np.any(g[d == 0] < 0):
+        return math.inf, -math.inf
+    pos, neg = d > 0, d < 0
+    hi = float(np.min(g[pos] / d[pos])) if pos.any() else math.inf
+    lo = float(np.max(g[neg] / d[neg])) if neg.any() else -math.inf
+    return lo, hi
+
+
+def _lorentz_interval(g: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """{lam : g - lam*d in L}, radius last: where r(lam) = g0 - lam*d0 >= 0 and
+    q(lam) = r(lam)^2 - |gbar - lam*dbar|^2 >= 0. Returns lo > hi when
+    empty, with the finite number of the pair nearest to feasibility."""
+    g0, d0 = float(g[-1]), float(d[-1])
+    if d0 != 0.0:
+        lo, hi = (-math.inf, g0 / d0) if d0 > 0 else (g0 / d0, math.inf)
+    else:
+        lo, hi = (-math.inf, math.inf) if g0 >= 0 else (math.inf, -math.inf)
+    # q(lam) = alpha lam^2 - 2 beta lam + gamma
+    alpha, beta, gamma = _lorentz_form(d, d), _lorentz_form(g, d), _lorentz_form(g, g)
+    if alpha == 0.0:  # d on the boundary of L or -L, or zero: q is linear
+        if beta > 0:
+            hi = min(hi, gamma / (2.0 * beta))
+        elif beta < 0:
+            lo = max(lo, gamma / (2.0 * beta))
+        elif gamma < 0:
+            return math.inf, -math.inf
+        return lo, hi
+    disc = beta * beta - alpha * gamma
+    if disc < 0 and alpha < 0:  # q < 0 everywhere; beta/alpha maximizes q
+        return beta / alpha, -math.inf
+    if disc <= 0:  # a double root, or its rounding when alpha > 0
+        r1 = r2 = beta / alpha
+    else:  # cancellation-free roots
+        s = beta + math.copysign(math.sqrt(disc), beta)
+        r1, r2 = sorted((s / alpha, gamma / s))
+    if alpha < 0:  # d outside L and -L: q >= 0 between the roots
+        return max(lo, r1), min(hi, r2)
+    # d in int L or -int L: q >= 0 outside the roots, and g - lam*d lies in L
+    # on the side where r grows
+    return (lo, min(hi, r1)) if d0 > 0 else (max(lo, r2), hi)
+
+
+def _lorentz_form(u: np.ndarray, v: np.ndarray) -> float:
+    """u0*v0 - <ubar, vbar> (radius last), or 0 when it is within the
+    rounding error of its two terms."""
+    head, tail = float(u[-1] * v[-1]), float(u[:-1] @ v[:-1])
+    scale = abs(head) + float(np.abs(u[:-1]) @ np.abs(v[:-1]))
+    return 0.0 if abs(head - tail) <= 4 * u.size * np.finfo(float).eps * scale else head - tail
 
 
 def check_A0(handle: SupportHandle):
@@ -344,8 +441,11 @@ def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int
     tight = [(z, g) for z, g in candidates if g <= handle.opts.tol]
     tight.sort(key=lambda t: t[1])
     dedup: list[TightRay] = []
+    kept = np.empty((len(tight), dset.n))
     for z, g in tight:
-        if all(np.linalg.norm(z - t.z, np.inf) > 1e-6 for t in dedup):
+        k = len(dedup)
+        if k == 0 or np.min(np.max(np.abs(kept[:k] - z), axis=1)) > 1e-6:
+            kept[k] = z
             dedup.append(TightRay(z, g))
     return dedup, gaps
 
@@ -382,24 +482,25 @@ def check_sublinear_sufficient(
 def _greedy_interior_sum(vectors: list, K: ConeProduct):
     """Greedily add vectors maximizing the running sum's interior margin;
     ties broken by lexicographic order."""
-    remaining = sorted(vectors, key=lambda v: tuple(np.round(v, 12)))
+    ordered = sorted(vectors, key=lambda v: tuple(np.round(v, 12)))
+    left = np.array(ordered, dtype=float).reshape(-1, K.dim)
     total = np.zeros(K.dim)
     order: list[np.ndarray] = []
     sums = [total]
-    while remaining:
+    while len(left):
         best_j = 0
         best_margin = -math.inf
-        for j, v in enumerate(remaining):
-            mgn = K.interior_margin(total + v)
+        for j, mgn in enumerate(K.interior_margin(total + left).tolist()):
             if mgn > best_margin + 1e-15:
                 best_margin = mgn
                 best_j = j
-        v = remaining.pop(best_j)
+        v = left[best_j]
+        left = np.delete(left, best_j, axis=0)
         total = total + v
         order.append(v)
         sums.append(total)
     # keep the prefix whose running sum is deepest inside the cone
-    best = max(range(len(sums)), key=lambda i: K.interior_margin(sums[i]))
+    best = int(np.argmax(K.interior_margin(np.array(sums))))
     return order[:best], sums[best]
 
 

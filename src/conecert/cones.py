@@ -106,18 +106,25 @@ class ConeProduct:
                     return False
         return True
 
-    def interior_margin(self, x) -> float:
+    def interior_margin(self, x) -> float | np.ndarray:
+        """Smallest block margin of x: the least coordinate of a Nonneg block,
+        radius minus norm of a Lorentz block. For a (k, dim) array, the k
+        margins of its rows as an array."""
         if not self.is_regular():
             raise ValueError("interior_margin requires a regular cone")
-        x = self._check_len(x)
-        margin = math.inf
+        X = np.asarray(x, dtype=float)
+        single = X.ndim < 2
+        X = self._check_len(X)[None, :] if single else X
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"array shape {X.shape} does not have {self.dim} columns")
+        margin = np.full(X.shape[0], math.inf)
         for b, off in self.offsets():
-            v = x[off:off + b.dim]
+            V = X[:, off:off + b.dim]
             if b.kind is BlockKind.NONNEG:
-                margin = min(margin, float(np.min(v)))
+                margin = np.minimum(margin, V.min(axis=1))
             else:
-                margin = min(margin, float(v[-1] - np.linalg.norm(v[:-1])))
-        return margin
+                margin = np.minimum(margin, V[:, -1] - np.linalg.norm(V[:, :-1], axis=1))
+        return float(margin[0]) if single else margin
 
     def dual(self) -> "ConeProduct":
         return ConeProduct(ConeBlock(_DUAL_KIND[b.kind], b.dim) for b in self.blocks)

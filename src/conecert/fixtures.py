@@ -2,14 +2,13 @@
 
 Each fixture bundles a set, one or more inequalities, the verdict the full
 report is expected to reach, and closed-form scalars used by the regression
-tests. `export_all` writes every fixture in the documented file format.
+tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .model import (
     Lattice,
     Problem,
     RhsFamily,
-    save_problem,
 )
 
 
@@ -237,16 +235,3 @@ def builtin(name: str, **params) -> Fixture:
     except KeyError:
         raise ValueError(f"unknown fixture {name!r}; choose from {names()}") from None
     return builder(**params)
-
-
-def export_all(directory) -> list[Path]:
-    """Write every fixture (at default parameters) as a problem file."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out = []
-    for name in names():
-        fx = builtin(name)
-        path = directory / f"{name}.json"
-        path.write_text(save_problem(fx.to_problem()))
-        out.append(path)
-    return out

@@ -1,4 +1,4 @@
-"""Dense linear algebra helpers: adjoints, null spaces, least squares."""
+"""Dense linear algebra helpers: null spaces, least squares."""
 
 from __future__ import annotations
 
@@ -18,15 +18,6 @@ def as_matrix(A, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if cols is not None and A.shape[1] != cols:
         raise ValueError(f"expected {cols} cols, got {A.shape[1]}")
     return A
-
-
-def adjoint_apply(A, y) -> np.ndarray:
-    """Apply the adjoint map: returns A^T y."""
-    A = as_matrix(A)
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != A.shape[0]:
-        raise ValueError(f"length(y)={y.size} does not match rows(A)={A.shape[0]}")
-    return A.T @ y
 
 
 def null_space_basis(M, rtol: float = RANK_RTOL) -> list[np.ndarray]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conecert import analysis
 from conecert.analysis import (
     AnalysisOptions,
     EmptyCutSetError,
@@ -23,7 +24,7 @@ from conecert.analysis import (
     tight_extreme_ray_search,
     valid_equation_check,
 )
-from conecert.cones import ConeProduct, lorentz, nonneg
+from conecert.cones import ConeProduct, lorentz, nonneg, sample_extreme_rays
 from conecert.fixtures import builtin
 from conecert.model import DisjunctiveSet, Inequality, RhsFamily, Status, feasible_rhs
 
@@ -91,8 +92,9 @@ def test_theta_all_branches_infeasible():
 def test_support_known_values():
     fx = builtin("ex4_1")
     h = SupportHandle(fx.dset, [0.0, 1.0, 2.0])
-    assert h.eval([1.0]) == pytest.approx(math.sqrt(3.0), abs=1e-6)
-    assert h.eval([-1.0]) == pytest.approx(math.sqrt(3.0), abs=1e-6)
+    # one row: the interval D_mu = [-sqrt(3), sqrt(3)] is exact, not solved
+    assert h.eval([1.0]) == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    assert h.eval([-1.0]) == pytest.approx(math.sqrt(3.0), abs=1e-12)
     assert h.eval([0.0]) == pytest.approx(0.0, abs=1e-8)
     for t in (0.0, 1.0, -2.0):
         ht = SupportHandle(fx.dset, [0.0, t, math.hypot(t, 1.0)])
@@ -229,6 +231,40 @@ def test_sublinear_sufficient():
     status, payload = _sublinear_sufficient(fx.dset, [0.0, 0.0, 1.0], 0.5)
     assert status is Status.INCONCLUSIVE
 
+
+
+def _greedy_interior_sum_loop(vectors, K):
+    """The greedy interior sum with one scalar margin per candidate."""
+    remaining = sorted(vectors, key=lambda v: tuple(np.round(v, 12)))
+    total = np.zeros(K.dim)
+    order, sums = [], [total]
+    while remaining:
+        best_j, best_margin = 0, -math.inf
+        for j, v in enumerate(remaining):
+            mgn = K.interior_margin(total + v)
+            if mgn > best_margin + 1e-15:
+                best_j, best_margin = j, mgn
+        v = remaining.pop(best_j)
+        total = total + v
+        order.append(v)
+        sums.append(total)
+    best = max(range(len(sums)), key=lambda i: K.interior_margin(sums[i]))
+    return order[:best], sums[best]
+
+
+def test_greedy_interior_sum_matches_loop():
+    rng = np.random.default_rng(11)
+    for K, count in (
+        (ConeProduct([lorentz(3)]), 64),  # an equispaced arc: many tied margins
+        (ConeProduct([lorentz(3), nonneg(2), lorentz(4)]), 24),
+    ):
+        rays = sample_extreme_rays(K, count, seed=1)
+        rays = [rays[i] for i in rng.permutation(len(rays))]
+        chosen, total = analysis._greedy_interior_sum(rays, K)
+        ref_chosen, ref_total = _greedy_interior_sum_loop(rays, K)
+        assert len(chosen) == len(ref_chosen) > 0
+        assert all(np.array_equal(u, v) for u, v in zip(chosen, ref_chosen))
+        assert np.array_equal(total, ref_total)
 
 # ---------------------------------------------------------------------------
 # minimality

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,23 @@ def test_interior_margin():
     L = ConeProduct([lorentz(3)])
     assert L.interior_margin([3.0, 4.0, 6.0]) == pytest.approx(1.0)
     assert L.interior_margin([0.0, 1.0, 1.0]) == pytest.approx(0.0)
+
+
+def test_interior_margin_rows():
+    K = ConeProduct([nonneg(2), lorentz(3), lorentz(2)])
+    X = np.random.default_rng(3).normal(size=(7, K.dim))
+
+    def reference(x):
+        return min(x[0], x[1], x[4] - math.hypot(x[2], x[3]), x[6] - abs(x[5]))
+
+    margins = K.interior_margin(X)
+    assert margins.shape == (7,)
+    for x, got in zip(X, margins):
+        assert got == pytest.approx(reference(x), abs=1e-14)
+        assert K.interior_margin(x) == got
+    assert K.interior_margin(np.zeros((0, K.dim))).shape == (0,)
+    with pytest.raises(ValueError):
+        K.interior_margin(np.zeros((2, K.dim + 1)))
 
 
 def test_canonical_interior_point():

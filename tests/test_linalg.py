@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conecert.linalg import (
-    adjoint_apply,
     as_matrix,
     least_squares_solve,
     null_space_basis,
@@ -18,13 +17,6 @@ def test_as_matrix_shapes():
         as_matrix([[1.0, 2.0]], rows=2)
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0.0]])
-
-
-def test_adjoint_apply():
-    A = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
-    assert np.allclose(adjoint_apply(A, [1.0, -1.0]), [1.0, 1.0, 3.0])
-    with pytest.raises(ValueError):
-        adjoint_apply(A, [1.0])
 
 
 def test_null_space_empty_rows_gives_identity():

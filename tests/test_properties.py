@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from conecert import analysis
 from conecert.analysis import (
     AnalysisOptions,
+    EmptyCutSetError,
     SupportHandle,
     check_A1i,
     full_report,
     sigma_over_rhs,
     theta,
 )
-from conecert.cones import ConeProduct, nonneg, sample_extreme_rays
+from conecert.cones import ConeProduct, free, lorentz, nonneg, sample_extreme_rays
 from conecert.fixtures import builtin, names
 from conecert.model import DisjunctiveSet, Inequality, RhsFamily, Status
 from conecert.solver import ConicProgram, SolveStatus, solve
@@ -173,3 +175,109 @@ def test_positive_scaling_verdict_invariance():
                 )
                 verdict = full_report(fx.dset, scaled, opts).final_verdict
                 assert verdict == base, (name, fi.inequality.name, tau, verdict, base)
+
+
+# ---------------------------------------------------------------------------
+# one-row D_mu: the closed-form interval against the support program
+
+# integer xbar with integer norm, so that (xbar, |xbar|) lies exactly on the
+# boundary of L^(len + 1)
+_BOUNDARY_BARS = {2: [1.0], 3: [3.0, 4.0], 4: [1.0, 2.0, 2.0], 5: [1.0, 1.0, 1.0, 1.0]}
+
+
+def _lorentz_point(rng, dim, depth):
+    """An integer point of L^dim whose radius exceeds |xbar| by at least depth."""
+    bar = rng.integers(-2, 3, size=dim - 1).astype(float)
+    return np.append(bar, math.ceil(np.linalg.norm(bar)) + depth)
+
+
+def _one_row_instance(rng, case):
+    """A one-row set over L^2..L^5 blocks and an orthant, with integer data
+    and a mu whose D_mu has the named shape: "generic", "unbounded" above,
+    "point" (the single point lam0), "empty", or "boundary" (the row's first
+    block on the boundary of L or -L)."""
+    dims = [int(d) for d in rng.integers(2, 6, size=int(rng.integers(1, 3)))]
+    k = int(rng.integers(2, 4))
+    K = ConeProduct([lorentz(d) for d in dims] + [nonneg(k)])
+    n = K.dim
+    first = slice(0, dims[0])
+    a = rng.integers(-2, 3, size=n).astype(float)
+    # mu = lam0 * a + gamma with gamma in int K*, so lam0 lies in D_mu
+    gamma = np.concatenate(
+        [_lorentz_point(rng, d, 1) for d in dims] + [rng.integers(1, 3, size=k).astype(float)]
+    )
+    lam0 = float(rng.integers(-2, 3))
+    if case == "unbounded":  # -a in K*
+        a = -np.concatenate(
+            [_lorentz_point(rng, d, 0) for d in dims] + [rng.integers(0, 3, size=k).astype(float)]
+        )
+    elif case == "boundary":
+        bar = np.array(_BOUNDARY_BARS[dims[0]]) * rng.choice([-1.0, 1.0], size=dims[0] - 1)
+        a[first] = rng.choice([-1.0, 1.0]) * np.append(bar, np.linalg.norm(bar))
+    elif case == "point":  # the first block's row lies outside L and -L, mu = lam0 * a there
+        bar = rng.integers(-2, 3, size=dims[0] - 1).astype(float)
+        bar[0] = bar[0] or 1.0
+        a[first] = np.append(bar, 0.0)
+        gamma[first] = 0.0
+    elif case == "empty":
+        variant = int(rng.integers(3))
+        if variant == 0:  # the first block's radius is negative for every lambda
+            a[first] = np.append(rng.integers(-2, 3, size=dims[0] - 1), 0.0)
+            gamma[first] = -_lorentz_point(rng, dims[0], 1)
+        elif variant == 1 and dims[0] >= 3:
+            # mu - lam*a = (-lam, 2, 0, ..., 1) on the first block: outside L
+            # and -L for every lambda (the quadratic has no real root)
+            a[first] = np.eye(dims[0])[0]
+            gamma[first] = np.eye(dims[0])[1] * 2.0 + np.eye(dims[0])[-1] - lam0 * a[first]
+        else:  # lambda <= lam0 - 1 and lambda >= lam0 on two orthant coordinates
+            a[n - 2 :] = [1.0, -1.0]
+            gamma[n - 2 :] = [-1.0, 0.0]
+    mu = lam0 * a + gamma
+    bs = tuple(np.array([float(b)]) for b in rng.integers(-3, 4, size=2))
+    return DisjunctiveSet(a.reshape(1, -1), K, RhsFamily(explicit=bs)), mu, lam0
+
+
+def _support_program(dset, mu, z):
+    """sigma_{D_mu}(z) as the conic program max z*lam : A^T lam + gamma = mu,
+    gamma in K*, in the solver's min form."""
+    n = dset.n
+    return solve(ConicProgram(
+        np.concatenate([[-z], np.zeros(n)]),
+        np.hstack([dset.A.T, np.eye(n)]),
+        mu,
+        ConeProduct([free(1)] + list(dset.K.dual().blocks)),
+    ))
+
+
+def test_one_row_support_matches_support_program(monkeypatch):
+    handle_solves = []
+    monkeypatch.setattr(analysis, "solve", lambda *args: handle_solves.append(args))
+    rng = np.random.default_rng(5)
+    statuses = {s: 0 for s in SolveStatus}
+    for case in ("generic", "unbounded", "point", "empty", "boundary") * 12:
+        dset, mu, lam0 = _one_row_instance(rng, case)
+        h = SupportHandle(dset, mu)
+        for z in [1.0, -1.0] + [float(b[0]) for b in dset.B.expand()]:
+            sol = _support_program(dset, mu, z)
+            statuses[sol.status] += 1
+            if case == "empty":
+                assert sol.status is SolveStatus.PRIMAL_INFEASIBLE
+                with pytest.raises(EmptyCutSetError):
+                    h.eval([z])
+                continue
+            got = h.eval([z])
+            if case == "point":
+                assert got == pytest.approx(z * lam0, abs=1e-12)
+            if case == "unbounded" and z > 0:
+                assert got == math.inf
+            if sol.status is SolveStatus.OPTIMAL:
+                assert got == pytest.approx(-sol.objective, abs=1e-6 * (1.0 + abs(got)))
+            elif sol.status is SolveStatus.DUAL_INFEASIBLE:
+                assert got == math.inf
+            else:  # the program has no strictly feasible point only when D_mu is one point
+                assert case == "point"
+    # every case ran in closed form, and the solver met each outcome
+    assert not handle_solves
+    assert statuses[SolveStatus.OPTIMAL] >= 100
+    assert statuses[SolveStatus.DUAL_INFEASIBLE] >= 15
+    assert statuses[SolveStatus.PRIMAL_INFEASIBLE] >= 15
