@@ -21,10 +21,8 @@ from .model import (
     CertificateReport,
     DisjunctiveSet,
     Inequality,
-    RhsRecord,
-    SetFacts,
     Status,
-    set_facts,
+    assumption2_check,
 )
 from .solver import ConicProgram, SolveStatus, SolverOptions, solve
 
@@ -52,57 +50,93 @@ class ModelError(ValueError):
 
 @dataclass
 class BranchValue:
+    """One row of the branch table: the solve of min <mu,x> : Ax = b, x in K.
+
+    An optimal row holds x with the upper bound value = <mu,x> on v(b), and
+    the dual y, a verified point of D_mu, with the lower bound sigma = y.b on
+    sigma_{D_mu}(b). An infeasible row holds the Farkas certificate, and its
+    sigma is +inf once D_mu is nonempty. An unbounded row leaves D_mu empty
+    (sigma = -inf); a row ended by a solver limit has sigma = nan."""
+
     label: str
     b: np.ndarray
     status: str  # "optimal" | "infeasible" | "unbounded" | "limit"
     value: float | None = None
     x: np.ndarray | None = None
+    y: np.ndarray | None = None
+    sigma: float = math.nan
+    certificate: np.ndarray | None = None
 
 
 @dataclass
 class ThetaResult:
     value: float  # may be -inf
     argmin: str | None
-    table: list
+    table: list  # BranchValue rows, one per expanded b
     unbounded: bool = False
     had_limit: bool = False
+    inf_sigma: float = math.nan  # min of the rows' sigma; may be +inf/nan
+    sigma_argmin: str | None = None
+    monotone_ok: bool = True
 
 
 def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> ThetaResult:
     """Best possible right-hand side: min over feasible b of
-    inf{<mu,x> : Ax = b, x in K}."""
+    inf{<mu,x> : Ax = b, x in K}, with the branch table of that one solve
+    per branch and inf_b sigma(b) read from the table."""
     opts = opts or AnalysisOptions()
     mu = _vec(mu, dset.n)
     if not np.any(mu):
         raise ValueError("mu must be nonzero")
     table = []
-    best = math.inf
-    argmin = None
-    unbounded = False
-    had_limit = False
     for label, b in dset.B.expand_labeled():
         sol = solve(ConicProgram(mu, dset.A, b, dset.K), opts.solver)
         if sol.status is SolveStatus.OPTIMAL:
-            table.append(BranchValue(label, b, "optimal", sol.objective, sol.x))
-            if sol.objective < best - 1e-9:
-                best = sol.objective
-                argmin = label
+            table.append(BranchValue(label, b, "optimal", sol.objective, sol.x, sol.y,
+                                     float(sol.y @ b)))
         elif sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-            table.append(BranchValue(label, b, "infeasible"))
+            table.append(BranchValue(label, b, "infeasible", sigma=math.inf,
+                                     certificate=sol.certificate))
         elif sol.status is SolveStatus.DUAL_INFEASIBLE:
-            table.append(BranchValue(label, b, "unbounded", -math.inf))
-            unbounded = True
-            argmin = argmin or label
+            table.append(BranchValue(label, b, "unbounded", -math.inf, sigma=-math.inf))
         else:
             table.append(BranchValue(label, b, "limit"))
-            had_limit = True
-    if unbounded:
-        return ThetaResult(-math.inf, argmin, table, True, had_limit)
-    if not any(r.status == "optimal" for r in table):
-        if had_limit:
-            return ThetaResult(math.nan, None, table, False, True)
-        raise ModelError("every branch of the disjunction is infeasible")
-    return ThetaResult(best, argmin, table, False, had_limit)
+    value, argmin = _column_min(table, "value")
+    had_limit = any(r.status == "limit" for r in table)
+    if value == math.inf:  # no optimal or unbounded row
+        if not had_limit:
+            raise ModelError("every branch of the disjunction is infeasible")
+        value = math.nan
+    inf_sigma, sigma_argmin = _column_min(table, "sigma")
+    if not math.isfinite(inf_sigma) and had_limit:
+        inf_sigma, sigma_argmin = math.nan, None
+    return ThetaResult(value, argmin, table, value == -math.inf, had_limit, inf_sigma,
+                       sigma_argmin, _lattice_monotone(dset, table))
+
+
+def _column_min(table: list, column: str) -> tuple[float, str | None]:
+    """Least entry of a table column over the rows that have one (not None or
+    nan), and the first row attaining it up to 1e-9; (+inf, None) if none."""
+    best, argmin = math.inf, None
+    for r in table:
+        v = getattr(r, column)
+        if v is not None and v < best - 1e-9:
+            best, argmin = v, r.label
+    return best, argmin
+
+
+def _lattice_monotone(dset: DisjunctiveSet, table: list) -> bool:
+    """Spot-check that sigma values grow outward along the truncated lattice:
+    the last three shifts on each side must be nondecreasing."""
+    if dset.B.lattice is None:
+        return True
+    by_k = {int(r.label[8:-1]): r.sigma for r in table if r.label.startswith("lattice[")}
+    for side in (sorted(k for k in by_k if k > 0), sorted((k for k in by_k if k < 0), reverse=True)):
+        vals = [by_k[k] for k in side[-3:]]
+        for lo, hi in zip(vals, vals[1:]):
+            if math.isnan(lo) or math.isnan(hi) or hi < lo - 1e-9:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -249,62 +283,25 @@ def _lorentz_form(u: np.ndarray, v: np.ndarray) -> float:
     return 0.0 if abs(head - tail) <= 4 * u.size * np.finfo(float).eps * scale else head - tail
 
 
-def check_A0(handle: SupportHandle):
-    """Feasibility of D_mu, i.e. mu in K* + Im(A*)."""
+def check_A0(handle: SupportHandle, th: ThetaResult | None = None):
+    """Feasibility of D_mu, i.e. mu in K* + Im(A*). The witness is the dual y
+    of the first optimal row of the branch table `th` (theta(dset, mu)),
+    else a point of the handle's one-row interval, and only without either
+    the solution of the (A.0) feasibility program, which also gives the
+    Farkas ray when D_mu is empty."""
+    dset, mu, interval = handle.dset, handle.mu, handle._interval
+    lam = next((r.y for r in (th.table if th else ()) if r.status == "optimal"), None)
+    if lam is None and interval is not None and interval[0] <= interval[1]:
+        lo, hi = interval
+        lam = np.array([lo if lo > -math.inf else hi if hi < math.inf else 0.0])
+    if lam is not None:
+        return Status.HOLDS, {"lambda": lam, "gamma": mu - dset.A.T @ lam}
     sol = handle.feasibility()
-    m = handle.dset.m
     if sol.status is SolveStatus.OPTIMAL:
-        return Status.HOLDS, {"lambda": sol.x[:m], "gamma": sol.x[m:]}
+        return Status.HOLDS, {"lambda": sol.x[:dset.m], "gamma": sol.x[dset.m:]}
     if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-        u = -sol.certificate
-        return Status.FAILS, {"ray": u}
+        return Status.FAILS, {"ray": -sol.certificate}
     return Status.INCONCLUSIVE, {}
-
-
-@dataclass
-class SigmaOverRhs:
-    value: float  # inf over expanded B of sigma(b); may be +inf/nan
-    argmin: str | None
-    table: list  # (label, b, sigma)
-    monotone_ok: bool
-
-
-def sigma_over_rhs(dset: DisjunctiveSet, handle: SupportHandle) -> SigmaOverRhs:
-    table = []
-    best = math.inf
-    argmin = None
-    saw_nan = False
-    for label, b in dset.B.expand_labeled():
-        v = handle.eval(b)
-        table.append((label, b, v))
-        if math.isnan(v):
-            saw_nan = True
-        elif v < best - 1e-9:
-            best = v
-            argmin = label
-    if saw_nan and not math.isfinite(best):
-        return SigmaOverRhs(math.nan, None, table, _lattice_monotone(dset, table))
-    return SigmaOverRhs(best, argmin, table, _lattice_monotone(dset, table))
-
-
-def _lattice_monotone(dset: DisjunctiveSet, table) -> bool:
-    """Spot-check that sigma values grow outward along the truncated lattice:
-    the last three shifts on each side must be nondecreasing."""
-    if dset.B.lattice is None:
-        return True
-    by_k = {}
-    for label, _, v in table:
-        if label.startswith("lattice["):
-            by_k[int(label[8:-1])] = v
-    for side in (sorted(k for k in by_k if k > 0), sorted((k for k in by_k if k < 0), reverse=True)):
-        tail = side[-3:]
-        vals = [by_k[k] for k in tail]
-        for lo, hi in zip(vals, vals[1:]):
-            if math.isnan(lo) or math.isnan(hi):
-                return False
-            if hi < lo - 1e-9:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +454,17 @@ def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int
 def check_sublinear_sufficient(
     handle: SupportHandle,
     eta0: float,
-    sigma: SigmaOverRhs,
+    th: ThetaResult,
     tight_rays: list[TightRay],
 ):
     """Certify sublinearity through tight extreme rays summing into int(K).
-    Validity is pre-certified through eta0 <= inf_b sigma(b)."""
-    opts, K = handle.opts, handle.dset.K
-    if math.isnan(sigma.value) or eta0 > sigma.value + opts.tol:
-        return Status.INCONCLUSIVE, {"inf_sigma": sigma.value}
+    Validity is pre-certified through eta0 <= inf_b sigma(b), read from the
+    branch table th = theta(dset, mu)."""
+    opts, K, inf_sigma = handle.opts, handle.dset.K, th.inf_sigma
+    if math.isnan(inf_sigma) or eta0 > inf_sigma + opts.tol:
+        return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma}
     if not tight_rays:
-        return Status.INCONCLUSIVE, {"inf_sigma": sigma.value, "tight_rays": []}
+        return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "tight_rays": []}
     chosen, total = _greedy_interior_sum([t.z for t in tight_rays], K)
     margin = K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
     if margin > opts.margin_tol:
@@ -474,9 +472,9 @@ def check_sublinear_sufficient(
             "rays": chosen,
             "sum": total,
             "margin": margin,
-            "inf_sigma": sigma.value,
+            "inf_sigma": inf_sigma,
         }
-    return Status.INCONCLUSIVE, {"inf_sigma": sigma.value, "margin": margin}
+    return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "margin": margin}
 
 
 def _greedy_interior_sum(vectors: list, K: ConeProduct):
@@ -504,18 +502,17 @@ def _greedy_interior_sum(vectors: list, K: ConeProduct):
     return order[:best], sums[best]
 
 
-def check_minimal_sufficient(handle: SupportHandle, eta0: float, sigma: SigmaOverRhs):
+def check_minimal_sufficient(handle: SupportHandle, eta0: float, th: ThetaResult):
     """Certify minimality through points x^i on tight branches whose sum is
-    interior. Applies only when eta0 equals inf_b sigma(b)."""
-    dset, mu, opts = handle.dset, handle.mu, handle.opts
-    if math.isnan(sigma.value) or not math.isfinite(sigma.value):
-        return Status.NOT_APPLICABLE, {"inf_sigma": sigma.value}
-    if abs(eta0 - sigma.value) > opts.tol:
-        return Status.NOT_APPLICABLE, {"inf_sigma": sigma.value}
-    bhat = [(label, b) for label, b, v in sigma.table
-            if math.isfinite(v) and v <= eta0 + opts.tol]
+    interior. Applies only when eta0 equals inf_b sigma(b), read from the
+    branch table th = theta(dset, mu)."""
+    dset, mu, opts, inf_sigma = handle.dset, handle.mu, handle.opts, th.inf_sigma
+    if not math.isfinite(inf_sigma) or abs(eta0 - inf_sigma) > opts.tol:
+        return Status.NOT_APPLICABLE, {"inf_sigma": inf_sigma}
+    bhat = [(r.label, r.b) for r in th.table
+            if math.isfinite(r.sigma) and r.sigma <= eta0 + opts.tol]
     if not bhat:
-        return Status.INCONCLUSIVE, {"inf_sigma": sigma.value}
+        return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma}
     n, m, r = dset.n, dset.m, len(bhat)
     # joint program: x^i in K per branch, w in K, t free (capped at 1):
     #   A x^i = b^i,  <mu, x^i> = eta0,  sum_i x^i - w - t e = 0,  t + u = 1
@@ -549,7 +546,7 @@ def check_minimal_sufficient(handle: SupportHandle, eta0: float, sigma: SigmaOve
     # point), so keep stalled iterates too and judge the certificate by a
     # direct a-posteriori verification below
     if sol.x is None:
-        return Status.INCONCLUSIVE, {"inf_sigma": sigma.value, "solver": sol.status.value}
+        return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "solver": sol.status.value}
     points = []
     for i, (_, b) in enumerate(bhat):
         x = sol.x[i * n : (i + 1) * n]
@@ -567,9 +564,9 @@ def check_minimal_sufficient(handle: SupportHandle, eta0: float, sigma: SigmaOve
             "branches": [label for label, _ in bhat],
             "sum": total,
             "margin": margin,
-            "inf_sigma": sigma.value,
+            "inf_sigma": inf_sigma,
         }
-    return Status.INCONCLUSIVE, {"inf_sigma": sigma.value, "margin": margin}
+    return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "margin": margin}
 
 
 def check_minimal_necessary_interior(
@@ -599,22 +596,19 @@ def decide_minimal_exact(
     mu,
     eta0: float,
     th: ThetaResult,
-    rhs: list[RhsRecord],
     opts: AnalysisOptions | None = None,
 ):
     """Exact minimality decision on the orthant: maximize sum(delta) over
     delta >= 0 such that (mu - delta; eta0) stays valid, encoded through one
     multiplier per feasible branch. Minimal iff the optimum is ~0. `th` is
-    theta(dset, mu) and `rhs` the feasible_rhs table of the set."""
+    theta(dset, mu); its optimal rows are the feasible branches."""
     opts = opts or AnalysisOptions()
     mu = _vec(mu, dset.n)
     if not dset.is_orthant():
         return Status.NOT_APPLICABLE, {}
     if math.isnan(th.value) or eta0 > th.value + opts.tol:
         raise ValueError("decide_minimal_exact needs a valid inequality")
-    branches = [(r.label, r.b) for r in rhs if r.status is Status.HOLDS]
-    if not branches:
-        raise ModelError("every branch of the disjunction is infeasible")
+    branches = [(r.label, r.b) for r in th.table if r.status == "optimal"]
 
     def build(cap: float | None):
         n, m, r = dset.n, dset.m, len(branches)
@@ -689,10 +683,10 @@ def dominance_repair(
         mu_new[i] = handle.eval(dset.A[:, i])
         if not math.isfinite(mu_new[i]):
             return Status.INCONCLUSIVE, None
-    sigma = sigma_over_rhs(dset, handle)
-    if not math.isfinite(sigma.value):
+    inf_sigma = theta(dset, mu, opts).inf_sigma
+    if not math.isfinite(inf_sigma):
         return Status.INCONCLUSIVE, None
-    return Status.HOLDS, Inequality(mu_new, sigma.value, "repaired")
+    return Status.HOLDS, Inequality(mu_new, inf_sigma, "repaired")
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +754,12 @@ def full_report(
     dset: DisjunctiveSet,
     ineq: Inequality,
     opts: AnalysisOptions | None = None,
-    facts: SetFacts | None = None,
+    assumption2: tuple | None = None,
 ) -> CertificateReport:
-    """Run the verdict ladder on one inequality. `facts` are the set-level
-    facts (set_facts(dset, opts.solver, opts.margin_tol)); callers that
-    report several inequalities over one set pass them in so they are solved
-    once, otherwise they are computed here."""
+    """Run the verdict ladder on one inequality. `assumption2` is the result
+    of assumption2_check(dset, opts.solver, opts.margin_tol); callers that
+    report several inequalities over one set pass it in so it is solved
+    once, otherwise it is computed here."""
     opts = opts or AnalysisOptions()
     mu = _vec(ineq.mu, dset.n)
     eta0 = float(ineq.eta0)
@@ -802,26 +796,27 @@ def full_report(
     tight = abs(eta0 - th.value) <= opts.tol if math.isfinite(th.value) else False
     rep.add("tightness", Status.HOLDS if tight else Status.FAILS, {"theta": th.value})
 
+    # theta is finite here, so the table has an optimal row, whose y is the
+    # (A.0) witness, and no row ended by a solver limit: every sigma is
+    # finite or +inf
     handle = SupportHandle(dset, mu, opts)
-    a0_status, a0_payload = check_A0(handle)
+    a0_status, a0_payload = check_A0(handle, th)
     rep.add("A0", a0_status, witness=a0_payload)
-    sigma = None
-    if a0_status is Status.HOLDS:
-        sigma = sigma_over_rhs(dset, handle)
-        rep.add(
-            "inf_sigma",
-            Status.HOLDS if math.isfinite(sigma.value) else Status.INCONCLUSIVE,
-            {
-                "inf_sigma": sigma.value,
-                "argmin": sigma.argmin,
-                "monotone_ok": sigma.monotone_ok,
-                "table": {label: v for label, _, v in sigma.table},
-            },
-        )
-    mono_ok = sigma.monotone_ok if sigma is not None else True
+    rep.add(
+        "inf_sigma",
+        Status.HOLDS,
+        {
+            "inf_sigma": th.inf_sigma,
+            "argmin": th.sigma_argmin,
+            "monotone_ok": th.monotone_ok,
+            "table": {r.label: r.sigma for r in th.table},
+        },
+    )
+    mono_ok = th.monotone_ok
 
-    facts = facts or set_facts(dset, opts.solver, opts.margin_tol)
-    a2_status, a2_witness, a2_margin = facts.assumption2
+    if assumption2 is None:
+        assumption2 = assumption2_check(dset, opts.solver, opts.margin_tol)
+    a2_status, a2_witness, a2_margin = assumption2
     rep.add("assumption2", a2_status, {"margin": a2_margin},
             {"witness": a2_witness} if a2_witness is not None else {})
 
@@ -838,26 +833,21 @@ def full_report(
         else:
             sub_status = Status.HOLDS
         rep.add("A1i", sub_status, {"per_index": per, "optima": opt_vals})
-        rep.add("sublinearity", sub_status if a0_status is Status.HOLDS else Status.FAILS, {})
-        sublinear = rep.entry("sublinearity").status
+        rep.add("sublinearity", sub_status, {})
     else:
-        if a0_status is Status.HOLDS:
-            rays, sampled_gaps = tight_extreme_ray_search(handle, opts.samples, opts.seed)
-            rep.add(
-                "tight_rays",
-                Status.HOLDS if rays else Status.INCONCLUSIVE,
-                {"count": len(rays), "min_sampled_gap": float(min(sampled_gaps))},
-                {"rays": [t.z for t in rays], "gaps": [t.gap for t in rays]},
-            )
-            sub_status, sub_payload = check_sublinear_sufficient(handle, eta0, sigma, rays)
-        else:
-            sub_status, sub_payload = Status.FAILS, {}
+        rays, sampled_gaps = tight_extreme_ray_search(handle, opts.samples, opts.seed)
+        rep.add(
+            "tight_rays",
+            Status.HOLDS if rays else Status.INCONCLUSIVE,
+            {"count": len(rays), "min_sampled_gap": float(min(sampled_gaps))},
+            {"rays": [t.z for t in rays], "gaps": [t.gap for t in rays]},
+        )
+        sub_status, sub_payload = check_sublinear_sufficient(handle, eta0, th, rays)
         rep.add("sublinearity", sub_status, sub_payload)
-        sublinear = sub_status
 
     verdict = None
     if orthant:
-        ex_status, ex_payload = decide_minimal_exact(dset, mu, eta0, th, facts.rhs, opts)
+        ex_status, ex_payload = decide_minimal_exact(dset, mu, eta0, th, opts)
         rep.add("minimality_exact", ex_status, ex_payload)
         if ex_status is Status.HOLDS:
             # a CertifiedMinimal verdict additionally needs a full-dimensional
@@ -866,17 +856,16 @@ def full_report(
         elif ex_status is Status.FAILS:
             verdict = VERDICT_NOT_MINIMAL if mono_ok else None
     else:
-        inf_sigma_val = sigma.value if sigma is not None else math.nan
         nec_status, nec_vals = check_minimal_necessary_interior(
-            dset, mu, eta0, th.value, inf_sigma_val, opts
+            dset, mu, eta0, th.value, th.inf_sigma, opts
         )
         rep.add("minimal_necessary_interior", nec_status, nec_vals)
         if nec_status is Status.FAILS:
             fails_theta = abs(eta0 - th.value) > opts.tol
             if fails_theta or mono_ok:
                 verdict = VERDICT_NOT_MINIMAL
-        if verdict is None and sigma is not None:
-            suf_status, suf_payload = check_minimal_sufficient(handle, eta0, sigma)
+        if verdict is None:
+            suf_status, suf_payload = check_minimal_sufficient(handle, eta0, th)
             rep.add("minimal_sufficient", suf_status, suf_payload)
             if (
                 suf_status is Status.HOLDS
@@ -889,7 +878,7 @@ def full_report(
     rep.add("equation", eq_status, eq_payload)
 
     if verdict is None:
-        verdict = VERDICT_SUBLINEAR if sublinear is Status.HOLDS else VERDICT_INCONCLUSIVE
+        verdict = VERDICT_SUBLINEAR if sub_status is Status.HOLDS else VERDICT_INCONCLUSIVE
     rep.final_verdict = verdict
     return rep
 

@@ -22,10 +22,10 @@ from .analysis import (
     EmptyCutSetError,
     ModelError,
     SupportHandle,
+    check_A0,
     dmu_vertices_2d,
     enumerate_valid_equations,
     full_report,
-    sigma_over_rhs,
     theta,
 )
 from .model import (
@@ -33,8 +33,8 @@ from .model import (
     Problem,
     ProblemFormatError,
     Status,
+    assumption2_check,
     load_problem,
-    set_facts,
     _plain,
 )
 from .separation import branches_from_set, generate_cut
@@ -153,10 +153,10 @@ def cmd_report(args) -> int:
     problem = _load(args.problem)
     opts = cfg.analysis()
     ineqs = _select_inequalities(problem, args.inequality)
-    facts = set_facts(problem.dset, opts.solver, opts.margin_tol)
+    a2 = assumption2_check(problem.dset, opts.solver, opts.margin_tol)
     out = []
     for q in ineqs:
-        rep = full_report(problem.dset, q, opts, facts)
+        rep = full_report(problem.dset, q, opts, a2)
         out.append({"inequality": q.name, **rep.to_dict()})
         if not cfg.json_output:
             print(f"== {q.name or '(unnamed)'} ==")
@@ -205,14 +205,17 @@ def cmd_support(args) -> int:
             z = _parse_vector(args.z, problem.dset.m, "--z")
             out.append({"inequality": q.name, "z": z, "sigma": handle.eval(z)})
         else:
-            sig = sigma_over_rhs(problem.dset, handle)
+            # sigma(b) >= y.b from each branch's dual, +inf on infeasible ones
+            th = theta(problem.dset, q.mu, opts)
+            if check_A0(handle, th)[0] is Status.FAILS:
+                raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
             out.append(
                 {
                     "inequality": q.name,
-                    "inf_sigma": sig.value,
-                    "argmin": sig.argmin,
-                    "monotone_ok": sig.monotone_ok,
-                    "table": {label: v for label, _, v in sig.table},
+                    "inf_sigma": th.inf_sigma,
+                    "argmin": th.sigma_argmin,
+                    "monotone_ok": th.monotone_ok,
+                    "table": {r.label: r.sigma for r in th.table},
                 }
             )
     _emit(out, cfg)
@@ -269,18 +272,19 @@ def cmd_demo(args) -> int:
     def check(label, ok, detail=""):
         checks.append({"check": label, "pass": bool(ok), "detail": detail})
 
-    facts = set_facts(fx.dset, opts.solver, opts.margin_tol)
-    a2_status, _, a2_margin = facts.assumption2
+    a2 = assumption2_check(fx.dset, opts.solver, opts.margin_tol)
+    a2_status, _, a2_margin = a2
     expected_a2 = fx.notes.get("assumption2")
     if expected_a2 is not None:
         check(f"assumption2 {expected_a2}", a2_status.value == expected_a2,
               f"margin={_fmt(a2_margin)}")
     if "infeasible_rhs" in fx.notes:
-        bad = [float(r.b[0]) for r in facts.rhs if r.status is Status.FAILS]
+        th = theta(fx.dset, fx.inequalities[0].inequality.mu, opts)
+        bad = [float(r.b[0]) for r in th.table if r.status == "infeasible"]
         check("infeasible rhs detected", bad == fx.notes["infeasible_rhs"],
               f"found {bad}")
     for fi in fx.inequalities:
-        rep = full_report(fx.dset, fi.inequality, opts, facts)
+        rep = full_report(fx.dset, fi.inequality, opts, a2)
         if fi.expected_verdict is not None:
             check(
                 f"{fi.inequality.name} verdict {fi.expected_verdict}",

@@ -11,7 +11,7 @@ import numpy as np
 
 from .cones import BlockKind, ConeBlock, ConeProduct
 from .linalg import as_matrix
-from .solver import ConicProgram, Solution, SolveStatus, SolverOptions, solve
+from .solver import ConicProgram, SolveStatus, SolverOptions, solve
 
 FORMAT_VERSION = 1
 
@@ -293,73 +293,47 @@ def save_problem(problem: Problem) -> str:
 
 
 # ---------------------------------------------------------------------------
-# feasibility of right-hand sides and the interior-point assumption
-
-
-@dataclass
-class RhsRecord:
-    label: str
-    b: np.ndarray
-    status: Status  # HOLDS = feasible, FAILS = infeasible
-    witness: np.ndarray | None = None
-    certificate: np.ndarray | None = None
-
-
-def feasible_rhs(dset: DisjunctiveSet, opts: SolverOptions | None = None) -> list[RhsRecord]:
-    """One feasibility solve per expanded right-hand side."""
-    opts = opts or SolverOptions()
-    out = []
-    for label, b in dset.B.expand_labeled():
-        sol = solve(ConicProgram(np.zeros(dset.n), dset.A, b, dset.K), opts)
-        if sol.status is SolveStatus.OPTIMAL:
-            out.append(RhsRecord(label, b, Status.HOLDS, witness=sol.x))
-        elif sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-            out.append(RhsRecord(label, b, Status.FAILS, certificate=sol.certificate))
-        else:
-            out.append(RhsRecord(label, b, Status.INCONCLUSIVE))
-    return out
+# the interior-point assumption
 
 
 def assumption2_check(
     dset: DisjunctiveSet,
-    rhs: list[RhsRecord],
     opts: SolverOptions | None = None,
     tol: float = 1e-7,
 ) -> tuple[Status, np.ndarray | None, float]:
     """Look for a strictly interior feasible point: maximize t subject to
-    x - t*e in K, Ax = b over the branches that `rhs` (the feasible_rhs
-    table of the set) marks feasible. Returns the status, the best witness
-    x, and the best margin found."""
+    x - t*e in K, Ax = b, t <= 1 on every expanded branch. The optimum t*
+    also decides the branch: it is feasible iff t* >= 0, and t* within tol
+    of 0 counts as feasible (a boundary branch). Returns the status, the
+    best witness x, and the best margin over the feasible branches."""
     opts = opts or SolverOptions()
+    n, m = dset.n, dset.m
     e = dset.K.canonical_interior_point()
+    # variables: v in K, t free (capped at 1 by a slack row)
+    cone = ConeProduct(list(dset.K.blocks) + [
+        ConeBlock(BlockKind.FREE, 1), ConeBlock(BlockKind.NONNEG, 1)])
+    Arow = np.zeros((m + 1, n + 2))
+    Arow[:m, :n] = dset.A
+    Arow[:m, n] = dset.A @ e
+    Arow[m, n] = 1.0
+    Arow[m, n + 1] = 1.0
+    c = np.zeros(n + 2)
+    c[n] = -1.0
     best_margin = -np.inf
     best_witness = None
     saw_feasible = False
     saw_limit = False
-    for rec in rhs:
-        if rec.status is Status.INCONCLUSIVE:
-            saw_limit = True
+    for _, b in dset.B.expand_labeled():
+        sol = solve(ConicProgram(c, Arow, np.concatenate([b, [1.0]]), cone), opts)
+        if sol.status is SolveStatus.PRIMAL_INFEASIBLE:  # no t <= 1 puts b - t*Ae in A(K)
             continue
-        if rec.status is Status.FAILS:
-            continue
-        saw_feasible = True
-        # variables: v in K, t free (capped at 1 by a slack row)
-        n = dset.n
-        cone = ConeProduct(list(dset.K.blocks) + [
-            ConeBlock(BlockKind.FREE, 1), ConeBlock(BlockKind.NONNEG, 1)])
-        Arow = np.zeros((dset.m + 1, n + 2))
-        Arow[: dset.m, :n] = dset.A
-        Arow[: dset.m, n] = dset.A @ e
-        Arow[dset.m, n] = 1.0
-        Arow[dset.m, n + 1] = 1.0
-        brow = np.concatenate([rec.b, [1.0]])
-        c = np.zeros(n + 2)
-        c[n] = -1.0
-        sol = solve(ConicProgram(c, Arow, brow, cone), opts)
         if sol.status is not SolveStatus.OPTIMAL:
             saw_limit = True
             continue
         t = float(sol.x[n])
+        if t < -tol:  # an infeasible branch
+            continue
+        saw_feasible = True
         if t > best_margin:
             best_margin = t
             best_witness = sol.x[:n] + t * e
@@ -370,19 +344,3 @@ def assumption2_check(
     if saw_limit:
         return Status.INCONCLUSIVE, None, best_margin
     return Status.FAILS, None, best_margin
-
-
-@dataclass
-class SetFacts:
-    """What the ladder needs to know about the set alone, independent of the
-    inequality: the feasible_rhs table and the assumption2_check result."""
-
-    rhs: list[RhsRecord]
-    assumption2: tuple[Status, np.ndarray | None, float]
-
-
-def set_facts(dset: DisjunctiveSet, opts: SolverOptions | None = None,
-              tol: float = 1e-7) -> SetFacts:
-    """One feasible_rhs pass, shared with assumption2_check (margin tol)."""
-    rhs = feasible_rhs(dset, opts)
-    return SetFacts(rhs, assumption2_check(dset, rhs, opts, tol))

@@ -15,12 +15,11 @@ from conecert.analysis import (
     dmu_vertices_2d,
     enumerate_valid_equations,
     full_report,
-    sigma_over_rhs,
     theta,
     tight_extreme_ray_search,
 )
 from conecert.fixtures import builtin
-from conecert.model import Status, feasible_rhs
+from conecert.model import Status
 from conecert.separation import branches_from_set, generate_cut
 
 from oracles import oracle_lp
@@ -102,8 +101,7 @@ def test_acceptance_4_single_tight_ray():
     th = theta(fx.dset, [0.0, 0.0, 1.0])
     ok &= abs(th.value - 0.5) <= 1e-6
 
-    recs = {r.label: r for r in feasible_rhs(fx.dset)}
-    bad = [r for r in recs.values() if r.status is Status.FAILS]
+    bad = [r for r in th.table if r.status == "infeasible"]
     ok &= len(bad) == 1 and float(bad[0].b[0]) == -1.0
     cert = bad[0].certificate
     cert_ok = False
@@ -140,10 +138,10 @@ def test_acceptance_5_mixed_cone_lattice_cut():
     for ev in expected:
         ok &= any(np.linalg.norm(v - np.array(ev)) <= 1e-6 for v in verts)
 
-    sig = sigma_over_rhs(fx.dset, SupportHandle(fx.dset, cut.mu))
-    ok &= abs(sig.value - 0.375) <= 1e-6
-    ok &= sig.argmin == "lattice[0]"
-    ok &= sig.monotone_ok
+    th = theta(fx.dset, cut.mu)
+    ok &= abs(th.inf_sigma - 0.375) <= 1e-6
+    ok &= th.sigma_argmin == "lattice[0]"
+    ok &= th.monotone_ok
 
     ok &= full_report(fx.dset, cut).final_verdict == "CertifiedMinimal"
     ok &= len(enumerate_valid_equations(fx.dset)) == 1
@@ -200,10 +198,13 @@ def test_acceptance_7_core_function_properties():
         if not np.any(mu):
             continue
         th = theta(dset, mu)
-        sig = sigma_over_rhs(dset, SupportHandle(dset, mu))
-        if math.isnan(th.value) or math.isnan(sig.value):
+        handle = SupportHandle(dset, mu)
+        sigmas = [handle.eval(b) for b in dset.B.expand()]
+        inf_sigma = min((v for v in sigmas if not math.isnan(v)), default=math.inf)
+        if math.isnan(th.value) or (not math.isfinite(inf_sigma)
+                                    and any(map(math.isnan, sigmas))):
             continue
-        ok &= sig.value <= th.value + 1e-6
+        ok &= inf_sigma <= th.value + 1e-6
 
         c = rng.integers(-3, 4, size=n).astype(float)
         status, value, _ = oracle_lp(c, A, bs[0])

@@ -19,14 +19,13 @@ from conecert.analysis import (
     dominance_repair,
     enumerate_valid_equations,
     full_report,
-    sigma_over_rhs,
     theta,
     tight_extreme_ray_search,
     valid_equation_check,
 )
 from conecert.cones import ConeProduct, lorentz, nonneg, sample_extreme_rays
 from conecert.fixtures import builtin
-from conecert.model import DisjunctiveSet, Inequality, RhsFamily, Status, feasible_rhs
+from conecert.model import DisjunctiveSet, Inequality, RhsFamily, Status
 
 from oracles import oracle_lp
 
@@ -85,6 +84,27 @@ def test_theta_all_branches_infeasible():
         theta(dset, [0.0, 0.0, 1.0])
 
 
+def test_theta_table_flags_empty_branch():
+    fx = builtin("ex4_2")
+    th = theta(fx.dset, fx.inequalities[0].inequality.mu)
+    by_label = {r.label: r for r in th.table}
+    assert by_label["explicit[0]"].status == "infeasible"
+    assert by_label["explicit[1]"].status == "optimal"
+    # infeasibility certificate: A^T y in -K*, b.y > 0
+    bad = by_label["explicit[0]"]
+    y = bad.certificate
+    v = fx.dset.A.T @ y
+    # -v must lie in L3: radius last
+    assert -v[2] >= np.hypot(v[0], v[1]) - 1e-7
+    assert float(bad.b @ y) > 1e-8
+    assert bad.sigma == math.inf
+    # feasible branch carries a verified witness
+    good = by_label["explicit[1]"]
+    assert fx.dset.K.contains(good.x, tol=1e-6)
+    assert np.allclose(fx.dset.A @ good.x, good.b, atol=1e-6)
+
+
+
 # ---------------------------------------------------------------------------
 # support function
 
@@ -132,14 +152,43 @@ def test_check_A0():
     assert np.linalg.norm(fx.dset.A @ u) < 1e-6 * max(1.0, np.linalg.norm(u))
     assert float(np.array([0.0, 2.0, 1.0]) @ u) < -1e-8
 
-
-def test_sigma_over_rhs_monotone_flag():
+    # two rows and no branch table: the (A.0) program is solved
     fx = builtin("cmir")
-    h = SupportHandle(fx.dset, fx.inequalities[0].inequality.mu)
-    sig = sigma_over_rhs(fx.dset, h)
-    assert sig.value == pytest.approx(0.375, abs=1e-6)
-    assert sig.argmin == "lattice[0]"
-    assert sig.monotone_ok
+    mu = fx.inequalities[0].inequality.mu
+    status, payload = check_A0(SupportHandle(fx.dset, mu))
+    assert status is Status.HOLDS
+    assert np.linalg.norm(fx.dset.A.T @ payload["lambda"] + payload["gamma"] - mu) < 1e-6
+    assert fx.dset.K.contains(payload["gamma"], tol=1e-7)
+
+    # with the branch table, the dual of an optimal row is the witness
+    fx = builtin("ex2_4")
+    mu = np.array([1.0, -1.0])
+    th = theta(fx.dset, mu)
+    status, payload = check_A0(SupportHandle(fx.dset, mu), th)
+    assert status is Status.HOLDS
+    assert np.array_equal(payload["lambda"], th.table[0].y)
+    assert fx.dset.K.contains(payload["gamma"], tol=1e-6)
+
+    # D_mu = {-2}: the (A.0) program has no strictly feasible point, and its
+    # solve can end in PrimalInfeasible; the verified interval decides it
+    dset = DisjunctiveSet(
+        np.array([[1.0, 0.0, -2.0, 0.0, 2.0, 0.0, 0.0, 2.0]]),
+        ConeProduct([lorentz(4), lorentz(2), nonneg(2)]),
+        RhsFamily(explicit=(np.array([1.0]),)),
+    )
+    mu = np.array([-2.0, 0.0, 4.0, 0.0, -6.0, 3.0, 1.0, -3.0])
+    status, payload = check_A0(SupportHandle(dset, mu))
+    assert status is Status.HOLDS
+    assert payload["lambda"] == pytest.approx([-2.0], abs=1e-9)
+    assert dset.K.contains(payload["gamma"], tol=1e-9)
+
+
+def test_theta_inf_sigma_and_monotone_flag():
+    fx = builtin("cmir")
+    th = theta(fx.dset, fx.inequalities[0].inequality.mu)
+    assert th.inf_sigma == pytest.approx(0.375, abs=1e-6)
+    assert th.sigma_argmin == "lattice[0]"
+    assert th.monotone_ok
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +267,7 @@ def test_tight_rays_cmir_all_five():
 def _sublinear_sufficient(dset, mu, eta0):
     h = SupportHandle(dset, mu)
     rays, _ = tight_extreme_ray_search(h)
-    return check_sublinear_sufficient(h, eta0, sigma_over_rhs(dset, h), rays)
+    return check_sublinear_sufficient(h, eta0, theta(dset, mu), rays)
 
 
 def test_sublinear_sufficient():
@@ -272,7 +321,7 @@ def test_greedy_interior_sum_matches_loop():
 
 def _minimal_sufficient(dset, mu, eta0):
     h = SupportHandle(dset, mu)
-    return check_minimal_sufficient(h, eta0, sigma_over_rhs(dset, h))
+    return check_minimal_sufficient(h, eta0, theta(dset, mu))
 
 
 def test_minimal_sufficient_holds():
@@ -309,7 +358,7 @@ def test_minimal_necessary_interior():
 
 
 def _decide_minimal_exact(dset, mu, eta0):
-    return decide_minimal_exact(dset, mu, eta0, theta(dset, mu), feasible_rhs(dset))
+    return decide_minimal_exact(dset, mu, eta0, theta(dset, mu))
 
 
 def test_decide_minimal_exact_trio():

@@ -5,7 +5,6 @@ import conecert.fixtures as fixtures
 from conecert.analysis import (
     SupportHandle,
     full_report,
-    sigma_over_rhs,
     theta,
     tight_extreme_ray_search,
 )
@@ -66,15 +65,14 @@ def test_expected_scalars():
     for name in fixtures.names():
         fx = fixtures.builtin(name)
         for fi in fx.inequalities:
+            th = theta(fx.dset, fi.inequality.mu)
             if "theta" in fi.scalars:
-                th = theta(fx.dset, fi.inequality.mu)
                 assert th.value == pytest.approx(fi.scalars["theta"], abs=1e-6)
             handle = SupportHandle(fx.dset, fi.inequality.mu)
             if "inf_sigma" in fi.scalars:
-                sig = sigma_over_rhs(fx.dset, handle)
-                assert sig.value == pytest.approx(fi.scalars["inf_sigma"], abs=1e-6)
+                assert th.inf_sigma == pytest.approx(fi.scalars["inf_sigma"], abs=1e-6)
                 if "inf_sigma_argmin" in fx.notes:
-                    assert sig.argmin == fx.notes["inf_sigma_argmin"]
+                    assert th.sigma_argmin == fx.notes["inf_sigma_argmin"]
             if "support_at_pm1" in fi.scalars:
                 for z in (1.0, -1.0):
                     assert handle.eval([z]) == pytest.approx(

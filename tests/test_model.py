@@ -13,7 +13,6 @@ from conecert.model import (
     RhsFamily,
     Status,
     assumption2_check,
-    feasible_rhs,
     load_problem,
     save_problem,
 )
@@ -93,28 +92,9 @@ def test_load_rejects_bad_documents():
         load_problem(json.dumps(bad))
 
 
-def test_feasible_rhs_flags_empty_branch():
-    fx = builtin("ex4_2")
-    recs = feasible_rhs(fx.dset)
-    by_label = {r.label: r for r in recs}
-    assert by_label["explicit[0]"].status is Status.FAILS
-    assert by_label["explicit[1]"].status is Status.HOLDS
-    # infeasibility certificate: A^T y in -K*, b.y > 0
-    bad = by_label["explicit[0]"]
-    y = bad.certificate
-    v = fx.dset.A.T @ y
-    # -v must lie in L3: radius last
-    assert -v[2] >= np.hypot(v[0], v[1]) - 1e-7
-    assert float(bad.b @ y) > 1e-8
-    # feasible branch carries a verified witness
-    good = by_label["explicit[1]"]
-    assert fx.dset.K.contains(good.witness, tol=1e-6)
-    assert np.allclose(fx.dset.A @ good.witness, good.b, atol=1e-6)
-
-
 def test_assumption2_interior_witness():
     fx = builtin("ex2_1")
-    status, witness, margin = assumption2_check(fx.dset, feasible_rhs(fx.dset))
+    status, witness, margin = assumption2_check(fx.dset)
     assert status is Status.HOLDS
     assert margin > 1e-3
     assert fx.dset.K.interior_margin(witness) > 1e-6
@@ -122,9 +102,25 @@ def test_assumption2_interior_witness():
 
 def test_assumption2_fails_on_flat_set():
     fx = builtin("ex2_2")
-    status, witness, margin = assumption2_check(fx.dset, feasible_rhs(fx.dset))
+    status, witness, margin = assumption2_check(fx.dset)
     assert status is Status.FAILS
     assert margin <= 1e-7
+
+
+def test_assumption2_skips_infeasible_branches():
+    # ex4_2: the branch x2 + x3 = -1 misses L3, the branch x2 + x3 = 1 does not
+    fx = builtin("ex4_2")
+    status, witness, margin = assumption2_check(fx.dset)
+    assert status is Status.HOLDS
+    assert fx.dset.K.interior_margin(witness) > 1e-6
+    assert np.allclose(fx.dset.A @ witness, [1.0], atol=1e-6)
+
+    dset = DisjunctiveSet(
+        np.array([[0.0, 0.0, 1.0]]),
+        ConeProduct([lorentz(3)]),
+        RhsFamily(explicit=(np.array([-1.0]), np.array([-2.0]))),
+    )
+    assert assumption2_check(dset) == (Status.FAILS, None, -np.inf)
 
 
 def test_readme_problem_file_loads():

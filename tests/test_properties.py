@@ -10,10 +10,9 @@ from conecert.analysis import (
     SupportHandle,
     check_A1i,
     full_report,
-    sigma_over_rhs,
     theta,
 )
-from conecert.cones import ConeProduct, free, lorentz, nonneg, sample_extreme_rays
+from conecert.cones import BlockKind, ConeProduct, free, lorentz, nonneg, sample_extreme_rays
 from conecert.fixtures import builtin, names
 from conecert.model import DisjunctiveSet, Inequality, RhsFamily, Status
 from conecert.solver import ConicProgram, SolveStatus, solve
@@ -34,6 +33,15 @@ def _random_orthant_instance(rng):
     if not np.any(mu):
         mu = gamma + 1.0
     return dset, mu
+
+
+def _inf_support(dset, handle):
+    """min over the expanded rhs of handle.eval, by the support program (or
+    the one-row interval) rather than the branch table; nan when solver
+    limits leave no finite value."""
+    sigmas = [handle.eval(b) for b in dset.B.expand()]
+    best = min((v for v in sigmas if not math.isnan(v)), default=math.inf)
+    return math.nan if not math.isfinite(best) and any(map(math.isnan, sigmas)) else best
 
 
 def test_weak_bound_on_rays():
@@ -100,10 +108,10 @@ def test_inf_support_bounds_theta():
         th = theta(dset, mu)
         if math.isnan(th.value):
             continue
-        sig = sigma_over_rhs(dset, SupportHandle(dset, mu))
-        if math.isnan(sig.value):
+        inf_sigma = _inf_support(dset, SupportHandle(dset, mu))
+        if math.isnan(inf_sigma):
             continue
-        assert sig.value <= th.value + 1e-6
+        assert inf_sigma <= th.value + 1e-6
         checked += 1
 
 
@@ -131,9 +139,9 @@ def test_orthant_equalities_under_per_column_conditions():
         if not ok:
             continue
         th = theta(dset, mu)
-        sig = sigma_over_rhs(dset, handle)
-        if math.isfinite(th.value) and math.isfinite(sig.value):
-            assert abs(sig.value - th.value) <= 1e-6
+        inf_sigma = _inf_support(dset, handle)
+        if math.isfinite(th.value) and math.isfinite(inf_sigma):
+            assert abs(inf_sigma - th.value) <= 1e-6
         checked += 1
 
 
@@ -281,3 +289,46 @@ def test_one_row_support_matches_support_program(monkeypatch):
     assert statuses[SolveStatus.OPTIMAL] >= 100
     assert statuses[SolveStatus.DUAL_INFEASIBLE] >= 15
     assert statuses[SolveStatus.PRIMAL_INFEASIBLE] >= 15
+
+
+def _branch_table_instance(rng, blocks):
+    """A two-row set over the given cone with two feasible right-hand sides
+    and one that may be infeasible, and a mu = A^T lam + gamma with gamma in
+    int K*, so D_mu is nonempty."""
+    K = ConeProduct(blocks)
+    A = rng.integers(-2, 3, size=(2, K.dim)).astype(float)
+    gamma = np.concatenate([_lorentz_point(rng, blk.dim, 1) if blk.kind is BlockKind.LORENTZ
+                            else rng.uniform(0.5, 2.0, blk.dim) for blk in blocks])
+    points = [np.concatenate([_lorentz_point(rng, blk.dim, 1) if blk.kind is BlockKind.LORENTZ
+                              else rng.uniform(0.0, 2.0, blk.dim) for blk in blocks])
+              for _ in range(2)]
+    bs = tuple(A @ x for x in points) + (rng.integers(-3, 4, size=2).astype(float),)
+    return DisjunctiveSet(A, K, RhsFamily(explicit=bs)), A.T @ rng.normal(size=2) + gamma
+
+
+def test_branch_table_sigma_matches_support():
+    """Each optimal row's sigma = y.b, each infeasible row's +inf, and the
+    table's inf sigma agree with SupportHandle.eval, which solves the support
+    program (or uses the one-row interval) instead of the branch program."""
+    cases = [(fx.dset, fi.inequality.mu) for fx in map(builtin, names())
+             for fi in fx.inequalities]
+    rng = np.random.default_rng(31)
+    for blocks in ([nonneg(4)], [nonneg(5)], [lorentz(3)] * 2, [lorentz(3), nonneg(2)]) * 6:
+        cases.append(_branch_table_instance(rng, blocks))
+    rows = {"optimal": 0, "infeasible": 0}
+    for dset, mu in cases:
+        th = theta(dset, mu)
+        h = SupportHandle(dset, mu)
+        sigmas = []
+        for r in th.table:
+            s = h.eval(r.b)
+            sigmas.append(s)
+            if r.status == "optimal" and not math.isnan(s):
+                assert r.sigma == pytest.approx(s, abs=1e-6), (dset.A, mu, r.label)
+                rows["optimal"] += 1
+            elif r.status == "infeasible":
+                assert r.sigma == s == math.inf
+                rows["infeasible"] += 1
+        if not any(math.isnan(s) for s in sigmas):
+            assert th.inf_sigma == pytest.approx(min(sigmas), abs=1e-6)
+    assert rows["optimal"] >= 100 and rows["infeasible"] >= 10
