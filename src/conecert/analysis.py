@@ -24,7 +24,7 @@ from .model import (
     Status,
     assumption2_check,
 )
-from .solver import ConicProgram, SolveStatus, SolverOptions, solve
+from .solver import ConicProgram, SolveStatus, SolverOptions, solve, solve_batch
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,11 @@ def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> Thet
     mu = _vec(mu, dset.n)
     if not np.any(mu):
         raise ValueError("mu must be nonzero")
+    labeled = dset.B.expand_labeled()
+    rhs = np.array([b for _, b in labeled])
+    sols = solve_batch(ConicProgram(mu, dset.A, rhs[0], dset.K), rhs, opts.solver)
     table = []
-    for label, b in dset.B.expand_labeled():
-        sol = solve(ConicProgram(mu, dset.A, b, dset.K), opts.solver)
+    for (label, b), sol in zip(labeled, sols):
         if sol.status is SolveStatus.OPTIMAL:
             table.append(BranchValue(label, b, "optimal", sol.objective, sol.x, sol.y,
                                      float(sol.y @ b)))
@@ -324,9 +326,8 @@ def check_A1i(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> 
     if not dset.is_orthant():
         raise ValueError("check_A1i applies to Nonneg-only cones")
     out = []
-    for i in range(dset.n):
-        ai = dset.A[:, i]
-        sol = solve(ConicProgram(mu, dset.A, ai, dset.K), opts.solver)
+    sols = solve_batch(ConicProgram(mu, dset.A, dset.A[:, 0], dset.K), dset.A.T, opts.solver)
+    for i, sol in enumerate(sols):
         if sol.status is SolveStatus.OPTIMAL:
             ok = sol.objective >= mu[i] - opts.tol
             out.append(

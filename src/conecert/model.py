@@ -11,7 +11,7 @@ import numpy as np
 
 from .cones import BlockKind, ConeBlock, ConeProduct
 from .linalg import as_matrix
-from .solver import ConicProgram, SolveStatus, SolverOptions, solve
+from .solver import ConicProgram, SolveStatus, SolverOptions, solve_batch
 
 FORMAT_VERSION = 1
 
@@ -323,8 +323,8 @@ def assumption2_check(
     best_witness = None
     saw_feasible = False
     saw_limit = False
-    for _, b in dset.B.expand_labeled():
-        sol = solve(ConicProgram(c, Arow, np.concatenate([b, [1.0]]), cone), opts)
+    rhs = np.array([np.append(b, 1.0) for _, b in dset.B.expand_labeled()])
+    for sol in solve_batch(ConicProgram(c, Arow, rhs[0], cone), rhs, opts):
         if sol.status is SolveStatus.PRIMAL_INFEASIBLE:  # no t <= 1 puts b - t*Ae in A(K)
             continue
         if sol.status is not SolveStatus.OPTIMAL:

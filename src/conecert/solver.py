@@ -5,17 +5,22 @@ contain Free and Zero blocks alongside Nonneg and Lorentz blocks. The
 algorithm is a homogeneous self-dual embedding with Nesterov-Todd scaling
 and a Mehrotra predictor-corrector step, so infeasibility and unboundedness
 come out as Farkas-type certificates rather than failures.
+
+`solve_batch` runs a stack of right-hand sides for one (c, A, K) in
+lockstep: every iterate is a (B, .) array with one row per problem, and a
+row leaves the batch as soon as it terminates or breaks down. Every
+operation acts row by row (`np.matvec`, `np.vecdot`, one LU per row), so a
+row's result does not depend on the rest of the batch, and `solve` is a
+batch of one.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .cones import BlockKind, ConeProduct
 from .linalg import as_matrix
@@ -68,418 +73,579 @@ class Solution:
     iterations: int = 0
 
 
-class _EmbeddingCone:
-    """Cone structure of the embedded slack variables: nonnegative scalars
-    followed by Lorentz blocks stored radius-first."""
+# Regularization multipliers tried in turn when a KKT factorization fails.
+_BUMPS = (1.0, 1e2, 1e4, 1e6)
 
-    def __init__(self, n_l: int, soc_dims: list[int]):
-        self.n_l = n_l
-        self.soc_dims = list(soc_dims)
-        self.dim = n_l + sum(soc_dims)
-        self.degree = n_l + len(soc_dims)
-        self._soc_offsets = []
-        off = n_l
-        for d in soc_dims:
-            self._soc_offsets.append((off, d))
-            off += d
+
+def _inf_norms(X: np.ndarray) -> np.ndarray:
+    """Infinity norm of each row; 0 for rows of length 0."""
+    return np.maximum.reduce(np.abs(X), axis=1, initial=0.0)
+
+
+def _all_finite(X: np.ndarray) -> np.ndarray:
+    """Whether each row is finite."""
+    return np.logical_and.reduce(np.isfinite(X), axis=1)
+
+
+class _EmbeddingCone:
+    """Cone of the embedded slack variables, acting on (B, dim) batches: the
+    Lorentz blocks stored radius-first and grouped by dimension, then n_l
+    nonnegative scalars. A group of nb blocks of dimension d is a
+    contiguous slice that `blocks` reshapes to (B, nb, d)."""
+
+    def __init__(self, soc_groups: list[tuple[int, int]], n_l: int):
+        self.groups = []  # (offset, nb, d, J, diag(J)) with J = (1, -1, ..., -1)
+        off = 0
+        for d, nb in soc_groups:
+            J = -np.ones(d)
+            J[0] = 1.0
+            self.groups.append((off, nb, d, J, np.diag(J)))
+            off += nb * d
+        self.lp = slice(off, off + n_l)
+        self.dim = off + n_l
+        self.edges = np.concatenate([np.arange(o, o + nb * d, d) for o, nb, d, *_ in self.groups]
+                                    + [np.arange(off, self.dim)]).astype(int)
+        self.degree = n_l + sum(nb for _, nb in soc_groups)
+
+    def blocks(self, u: np.ndarray) -> list[np.ndarray]:
+        """(B, nb, d) views of the Lorentz groups of a (B, dim) batch."""
+        return [u[:, off : off + nb * d].reshape(-1, nb, d) for off, nb, d, *_ in self.groups]
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
-        e[: self.n_l] = 1.0
-        for off, _ in self._soc_offsets:
-            e[off] = 1.0
+        e[self.lp] = 1.0
+        for off, nb, d, *_ in self.groups:
+            e[off : off + nb * d : d] = 1.0
         return e
 
-    def inside(self, u: np.ndarray) -> bool:
-        if self.n_l and np.min(u[: self.n_l]) <= 0:
-            return False
-        for off, d in self._soc_offsets:
-            if u[off] <= np.linalg.norm(u[off + 1 : off + d]):
-                return False
-        return True
-
-    def step_max(self, u: np.ndarray, du: np.ndarray) -> float:
-        """sup {alpha >= 0 : u + alpha*du in cone}, for u strictly inside."""
-        alpha = math.inf
-        if self.n_l:
-            neg = du[: self.n_l] < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(-u[: self.n_l][neg] / du[: self.n_l][neg])))
-        for off, d in self._soc_offsets:
-            u0, ub = u[off], u[off + 1 : off + d]
-            d0, db = du[off], du[off + 1 : off + d]
-            c2 = d0 * d0 - db @ db
-            c1 = 2.0 * (u0 * d0 - ub @ db)
-            c0 = u0 * u0 - ub @ ub
-            roots = []
-            if abs(c2) > 1e-14:
-                disc = c1 * c1 - 4.0 * c2 * c0
-                if disc >= 0:
-                    r = math.sqrt(disc)
-                    roots.extend([(-c1 - r) / (2.0 * c2), (-c1 + r) / (2.0 * c2)])
-            elif abs(c1) > 1e-14:
-                roots.append(-c0 / c1)
-            if d0 < 0:
-                roots.append(-u0 / d0)
-            pos = [r for r in roots if r > 0]
-            if pos:
-                alpha = min(alpha, min(pos))
-        return alpha
+    def step_max(self, u: np.ndarray, du: np.ndarray) -> np.ndarray:
+        """sup {alpha >= 0 : u + alpha*du in cone} per row, for u strictly inside."""
+        # where a Nonneg coordinate or a Lorentz radius reaches 0
+        roots = [-u[:, self.edges] / du[:, self.edges]]
+        for (_, _, _, J, _), U, D in zip(self.groups, self.blocks(u), self.blocks(du)):
+            # The Lorentz form c0 + 2 b a + c2 a^2 of u + a du is positive at
+            # a = 0; its least positive root, c0 / (sqrt(b^2 - c0 c2) - b),
+            # is where the block leaves the cone.
+            JD = D * J
+            b = np.vecdot(U, JD)
+            c0 = np.vecdot(U, U * J)
+            roots.append(c0 / (np.sqrt(b * b - c0 * np.vecdot(D, JD)) - b))
+        a = np.concatenate(roots, axis=1)
+        return np.minimum.reduce(a, axis=1, where=a > 0, initial=np.inf)
 
     def jprod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.empty(self.dim)
-        out[: self.n_l] = u[: self.n_l] * v[: self.n_l]
-        for off, d in self._soc_offsets:
-            u0, ub = u[off], u[off + 1 : off + d]
-            v0, vb = v[off], v[off + 1 : off + d]
-            out[off] = u0 * v0 + ub @ vb
-            out[off + 1 : off + d] = u0 * vb + v0 * ub
+        out = u * v
+        for U, V, O in zip(self.blocks(u), self.blocks(v), self.blocks(out)):
+            O[..., 0] = np.vecdot(U, V)
+            O[..., 1:] = U[..., :1] * V[..., 1:] + V[..., :1] * U[..., 1:]
         return out
 
     def jsolve(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Solve lam o q = d for q (lam strictly inside)."""
-        out = np.empty(self.dim)
-        # degenerate iterates may overflow here; callers check finiteness
-        with np.errstate(all="ignore"):
-            out[: self.n_l] = d[: self.n_l] / lam[: self.n_l]
-            for off, dd in self._soc_offsets:
-                l0, lb = lam[off], lam[off + 1 : off + dd]
-                d0, db = d[off], d[off + 1 : off + dd]
-                nu = l0 * l0 - lb @ lb
-                q0 = (l0 * d0 - lb @ db) / nu
-                out[off] = q0
-                out[off + 1 : off + dd] = (db - q0 * lb) / l0
+        """Solve lam o q = d for q (lam strictly inside). Degenerate iterates
+        may overflow here; callers check finiteness."""
+        out = d / lam
+        for (_, _, _, J, _), L, D, Q in zip(self.groups, self.blocks(lam), self.blocks(d),
+                                         self.blocks(out)):
+            JL = L * J
+            q0 = np.vecdot(JL, D) / np.vecdot(JL, L)
+            Q[..., 0] = q0
+            Q[..., 1:] = (D[..., 1:] - q0[..., None] * L[..., 1:]) / L[..., :1]
         return out
 
-    def nt_scaling(self, s: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Dense symmetric scaling W with W z = W^{-1} s."""
-        W = np.zeros((self.dim, self.dim))
-        if self.n_l:
-            idx = np.arange(self.n_l)
-            W[idx, idx] = np.sqrt(s[: self.n_l] / z[: self.n_l])
-        for off, d in self._soc_offsets:
-            sb = s[off : off + d]
-            zb = z[off : off + d]
-            J = -np.eye(d)
-            J[0, 0] = 1.0
-            gs = math.sqrt(max(sb @ (J @ sb), 1e-300))
-            gz = math.sqrt(max(zb @ (J @ zb), 1e-300))
-            sn = sb / gs
-            zn = zb / gz
-            gamma = math.sqrt(max((1.0 + sn @ zn) / 2.0, 1e-150))
-            wbar = (sn + J @ zn) / (2.0 * gamma)
-            # Hyperbolic Householder square root: W_blk^2 = eta^2 (2 wbar wbar' - J)
-            v = wbar.copy()
-            v[0] += 1.0
-            v /= math.sqrt(2.0 * (wbar[0] + 1.0))
-            eta = math.sqrt(gs / gz)
-            W[off : off + d, off : off + d] = eta * (2.0 * np.outer(v, v) - J)
-        return W
+
+class _Scaling:
+    """Nesterov-Todd scaling W of a batch (W z = W^-1 s), kept factored:
+    w = sqrt(s/z) on the Nonneg part and, per Lorentz block, eta and wbar
+    with W = eta (h h' / h0 - J), h = wbar + e0 (the hyperbolic Householder
+    form eta (2 v v' - J), v = h / sqrt(2 h0)). Then
+    W^-1 = (Jh (Jh)' / h0 - J) / eta and W^2 = eta^2 (2 wbar wbar' - J)
+    (Vandenberghe, "The CVXOPT linear and quadratic cone program solvers",
+    2010). W^2 is also kept as dense blocks, which the KKT matrix needs."""
+
+    def __init__(self, work: _EmbeddingCone, s: np.ndarray, z: np.ndarray):
+        self.work = work
+        self.w = np.sqrt(s[:, work.lp] / z[:, work.lp])
+        self.w2 = self.w * self.w
+        self.groups = []  # (eta, h, h*eta/h0, eta*J, dense W^2) per group, eta as (B, nb, 1)
+        for (_, _, _, J, DJ), S, Z in zip(work.groups, work.blocks(s), work.blocks(z)):
+            gs = np.sqrt(np.maximum(np.vecdot(S, S * J), 1e-300))[..., None]
+            gz = np.sqrt(np.maximum(np.vecdot(Z, Z * J), 1e-300))[..., None]
+            cos = np.vecdot(S, Z)[..., None] / (gs * gz)
+            gamma = np.sqrt(np.maximum((1.0 + cos) / 2.0, 1e-150))
+            wbar = (S / gs + Z * J / gz) / (2.0 * gamma)
+            eta = np.sqrt(gs / gz)
+            h = wbar.copy()
+            h[..., 0] += 1.0
+            w2 = (eta * eta)[..., None] * (2.0 * wbar[..., :, None] * wbar[..., None, :] - DJ)
+            self.groups.append((eta, h, h * (eta / h[..., :1]), eta * J, w2))
+
+    def mul(self, u: np.ndarray) -> np.ndarray:
+        out = np.empty_like(u)
+        out[:, self.work.lp] = self.w * u[:, self.work.lp]
+        for (_, h, g, etaJ, _), U, O in zip(self.groups, self.work.blocks(u),
+                                            self.work.blocks(out)):
+            np.multiply(g, np.vecdot(h, U)[..., None], out=O)
+            O -= etaJ * U
+        return out
+
+    def inv(self, u: np.ndarray) -> np.ndarray:
+        out = np.empty_like(u)
+        out[:, self.work.lp] = u[:, self.work.lp] / self.w
+        blocks = zip(self.work.groups, self.groups, self.work.blocks(u), self.work.blocks(out))
+        for (_, _, _, J, _), (eta, h, _, _, _), U, O in blocks:
+            Jh = h * J
+            O[...] = (Jh * (np.vecdot(Jh, U)[..., None] / h[..., :1]) - U * J) / eta
+        return out
+
+    def sq(self, u: np.ndarray) -> np.ndarray:
+        out = np.empty_like(u)
+        out[:, self.work.lp] = self.w2 * u[:, self.work.lp]
+        for g, U, O in zip(self.groups, self.work.blocks(u), self.work.blocks(out)):
+            np.matvec(g[4], U, out=O)
+        return out
+
+    def sq_entries(self) -> np.ndarray:
+        """The entries of the block-diagonal W^2 of each row: the dense blocks
+        of the Lorentz groups, then the Nonneg diagonal."""
+        B = len(self.w)
+        return np.concatenate([g[4].reshape(B, -1) for g in self.groups] + [self.w2], axis=1)
 
 
 class _Embedding:
-    """Reduction of a ConicProgram to the homogeneous self-dual form."""
+    """Reduction of a ConicProgram to the homogeneous self-dual form. The
+    slacks are s = x[cidx]: the Lorentz blocks radius-first, grouped by
+    dimension in order of first appearance, then the Nonneg coordinates.
+    The embedding cone `work` has one more Nonneg coordinate, last, for the
+    pair (kappa, tau) of the embedding: s carries kappa there and z tau."""
 
     def __init__(self, p: ConicProgram):
         n = p.cone.dim
-        free_idx, zero_idx, lp_idx = [], [], []
-        soc_blocks = []
+        zero_idx, lp_idx = [], []
+        soc_blocks: dict[int, list[list[int]]] = {}
         for blk, off in p.cone.offsets():
             idx = list(range(off, off + blk.dim))
-            if blk.kind is BlockKind.FREE:
-                free_idx.extend(idx)
-            elif blk.kind is BlockKind.ZERO:
+            if blk.kind is BlockKind.ZERO:
                 zero_idx.extend(idx)
             elif blk.kind is BlockKind.NONNEG:
                 lp_idx.extend(idx)
-            else:
-                # Lorentz: store radius coordinate first inside the solver.
-                soc_blocks.append([idx[-1]] + idx[:-1])
-        self.cidx = np.array(lp_idx + [i for blk in soc_blocks for i in blk], dtype=int)
-        self.work = _EmbeddingCone(len(lp_idx), [len(b) for b in soc_blocks])
-        m = p.A.shape[0]
+            elif blk.kind is BlockKind.LORENTZ:
+                soc_blocks.setdefault(blk.dim, []).append([idx[-1]] + idx[:-1])
+        self.cidx = np.array(
+            [i for blks in soc_blocks.values() for blk in blks for i in blk] + lp_idx, dtype=int
+        )
+        self.work = _EmbeddingCone([(d, len(b)) for d, b in soc_blocks.items()], len(lp_idx) + 1)
         Zrows = np.zeros((len(zero_idx), n))
-        for r, i in enumerate(zero_idx):
-            Zrows[r, i] = 1.0
-        self.Ahat = np.vstack([p.A, Zrows]) if len(zero_idx) else p.A.copy()
-        self.bhat = np.concatenate([p.b, np.zeros(len(zero_idx))])
-        self.m_orig = m
+        Zrows[np.arange(len(zero_idx)), zero_idx] = 1.0
+        self.Ahat = np.vstack([p.A, Zrows])
+        self.AhatT = np.ascontiguousarray(self.Ahat.T)
         self.n = n
+        self.mh = self.Ahat.shape[0]
+
+
+class _KKT:
+    """The embedding's KKT matrix [[rI, A', G'], [A, -rI, 0], [G, 0, -(W^2 + rI)]]
+    for one (A, K), whose last block has a row per slack (the (kappa, tau)
+    pair has none). Its static part is built once per regularization r;
+    each iteration writes the W^2 blocks of every row into a copy and
+    factors each row once with LAPACK getrf. A C-ordered K[i] is handed to
+    LAPACK as the Fortran-ordered K[i]', factored in place and solved with
+    trans=1."""
+
+    def __init__(self, emb: _Embedding, reg: float):
+        self.emb, self.reg = emb, reg
+        pc = emb.work.dim - 1
+        self.size = emb.n + emb.mh + pc
+        off = emb.n + emb.mh
+        rows, cols = [], []
+        for o, nb, d, *_ in emb.work.groups:
+            idx = off + o + np.arange(nb * d).reshape(nb, d)
+            rows.append(np.repeat(idx[:, :, None], d, axis=2).ravel())
+            cols.append(np.repeat(idx[:, None, :], d, axis=1).ravel())
+        lp = off + np.arange(emb.work.lp.start, pc)
+        self.rows, self.cols = np.concatenate(rows + [lp]), np.concatenate(cols + [lp])
+        self._static: dict[float, np.ndarray] = {}
+
+    def static(self, bump: float) -> np.ndarray:
+        if bump not in self._static:
+            emb = self.emb
+            n, mh = emb.n, emb.mh
+            rr = self.reg * bump
+            T = np.zeros((self.size, self.size))
+            T[:n, n : n + mh] = emb.AhatT
+            T[n : n + mh, :n] = emb.Ahat
+            slots = np.arange(n + mh, self.size)
+            T[emb.cidx, slots] = -1.0
+            T[slots, emb.cidx] = -1.0
+            T[np.diag_indices(self.size)] = np.concatenate(
+                [np.full(n, rr), np.full(self.size - n, -rr)]
+            )
+            self._static[bump] = T
+        return self._static[bump]
+
+    def factor_solve(self, w2: np.ndarray, R: np.ndarray, U: np.ndarray) -> list:
+        """Factor each row's matrix, given its W^2 entries w2[i] (in the order
+        of `_Scaling.sq_entries`; extra trailing entries are ignored), and
+        solve it for the right-hand sides R[i] (k, size) into U[i, :, :size].
+        A row whose factorization is singular or whose first solution is not
+        finite is refactored with the regularization bumped by 1e2, 1e4 and
+        1e6 in turn. Returns the per-row factors: None, with NaN solutions,
+        for a row with non-finite W^2 or no rescuing bump."""
+        B, size = len(w2), self.size
+        w2 = w2[:, : len(self.rows)]
+        K = np.repeat(self.static(1.0)[None], B, axis=0)
+        K[:, self.rows, self.cols] -= w2
+        factors: list = [None] * B
+        finite = _all_finite(w2)
+        for i in range(B):
+            if finite[i]:
+                factors[i] = self._factor(K[i], R[i], U[i, :, :size])
+            else:
+                U[i, :, :size] = np.nan
+        for i in np.flatnonzero(finite & ~_all_finite(U[:, 0, :size])):
+            factors[i] = None
+            for bump in _BUMPS[1:]:
+                K[i] = self.static(bump)
+                K[i][self.rows, self.cols] -= w2[i]
+                f = self._factor(K[i], R[i], U[i, :, :size])
+                if f is not None and np.all(np.isfinite(U[i, 0, :size])):
+                    factors[i] = f
+                    break
+        return factors
+
+    @staticmethod
+    def _factor(Ki: np.ndarray, Ri: np.ndarray, Ui: np.ndarray):
+        lu, piv, info = lapack.dgetrf(Ki.T, overwrite_a=True)
+        if info != 0:
+            Ui[...] = np.nan
+            return None
+        Ui[...] = lapack.dgetrs(lu, piv, Ri.T, trans=1)[0].T
+        return lu, piv
+
+    def solve(self, factors: list, R: np.ndarray, U: np.ndarray) -> None:
+        """Solve each factored row for R[i] into U[i, :size]; NaN where there
+        is no factor."""
+        size = self.size
+        for i, f in enumerate(factors):
+            U[i, :size] = np.nan if f is None else lapack.dgetrs(f[0], f[1], R[i], trans=1)[0]
+
+
+@dataclass
+class _Iterates:
+    """The rows of a batch still iterating: their index in the batch, their
+    data ([c, bh], the first KKT right-hand side [-c, bh, 0] and
+    feas_tol*(1 + |bh|)) and the embedding's iterates xz = [x, yh, z, tau],
+    laid out like the KKT unknowns followed by tau, and sk = [s, kappa]."""
+
+    ids: np.ndarray
+    cb: np.ndarray
+    rhs1: np.ndarray
+    ftol_b: np.ndarray
+    xz: np.ndarray
+    sk: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "_Iterates":
+        return _Iterates(*(getattr(self, f.name)[keep] for f in fields(self)))
 
 
 def solve(p: ConicProgram, opts: SolverOptions | None = None) -> Solution:
+    return solve_batch(p, p.b[None, :], opts)[0]
+
+
+def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None) -> list[Solution]:
+    """Solve min <c,x> : Ax = b, x in K for every row b of rhs, with c, A and
+    K taken from p (p.b is not used). The problems run in lockstep and each
+    row ends on its own iteration; the i-th Solution is what `solve` returns
+    for the program with b = rhs[i]."""
     opts = opts or SolverOptions()
+    m = p.A.shape[0]
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim != 2 or rhs.shape[1] != m:
+        raise ValueError(f"rhs must have shape (B, {m}), got {rhs.shape}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("program data must be finite")
+    if not len(rhs):
+        return []
     emb = _Embedding(p)
-    work = emb.work
-    n, mh, pc = emb.n, emb.Ahat.shape[0], work.dim
-    Ah, bh, cidx, c = emb.Ahat, emb.bhat, emb.cidx, p.c
-    slots = np.arange(pc)
-    ftol, gtol, reg = opts.feas_tol, opts.gap_tol, opts.static_reg
+    work, n, mh = emb.work, emb.n, emb.mh
+    nm = n + mh
+    Ah, AhT, cidx, c = emb.Ahat, emb.AhatT, emb.cidx, p.c
+    ftol, gtol = opts.feas_tol, opts.gap_tol
+    ftol_c = ftol * (1.0 + np.abs(c).max(initial=0.0))
+    ftol_A = ftol * (1.0 + np.abs(Ah).max(initial=0.0))
+    kkt = _KKT(emb, opts.static_reg)
 
+    B = rhs.shape[0]
     e = work.identity()
-    x = np.zeros(n)
-    yh = np.zeros(mh)
-    z = e.copy()
-    s = e.copy()
-    tau, kappa = 1.0, 1.0
-    deg = work.degree + 1
+    cb = np.zeros((B, nm))
+    cb[:, :n] = c
+    cb[:, n : n + m] = rhs
+    rhs1 = np.zeros((B, kkt.size))
+    rhs1[:, :nm] = cb
+    rhs1[:, :n] *= -1.0
+    xz = np.zeros((B, kkt.size + 1))
+    xz[:, nm:] = e
+    it = _Iterates(np.arange(B), cb, rhs1, ftol * (1.0 + _inf_norms(rhs)), xz, np.tile(e, (B, 1)))
+    out: list[Solution | None] = [None] * B
+    verify = _Verifier(p, opts)
 
-    norm_b = 1.0 + np.linalg.norm(bh, np.inf) if mh else 1.0
-    norm_c = 1.0 + (np.linalg.norm(c, np.inf) if n else 0.0)
-    scale_A = 1.0 + (np.abs(Ah).max() if Ah.size else 0.0)
-
-    # the slacks are s = -G x = x[cidx]; Gt(v) applies G^T without forming G
-    def Gt(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(n)
-        out[cidx] = -v
-        return out
-
-    def _optimal_solution(iters: int) -> Solution:
-        xt = x / tau
-        y = -yh[: emb.m_orig] / tau
-        sdual = c - p.A.T @ y
-        return Solution(
-            status=SolveStatus.OPTIMAL,
-            x=xt,
-            y=y,
-            s=sdual,
-            objective=float(c @ xt),
-            iterations=iters,
-        )
-
-    def _check_termination(iters: int) -> Solution | None:
-        # optimality
-        if tau > 1e-12:
-            pres = np.linalg.norm(Ah @ x - bh * tau, np.inf) / tau if mh else 0.0
-            link = np.linalg.norm(s - x[cidx], np.inf) / tau
-            dres = np.linalg.norm(Ah.T @ yh + Gt(z) + c * tau, np.inf) / tau
-            pobj = float(c @ x) / tau
-            dobj = float(-bh @ yh) / tau
-            gap = float(s @ z) / (tau * tau)
-            if (
-                pres <= ftol * norm_b
-                and link <= ftol * norm_b
-                and dres <= ftol * norm_c
-                and gap <= gtol * (1.0 + abs(pobj) + abs(dobj))
-            ):
-                return _optimal_solution(iters)
-        # primal infeasibility: -b'y > 0 with A*y + G*z ~ 0
-        dp = float(-bh @ yh)
-        if dp > ftol:
-            yc = yh / dp
-            zc = z / dp
-            if np.linalg.norm(Ah.T @ yc + Gt(zc), np.inf) <= ftol * scale_A * (
-                1.0 + np.linalg.norm(yc, np.inf)
-            ):
-                cert = -yc[: emb.m_orig]
-                return Solution(
-                    status=SolveStatus.PRIMAL_INFEASIBLE,
-                    certificate=cert,
-                    iterations=iters,
-                )
+    def screen(it: _Iterates):
+        """The termination code of every row (0 go on, 1 optimal, 2 primal
+        infeasible, 3 dual infeasible), and its residuals: [hres_x, hres_y,
+        hres_z] as one KKT right-hand side, and hres_kappa."""
+        x, yh, z, tau = it.xz[:, :n], it.xz[:, n:nm], it.xz[:, nm:-1], it.xz[:, -1]
+        s = it.sk[:, :-1]
+        bh = it.cb[:, n:]
+        res = np.empty((len(tau), kkt.size))
+        # A'y + G'z, where the slacks are s = -G x = x[cidx]
+        r_d = np.matvec(AhT, yh, out=res[:, :n])
+        r_d[:, cidx] -= z
+        Ax = np.matvec(Ah, x, out=res[:, n:nm])
+        np.subtract(s, x[:, cidx], out=res[:, nm:])
+        cx, by = np.vecdot(x, c), np.vecdot(bh, yh)
+        code = np.zeros(len(tau), dtype=int)
+        # primal infeasibility: -b'y > 0 with A'y + G'z ~ 0
+        dp = -by
+        if (dp > ftol).any():
+            code[(dp > ftol) & (_inf_norms(r_d) <= ftol_A * (dp + _inf_norms(yh)))] = 2
         # dual infeasibility: -c'x > 0 with Ax ~ 0, x in K
-        dd = float(-c @ x)
-        if dd > ftol:
-            xc = x / dd
-            sc = s / dd
-            scale_x = 1.0 + np.linalg.norm(xc, np.inf)
-            if (
-                (not mh or np.linalg.norm(Ah @ xc, np.inf) <= ftol * scale_A * scale_x)
-                and np.linalg.norm(sc - xc[cidx], np.inf) <= ftol * scale_x
-            ):
-                ray = xc.copy()
-                return Solution(
-                    status=SolveStatus.DUAL_INFEASIBLE,
-                    certificate=ray,
-                    iterations=iters,
-                )
-        return None
-
-    sol = None
-    iters = 0
-    for iters in range(1, opts.max_iters + 1):
-        sol = _check_termination(iters - 1)
-        if sol is not None:
-            break
-
-        mu = (float(s @ z) + tau * kappa) / deg
-        hres_x = Ah.T @ yh + Gt(z) + c * tau
-        hres_y = Ah @ x - bh * tau
-        hres_z = s - x[cidx]
-        hres_k = kappa + float(c @ x) + float(bh @ yh)
-
-        W = work.nt_scaling(s, z)
-        lam = W @ z
-        W2 = W @ W
-
-        rhs1 = np.concatenate([-c, bh, np.zeros(pc)])
-        lu = None
-        # bump the static regularization if the factorization degenerates
-        for bump in (1.0, 1e2, 1e4, 1e6):
-            rr = reg * bump
-            K3 = np.zeros((n + mh + pc, n + mh + pc))
-            K3[:n, :n] = rr * np.eye(n)
-            K3[:n, n : n + mh] = Ah.T
-            K3[n : n + mh, :n] = Ah
-            K3[n : n + mh, n : n + mh] = -rr * np.eye(mh)
-            K3[cidx, n + mh + slots] = -1.0
-            K3[n + mh + slots, cidx] = -1.0
-            K3[n + mh :, n + mh :] = -(W2 + rr * np.eye(pc))
-            if not np.all(np.isfinite(K3)):
-                lu = None
-                break
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    lu = scipy.linalg.lu_factor(K3)
-                except (scipy.linalg.LinAlgError, ValueError):
-                    lu = None
-                    continue
-            u1 = scipy.linalg.lu_solve(lu, rhs1)
-            if np.all(np.isfinite(u1)):
-                break
-            lu = None
-        if lu is None:
-            break
-        u1x, u1y, u1z = u1[:n], u1[n : n + mh], u1[n + mh :]
-
-        def newton(eta: float, ds_rhs: np.ndarray, dk_rhs: float):
-            rz = -eta * hres_z - W @ work.jsolve(lam, ds_rhs)
-            rhs2 = np.concatenate([-eta * hres_x, -eta * hres_y, rz])
-            if not np.all(np.isfinite(rhs2)):
-                return None
-            u2 = scipy.linalg.lu_solve(lu, rhs2)
-            if not np.all(np.isfinite(u2)):
-                return None
-            u2x, u2y, u2z = u2[:n], u2[n : n + mh], u2[n + mh :]
-            denom = float(c @ u1x) + float(bh @ u1y) - kappa / tau
-            numer = -eta * hres_k - dk_rhs / tau - (float(c @ u2x) + float(bh @ u2y))
-            if abs(denom) < 1e-300:
-                return None
-            dtau = numer / denom
-            dx = u2x + dtau * u1x
-            dy = u2y + dtau * u1y
-            dz = u2z + dtau * u1z
-            ds = W @ work.jsolve(lam, ds_rhs) - W2 @ dz
-            dkappa = (dk_rhs - kappa * dtau) / tau
-            return dx, dy, dz, dtau, ds, dkappa
-
-        # predictor
-        aff = newton(1.0, -work.jprod(lam, lam), -tau * kappa)
-        if aff is None:
-            break
-        dx_a, dy_a, dz_a, dtau_a, ds_a, dk_a = aff
-        alpha_a = min(
-            work.step_max(s, ds_a),
-            work.step_max(z, dz_a),
-            (tau / -dtau_a) if dtau_a < 0 else math.inf,
-            (kappa / -dk_a) if dk_a < 0 else math.inf,
-            1.0,
+        dd = -cx
+        if (dd > ftol).any():
+            scale_x = dd + _inf_norms(x)
+            code[(code == 0) & (dd > ftol) & (_inf_norms(Ax) <= ftol_A * scale_x)
+                 & (_inf_norms(res[:, nm:]) <= ftol * scale_x)] = 3
+        res[:, :n] += c * tau[:, None]
+        res[:, n:nm] -= bh * tau[:, None]
+        # optimality, which takes precedence
+        opt = (
+            (tau > 1e-12)
+            & (_inf_norms(res[:, :n]) <= ftol_c * tau)
+            & (_inf_norms(res[:, n:]) <= it.ftol_b * tau)
+            & (np.vecdot(s, z) <= gtol * tau * (tau + np.abs(cx) + np.abs(by)))
         )
-        mu_aff = (
-            float((s + alpha_a * ds_a) @ (z + alpha_a * dz_a))
-            + (tau + alpha_a * dtau_a) * (kappa + alpha_a * dk_a)
-        ) / deg
-        sigma = min(max((mu_aff / mu) ** 3, 0.0), 1.0)
+        code[opt] = 1
+        return code, (res, it.sk[:, -1] + cx + by)
 
-        # corrector
-        try:
-            corr = work.jprod(np.linalg.solve(W, ds_a), W @ dz_a)
-        except np.linalg.LinAlgError:
-            break
-        ds_rhs = sigma * mu * e - work.jprod(lam, lam) - corr
-        dk_rhs = sigma * mu - tau * kappa - dtau_a * dk_a
-        step = newton(1.0 - sigma, ds_rhs, dk_rhs)
-        if step is None:
-            break
-        dx, dy, dz, dtau, ds, dkappa = step
-        alpha = 0.99 * min(
-            work.step_max(s, ds),
-            work.step_max(z, dz),
-            (tau / -dtau) if dtau < 0 else math.inf,
-            (kappa / -dkappa) if dkappa < 0 else math.inf,
+    def finish(it: _Iterates, code: np.ndarray, iters: int) -> None:
+        """Record the Solution of every row of `it`: a terminated row by its
+        code, any other row as NUMERICAL_LIMIT with its scaled iterate."""
+        for r, i in enumerate(it.ids):
+            x, yh, tau = it.xz[r, :n], it.xz[r, n:nm], it.xz[r, -1]
+            if code[r] == 1:
+                sol = _iterate_solution(p, SolveStatus.OPTIMAL, x, yh, tau, m, iters)
+            elif code[r] == 2:
+                sol = Solution(SolveStatus.PRIMAL_INFEASIBLE,
+                               certificate=yh[:m] / (rhs[i] @ yh[:m]), iterations=iters)
+            elif code[r] == 3:
+                sol = Solution(SolveStatus.DUAL_INFEASIBLE, certificate=x / -(c @ x),
+                               iterations=iters)
+            elif tau > 1e-12:
+                sol = _iterate_solution(p, SolveStatus.NUMERICAL_LIMIT, x, yh, tau, m, iters)
+            else:
+                sol = Solution(SolveStatus.NUMERICAL_LIMIT, iterations=iters)
+            out[i] = verify(rhs[i], sol)
+
+    def leave(it: _Iterates, gone: np.ndarray, iters: int) -> _Iterates:
+        """Finish the rows in `gone`, which broke down at iteration iters, on
+        their current iterate, and return the other rows."""
+        sub = it.take(gone)
+        finish(sub, screen(sub)[0], iters)
+        return it.take(~gone)
+
+    with np.errstate(all="ignore"):  # rows that break down carry inf/nan until they leave
+        for iters in range(1, opts.max_iters + 1):
+            code, res = screen(it)
+            if code.any():
+                done = code != 0
+                finish(it.take(done), code[done], iters - 1)
+                if done.all():
+                    break
+                it = it.take(~done)
+                res = tuple(r[~done] for r in res)
+            dxz, dsk, alpha, bad = _newton_step(it, res, work, kkt, e, nm)
+            if bad.any():
+                it = leave(it, bad, iters)
+                if not it.ids.size:
+                    break
+                dxz, dsk, alpha = dxz[~bad], dsk[~bad], alpha[~bad]
+            it.xz += alpha[:, None] * dxz
+            it.sk += alpha[:, None] * dsk
+            tau, kappa = it.xz[:, -1], it.sk[:, -1]
+            bad = ~(_all_finite(it.xz[:, :n]) & np.isfinite(tau) & np.isfinite(kappa))
+            if bad.any():
+                it = leave(it, bad, iters)
+                if not it.ids.size:
+                    break
+        else:
+            finish(it, screen(it)[0], opts.max_iters)
+    return out
+
+
+def _newton_step(it: _Iterates, res: tuple, work: _EmbeddingCone, kkt: _KKT,
+                 e: np.ndarray, nm: int):
+    """One Mehrotra predictor-corrector step for every row, on the embedding
+    cone with (kappa, tau) as its last pair: the directions [dx, dy, dz,
+    dtau] and [ds, dkappa], the step lengths and the rows that broke down."""
+    sk, zt, cb = it.sk, it.xz[:, nm:], it.cb
+    tau, kappa = zt[:, -1], sk[:, -1]
+    hres, hres_k = res
+    B, size = len(tau), kkt.size
+    mu = np.vecdot(sk, zt) / work.degree
+    W = _Scaling(work, sk, zt)
+    lam = W.inv(sk)  # = W z
+    # The Newton system's last block is lam o (W^-1 ds + W dz) = ds_rhs, and
+    # ds = t - W^2 dz with t = W jsolve(lam, ds_rhs). The predictor's
+    # ds_rhs = -lam o lam gives t_a = -W lam.
+    t_a = -W.mul(lam)
+    both = np.concatenate([sk, zt])
+
+    def direction(eta, t, u2):
+        # dtau from the tau row of the embedding, where t[:, -1] = dk_rhs / tau
+        dtau = (-eta * hres_k - t[:, -1] - np.vecdot(u2[:, :nm], cb)) / denom
+        du = u2 + dtau[:, None] * u1
+        return du, t - W.sq(du[:, nm:])
+
+    def step_len(du, ds):
+        d = np.concatenate([ds, du[:, nm:]])
+        return np.minimum.reduce(work.step_max(both, d).reshape(2, B), axis=0), d
+
+    # predictor, solved together with the first system [-c, bh, 0]; the
+    # solutions carry tau's column: 1 in u1 = d[x, y, z]/dtau, 0 in u2
+    R = np.empty((B, 2, size))
+    R[:, 0] = it.rhs1
+    np.negative(hres, out=R[:, 1])
+    R[:, 1, nm:] -= t_a[:, :-1]
+    U = np.zeros((B, 2, size + 1))
+    U[:, 0, size] = 1.0
+    factors = kkt.factor_solve(W.sq_entries(), R, U)
+    u1 = U[:, 0]
+    denom = np.vecdot(u1[:, :nm], cb) - kappa / tau
+    du_a, ds_a = direction(1.0, t_a, U[:, 1])
+    alpha_a, d_a = step_len(du_a, ds_a)
+    alpha_a = np.minimum(alpha_a, 1.0)
+    aff = both + np.concatenate([alpha_a, alpha_a])[:, None] * d_a
+    mu_aff = np.vecdot(aff[:B], aff[B:]) / work.degree
+    sigma = np.minimum(np.maximum((mu_aff / mu) ** 3, 0.0), 1.0)
+
+    # corrector: ds_rhs = sigma mu e - lam o lam - (W^-1 ds_a) o (W dz_a), where
+    # W^-1 ds_a = -lam - W dz_a; jsolve is linear, so the -lam o lam part of
+    # t_c is t_a
+    wdz = W.mul(du_a[:, nm:])
+    ds_rhs = (sigma * mu)[:, None] * e + work.jprod(lam + wdz, wdz)
+    t_c = W.mul(work.jsolve(lam, ds_rhs)) + t_a
+    eta = 1.0 - sigma
+    rhs3 = -eta[:, None] * hres
+    rhs3[:, nm:] -= t_c[:, :-1]
+    u2 = np.zeros((B, size + 1))
+    kkt.solve(factors, rhs3, u2)
+    du, ds = direction(eta, t_c, u2)
+    alpha = np.minimum(0.99 * step_len(du, ds)[0], 1.0)
+    ok = (_all_finite(U[:, 1]) & _all_finite(u2) & (np.abs(denom) >= 1e-300)
+          & (alpha >= 1e-10))  # false for nan
+    return du, ds, alpha, ~ok
+
+
+def _iterate_solution(p: ConicProgram, status: SolveStatus, x, yh, tau, m: int,
+                      iters: int) -> Solution:
+    """The iterate scaled back to the original program: x/tau, the dual
+    y = -yh/tau and its slack c - A'y."""
+    xt = x / tau
+    y = -yh[:m] / tau
+    return Solution(status, x=xt, y=y, s=p.c - p.A.T @ y, objective=float(p.c @ xt),
+                    iterations=iters)
+
+
+class _Verifier:
+    """Independent checks, on the original program (c, A, K), of the status a
+    row ends with, at loose = 100*max(feas_tol, gap_tol) scaled by the data.
+    An optimum must meet its KKT conditions. A primal infeasibility ray y
+    needs b.y > 0 and -A'y in K*; a dual infeasibility ray x needs c.x < 0,
+    Ax = 0 and x in K; these tolerances are relative to |A| and to the ray."""
+
+    def __init__(self, p: ConicProgram, opts: SolverOptions):
+        self.p = p
+        self.loose = 100.0 * max(opts.feas_tol, opts.gap_tol)
+        self.scale_c = 1.0 + np.abs(p.c).max(initial=0.0)
+        self.scale_A = 1.0 + np.abs(p.A).max(initial=0.0)
+        self.outside_K = _Violation(p.cone)
+        self.outside_Kd = _Violation(p.cone.dual())
+
+    def __call__(self, b: np.ndarray, sol: Solution) -> Solution:
+        """The solution, or NUMERICAL_LIMIT if it fails its check."""
+        if sol.status is SolveStatus.OPTIMAL and not self.optimal(b, sol):
+            return Solution(SolveStatus.NUMERICAL_LIMIT, x=sol.x, y=sol.y, s=sol.s,
+                            objective=sol.objective, iterations=sol.iterations)
+        if (sol.status in (SolveStatus.PRIMAL_INFEASIBLE, SolveStatus.DUAL_INFEASIBLE)
+                and not self.ray(b, sol)):
+            return Solution(SolveStatus.NUMERICAL_LIMIT, iterations=sol.iterations)
+        return sol
+
+    def residuals(self, b: np.ndarray, sol: Solution) -> dict:
+        if sol.x is None or sol.y is None or sol.s is None:
+            raise ValueError("solution carries no iterates to check")
+        p, x, y, s = self.p, sol.x, sol.y, sol.s
+        return {
+            "primal_residual": float(np.abs(p.A @ x - b).max(initial=0.0)),
+            "dual_residual": float(np.abs(p.A.T @ y + s - p.c).max(initial=0.0)),
+            "gap": float(abs(p.c @ x - b @ y)),
+            "cone_violation": self.outside_K(x),
+            "dual_cone_violation": self.outside_Kd(s),
+        }
+
+    def optimal(self, b: np.ndarray, sol: Solution) -> bool:
+        rec = self.residuals(b, sol)
+        scale, loose = 1.0 + np.abs(b).max(initial=0.0), self.loose
+        return (
+            rec["primal_residual"] <= loose * scale
+            and rec["dual_residual"] <= loose * self.scale_c
+            and rec["cone_violation"] <= loose * scale
+            and rec["dual_cone_violation"] <= loose * self.scale_c
+            and rec["gap"] <= loose * (1.0 + abs(sol.objective))
         )
-        alpha = min(alpha, 1.0)
-        if not math.isfinite(alpha) or alpha < 1e-10:
-            break
 
-        x += alpha * dx
-        yh += alpha * dy
-        z += alpha * dz
-        s += alpha * ds
-        tau += alpha * dtau
-        kappa += alpha * dkappa
-        if not (math.isfinite(tau) and math.isfinite(kappa) and np.all(np.isfinite(x))):
-            break
-    else:
-        sol = _check_termination(opts.max_iters)
-
-    if sol is None:
-        sol = _check_termination(iters)
-    if sol is None:
-        sol = Solution(status=SolveStatus.NUMERICAL_LIMIT, iterations=iters)
-        if tau > 1e-12:
-            sol.x = x / tau
-            sol.y = -yh[: emb.m_orig] / tau
-            sol.s = c - p.A.T @ sol.y
-            sol.objective = float(c @ sol.x)
-    elif sol.status is SolveStatus.OPTIMAL and not _verify_optimal(p, sol, opts):
-        sol = Solution(
-            status=SolveStatus.NUMERICAL_LIMIT,
-            x=sol.x,
-            y=sol.y,
-            s=sol.s,
-            objective=sol.objective,
-            iterations=sol.iterations,
-        )
-    return sol
+    def ray(self, b: np.ndarray, sol: Solution) -> bool:
+        p, r = self.p, sol.certificate
+        tol = self.loose * np.abs(r).max(initial=0.0)
+        if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
+            return bool(b @ r > 0.0 and self.outside_Kd(-(p.A.T @ r)) <= tol * self.scale_A)
+        return bool(p.c @ r < 0.0
+                    and np.abs(p.A @ r).max(initial=0.0) <= tol * self.scale_A
+                    and self.outside_K(r) <= tol)
 
 
-def _verify_optimal(p: ConicProgram, sol: Solution, opts: SolverOptions) -> bool:
-    rec = check_kkt(p, sol, tol=0.0)
-    scale = 1.0 + np.linalg.norm(p.b, np.inf) if p.b.size else 1.0
-    cscale = 1.0 + (np.linalg.norm(p.c, np.inf) if p.c.size else 0.0)
-    loose = 100.0 * max(opts.feas_tol, opts.gap_tol)
-    return (
-        rec["primal_residual"] <= loose * scale
-        and rec["dual_residual"] <= loose * cscale
-        and rec["cone_violation"] <= loose * scale
-        and rec["dual_cone_violation"] <= loose * cscale
-        and rec["gap"] <= loose * (1.0 + abs(sol.objective))
-    )
+class _Violation:
+    """How far a vector lies outside a ConeProduct: the largest of -v on the
+    Nonneg coordinates, |v| on the Zero coordinates and |vbar| - radius on
+    the Lorentz blocks; 0 inside, and nan for a vector with a nan."""
+
+    def __init__(self, cone: ConeProduct):
+        nonneg, zero, lorentz = [], [], {}
+        for blk, off in cone.offsets():
+            idx = list(range(off, off + blk.dim))
+            if blk.kind is BlockKind.NONNEG:
+                nonneg += idx
+            elif blk.kind is BlockKind.ZERO:
+                zero += idx
+            elif blk.kind is BlockKind.LORENTZ:
+                lorentz.setdefault(blk.dim, []).append(idx)
+        self.nonneg = np.array(nonneg, dtype=int) if nonneg else None
+        self.zero = np.array(zero, dtype=int) if zero else None
+        # per dimension, the (nb, d-1) bar and (nb,) radius indices (radius last)
+        self.lorentz = [(np.array(b)[:, :-1], np.array(b)[:, -1]) for b in lorentz.values()]
+
+    def __call__(self, v: np.ndarray) -> float:
+        parts = [np.zeros(1)]
+        if self.nonneg is not None:
+            parts.append(-v[self.nonneg])
+        if self.zero is not None:
+            parts.append(np.abs(v[self.zero]))
+        for bar, radius in self.lorentz:
+            vb = v[bar]
+            parts.append(np.sqrt(np.vecdot(vb, vb)) - v[radius])
+        return float(np.maximum.reduce(np.concatenate(parts)))
 
 
 def check_kkt(p: ConicProgram, sol: Solution, tol: float) -> dict:
     """Residual diagnostics for a claimed optimal solution."""
-    if sol.x is None or sol.y is None or sol.s is None:
-        raise ValueError("solution carries no iterates to check")
-    x, y, s = sol.x, sol.y, sol.s
-    primal = float(np.linalg.norm(p.A @ x - p.b, np.inf)) if p.b.size else 0.0
-    dual = float(np.linalg.norm(p.A.T @ y + s - p.c, np.inf))
-    gap = float(abs(p.c @ x - p.b @ y))
-    cone_viol = _violation(p.cone, x)
-    dual_cone_viol = _violation(p.cone.dual(), s)
-    passed = max(primal, dual, gap, cone_viol, dual_cone_viol) <= tol
-    return {
-        "primal_residual": primal,
-        "dual_residual": dual,
-        "gap": gap,
-        "cone_violation": cone_viol,
-        "dual_cone_violation": dual_cone_viol,
-        "passed": passed,
-    }
-
-
-def _violation(cone: ConeProduct, v: np.ndarray) -> float:
-    worst = 0.0
-    for blk, off in cone.offsets():
-        u = v[off : off + blk.dim]
-        if blk.kind is BlockKind.FREE:
-            continue
-        if blk.kind is BlockKind.ZERO:
-            worst = max(worst, float(np.max(np.abs(u))))
-        elif blk.kind is BlockKind.NONNEG:
-            worst = max(worst, float(max(0.0, -np.min(u))))
-        else:
-            worst = max(worst, float(max(0.0, np.linalg.norm(u[:-1]) - u[-1])))
-    return worst
+    rec = _Verifier(p, SolverOptions()).residuals(p.b, sol)
+    rec["passed"] = max(rec.values()) <= tol
+    return rec

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from conecert import solver
 from conecert.cones import ConeBlock, BlockKind, ConeProduct, free, lorentz, nonneg, zero
 from conecert.solver import (
     ConicProgram,
+    Solution,
     SolveStatus,
     SolverOptions,
     check_kkt,
     solve,
+    solve_batch,
 )
 
 from oracles import oracle_lp
@@ -155,3 +158,258 @@ def test_agrees_with_basic_solution_oracle():
             assert sol.status is SolveStatus.DUAL_INFEASIBLE
         agree += 1
     assert agree == 60
+
+
+# ---------------------------------------------------------------------------
+# certificate checks
+
+
+def _ray_ok(p, sol):
+    return solver._Verifier(p, SolverOptions()).ray(p.b, sol)
+
+
+def test_primal_ray_check_rejects_doctored_certificates():
+    p = ConicProgram(
+        c=[0.0, 0.0, 0.0, 0.0],
+        A=[[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        b=[-1.0, 2.0],
+        cone=ConeProduct([lorentz(3), free(1)]),
+    )
+    sol = solve(p)
+    assert sol.status is SolveStatus.PRIMAL_INFEASIBLE
+    assert _ray_ok(p, sol)
+    y = sol.certificate
+    # b.y <= 0
+    assert not _ray_ok(p, Solution(sol.status, certificate=-y))
+    # -A'y leaves the Lorentz block of K*
+    assert not _ray_ok(p, Solution(sol.status, certificate=y + [2.0, 0.0]))
+    # -A'y is nonzero on the free block, whose dual block is {0}
+    assert not _ray_ok(p, Solution(sol.status, certificate=y + [0.0, 1e-3]))
+
+
+def test_dual_ray_check_rejects_doctored_certificates():
+    p = ConicProgram(
+        c=[-1.0, -1.0, 0.0],
+        A=[[1.0, -1.0, 0.0]],
+        b=[0.0],
+        cone=ConeProduct([nonneg(3)]),
+    )
+    sol = solve(p)
+    assert sol.status is SolveStatus.DUAL_INFEASIBLE
+    assert _ray_ok(p, sol)
+    x = sol.certificate
+    # c.x >= 0
+    assert not _ray_ok(p, Solution(sol.status, certificate=-x))
+    # Ax != 0
+    assert not _ray_ok(p, Solution(sol.status, certificate=x + [1.0, 0.0, 0.0]))
+    # x leaves K
+    assert not _ray_ok(p, Solution(sol.status, certificate=x + [0.0, 0.0, -1.0]))
+
+
+def test_failed_ray_check_downgrades_to_numerical_limit(monkeypatch):
+    infeasible = ConicProgram(c=[0.0], A=[[1.0]], b=[-1.0], cone=ConeProduct([nonneg(1)]))
+    unbounded = ConicProgram(c=[-1.0, -1.0], A=[[1.0, -1.0]], b=[0.0],
+                             cone=ConeProduct([nonneg(2)]))
+    monkeypatch.setattr(solver._Verifier, "ray", lambda self, b, sol: False)
+    for p in (infeasible, unbounded):
+        sol = solve(p)
+        assert sol.status is SolveStatus.NUMERICAL_LIMIT
+        assert sol.certificate is None and sol.iterations > 0
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches
+
+
+def _batch_family(rng, unbounded: bool):
+    """A seeded (c, A, K) over Nonneg, L2/L3/L4, Free and Zero blocks (in a
+    shuffled order) with feasible and infeasible right-hand sides. Row 0 of
+    A lies in K*, so b_0 < 0 is infeasible. With `unbounded`, column j of A
+    is 0 and c_j < 0 for a Nonneg coordinate j, so the dual is infeasible.
+    One (c, A, K) cannot give both Optimal and DualInfeasible rows: dual
+    feasibility does not depend on b."""
+    blocks = [nonneg(int(rng.integers(1, 3))), lorentz(2), lorentz(3), lorentz(4),
+              lorentz(int(rng.integers(2, 5))), free(1), zero(1)]
+    blocks = [blocks[i] for i in rng.permutation(len(blocks))]
+    K = ConeProduct(blocks)
+    n, m = K.dim, int(rng.integers(2, 4))
+    a0, x0, s0 = np.zeros(n), np.zeros(n), np.zeros(n)
+    for blk, off in K.offsets():
+        sl = slice(off, off + blk.dim)
+        if blk.kind is BlockKind.NONNEG:
+            a0[sl] = rng.uniform(0.5, 1.5, blk.dim)
+            x0[sl] = rng.uniform(0.5, 1.5, blk.dim)
+            s0[sl] = rng.uniform(0.5, 1.5, blk.dim)
+        elif blk.kind is BlockKind.LORENTZ:
+            for v in (a0, x0, s0):
+                v[off : off + blk.dim - 1] = rng.normal(size=blk.dim - 1)
+                v[off + blk.dim - 1] = np.linalg.norm(v[off : off + blk.dim - 1]) + 0.5
+        elif blk.kind is BlockKind.FREE:
+            x0[sl] = rng.normal(size=blk.dim)
+        else:  # Zero: x = 0 there, anything in K* = Free
+            a0[sl] = rng.normal(size=blk.dim)
+            s0[sl] = rng.normal(size=blk.dim)
+    A = np.vstack([a0, rng.normal(size=(m - 1, n))])
+    c = A.T @ rng.normal(size=m) + s0
+    if unbounded:
+        j = next(off for blk, off in K.offsets() if blk.kind is BlockKind.NONNEG)
+        A[:, j] = 0.0
+        c[j] = -1.0
+    rhs = []
+    for _ in range(6):
+        b = A @ (x0 * rng.uniform(0.5, 2.0))
+        if rng.random() < 0.4:
+            b[0] = -rng.uniform(0.5, 2.0)
+        rhs.append(b)
+    return c, A, K, np.array(rhs)
+
+
+def test_batch_rows_match_single_solves():
+    rng = np.random.default_rng(2024)
+    seen, mixed = set(), 0
+    for trial in range(12):
+        c, A, K, rhs = _batch_family(rng, unbounded=trial % 3 == 2)
+        p = ConicProgram(c, A, rhs[0], K)
+        batch = solve_batch(p, rhs)
+        order = rng.permutation(len(rhs))
+        permuted = solve_batch(p, rhs[order])
+        statuses = set()
+        for i, b in enumerate(rhs):
+            single = solve(ConicProgram(c, A, b, K))
+            for got in (batch[i], permuted[int(np.flatnonzero(order == i)[0])]):
+                assert got.status is single.status, (trial, i)
+                assert got.iterations == single.iterations, (trial, i)
+                if single.objective is not None:
+                    assert abs(got.objective - single.objective) <= 1e-8 * (
+                        1.0 + abs(single.objective))
+            statuses.add(single.status)
+        seen |= statuses
+        mixed += len(statuses) > 1
+    assert {SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE,
+            SolveStatus.DUAL_INFEASIBLE} <= seen
+    assert mixed >= 6
+
+
+def test_batch_validates_rhs():
+    p = ConicProgram(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0], cone=ConeProduct([nonneg(2)]))
+    assert solve_batch(p, np.zeros((0, 1))) == []
+    with pytest.raises(ValueError):
+        solve_batch(p, [[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        solve_batch(p, [[np.inf]])
+
+
+# ---------------------------------------------------------------------------
+# grouped Lorentz kernels against a per-block loop
+
+
+def _grouped_cone():
+    # groups of 2 x L3, 3 x L2 and 1 x L4 (radius first), then 2 Nonneg coordinates
+    return solver._EmbeddingCone([(3, 2), (2, 3), (4, 1)], 2)
+
+
+def _block_slices(work):
+    for off, nb, d, *_ in work.groups:
+        for j in range(nb):
+            yield slice(off + j * d, off + (j + 1) * d)
+
+
+def _interior(work, rng, rows):
+    u = rng.normal(size=(rows, work.dim))
+    u[:, work.lp] = rng.uniform(0.1, 2.0, size=(rows, work.lp.stop - work.lp.start))
+    for sl in _block_slices(work):
+        u[:, sl.start] = np.linalg.norm(u[:, sl.start + 1 : sl.stop], axis=1) + rng.uniform(
+            0.05, 1.0, rows)
+    return u
+
+
+def _step_max_loop(work, u, du):
+    alpha = math.inf
+    for i in range(work.lp.start, work.lp.stop):
+        if du[i] < 0:
+            alpha = min(alpha, -u[i] / du[i])
+    for sl in _block_slices(work):
+        bar = slice(sl.start + 1, sl.stop)
+        u0, ub, d0, db = u[sl.start], u[bar], du[sl.start], du[bar]
+        c2, c1, c0 = d0 * d0 - db @ db, 2.0 * (u0 * d0 - ub @ db), u0 * u0 - ub @ ub
+        roots = [-u0 / d0] if d0 < 0 else []
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc >= 0:
+            roots += [(-c1 - math.sqrt(disc)) / (2.0 * c2), (-c1 + math.sqrt(disc)) / (2.0 * c2)]
+        alpha = min([alpha] + [r for r in roots if r > 0])
+    return alpha
+
+
+def _jprod_loop(work, u, v):
+    out = u * v
+    for sl in _block_slices(work):
+        out[sl.start] = u[sl] @ v[sl]
+        out[sl.start + 1 : sl.stop] = u[sl.start] * v[sl.start + 1 : sl.stop] + v[sl.start] * u[
+            sl.start + 1 : sl.stop]
+    return out
+
+
+def test_grouped_lorentz_kernels_match_block_loop():
+    rng = np.random.default_rng(7)
+    work = _grouped_cone()
+    u, v = _interior(work, rng, 6), _interior(work, rng, 6)
+    du = rng.normal(size=u.shape)
+    alpha = work.step_max(u, du)
+    for r in range(len(u)):
+        want = _step_max_loop(work, u[r], du[r])
+        assert alpha[r] == pytest.approx(want, rel=1e-9)
+        # the step lands on the boundary of the cone
+        edge = u[r] + alpha[r] * du[r]
+        margins = list(edge[work.lp]) + [
+            edge[sl.start] - np.linalg.norm(edge[sl.start + 1 : sl.stop])
+            for sl in _block_slices(work)
+        ]
+        assert min(margins) == pytest.approx(0.0, abs=1e-9)
+    prod = work.jprod(u, v)
+    assert np.allclose(prod, [_jprod_loop(work, u[r], v[r]) for r in range(len(u))], rtol=1e-12)
+    # jsolve inverts jprod: lam o jsolve(lam, d) = d
+    q = work.jsolve(u, prod)
+    assert np.allclose(q, v, rtol=1e-9, atol=1e-12)
+
+
+def test_nt_scaling_identities():
+    rng = np.random.default_rng(8)
+    work = _grouped_cone()
+    s, z = _interior(work, rng, 5), _interior(work, rng, 5)
+    W = solver._Scaling(work, s, z)
+    u = rng.normal(size=s.shape)
+    assert np.allclose(W.mul(z), W.inv(s), rtol=1e-10, atol=1e-12)
+    assert np.allclose(W.mul(W.inv(u)), u, rtol=1e-10, atol=1e-12)
+    assert np.allclose(W.inv(W.mul(u)), u, rtol=1e-10, atol=1e-12)
+    assert np.allclose(W.sq(u), W.mul(W.mul(u)), rtol=1e-10, atol=1e-12)
+    # W z is strictly inside the cone, as the NT scaling point must be
+    lam = W.mul(z)
+    assert np.all(lam[:, work.lp] > 0)
+    for sl in _block_slices(work):
+        assert np.all(lam[:, sl.start] > np.linalg.norm(lam[:, sl.start + 1 : sl.stop], axis=1))
+
+
+def test_failed_factorization_is_retried_with_a_bump(monkeypatch):
+    rng = np.random.default_rng(5)
+    c, A, K, rhs = _batch_family(rng, unbounded=False)
+    p = ConicProgram(c, A, rhs[0], K)
+    singles = [solve(ConicProgram(c, A, b, K)) for b in rhs]
+    factor = solver._KKT._factor
+    calls = []
+
+    def first_of_row_1_fails(Ki, Ri, Ui):
+        calls.append(1)
+        if len(calls) == 2:  # row 1 in the first iteration, at the static regularization
+            Ui[...] = np.nan
+            return None
+        return factor(Ki, Ri, Ui)
+
+    monkeypatch.setattr(solver._KKT, "_factor", staticmethod(first_of_row_1_fails))
+    batch = solve_batch(p, rhs)
+    for i, (got, single) in enumerate(zip(batch, singles)):
+        assert got.status is single.status, i
+        if i != 1 and single.objective is not None:
+            assert got.iterations == single.iterations
+            assert got.objective == pytest.approx(single.objective, rel=1e-8, abs=1e-8)
+    assert batch[1].status is SolveStatus.OPTIMAL
+    assert batch[1].objective == pytest.approx(singles[1].objective, rel=1e-6, abs=1e-6)
