@@ -88,9 +88,26 @@ def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> Thet
     mu = _vec(mu, dset.n)
     if not np.any(mu):
         raise ValueError("mu must be nonzero")
-    labeled = dset.B.expand_labeled()
+    table = _branch_rows(dset, mu, dset.B.expand_labeled(), opts.solver)
+    value, argmin = _column_min(table, "value")
+    had_limit = any(r.status == "limit" for r in table)
+    if value == math.inf:  # no optimal or unbounded row
+        if not had_limit:
+            raise ModelError("every branch of the disjunction is infeasible")
+        value = math.nan
+    inf_sigma, sigma_argmin = _column_min(table, "sigma")
+    if not math.isfinite(inf_sigma) and had_limit:
+        inf_sigma, sigma_argmin = math.nan, None
+    return ThetaResult(value, argmin, table, value == -math.inf, had_limit, inf_sigma,
+                       sigma_argmin, _lattice_monotone(dset, table))
+
+
+def _branch_rows(dset: DisjunctiveSet, mu: np.ndarray, labeled: list,
+                 opts: SolverOptions) -> list[BranchValue]:
+    """One batched solve of the branch program min <mu,x> : Ax = b, x in K
+    for every (label, b) of `labeled`, as branch table rows."""
     rhs = np.array([b for _, b in labeled])
-    sols = solve_batch(ConicProgram(mu, dset.A, rhs[0], dset.K), rhs, opts.solver)
+    sols = solve_batch(ConicProgram(mu, dset.A, rhs[0], dset.K), rhs, opts)
     table = []
     for (label, b), sol in zip(labeled, sols):
         if sol.status is SolveStatus.OPTIMAL:
@@ -103,17 +120,7 @@ def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> Thet
             table.append(BranchValue(label, b, "unbounded", -math.inf, sigma=-math.inf))
         else:
             table.append(BranchValue(label, b, "limit"))
-    value, argmin = _column_min(table, "value")
-    had_limit = any(r.status == "limit" for r in table)
-    if value == math.inf:  # no optimal or unbounded row
-        if not had_limit:
-            raise ModelError("every branch of the disjunction is infeasible")
-        value = math.nan
-    inf_sigma, sigma_argmin = _column_min(table, "sigma")
-    if not math.isfinite(inf_sigma) and had_limit:
-        inf_sigma, sigma_argmin = math.nan, None
-    return ThetaResult(value, argmin, table, value == -math.inf, had_limit, inf_sigma,
-                       sigma_argmin, _lattice_monotone(dset, table))
+    return table
 
 
 def _column_min(table: list, column: str) -> tuple[float, str | None]:
@@ -149,58 +156,77 @@ class SupportHandle:
     """Evaluator for the support function of D_mu = {lambda : mu - A* lambda in K*}.
 
     With one row (m = 1), D_mu is an interval [lo, hi] computed once without
-    a solve, and sigma(z) is z*hi for z >= 0 and z*lo for z < 0, so `eval`
+    a solve, and sigma(z) is z*hi for z > 0 and z*lo for z < 0, so `eval`
     makes no solve, unless the interval fails its check in K* (see
-    `_one_row_dmu`)."""
+    `_one_row_dmu`). Otherwise `eval` solves the branch program
+    min <mu,x> : Ax = z, x in K, whose dual is max z.lambda over D_mu, for
+    all uncached directions of a call in one batch, as `theta` does for the
+    rhs family: a verified optimum gives sigma(z) = y.z, a verified
+    infeasibility +inf (its Farkas ray is a recession direction of D_mu
+    with a positive z-value), and an unbounded row shows D_mu empty."""
 
     def __init__(self, dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None):
         self.dset = dset
         self.opts = opts or AnalysisOptions()
         self.mu = _vec(mu, dset.n)
-        m, n = dset.m, dset.n
-        # variables (lambda free, gamma in K*) with A^T lambda + gamma = mu
-        self._A = np.hstack([dset.A.T, np.eye(n)])
-        self._cone = ConeProduct(
-            [ConeBlock(BlockKind.FREE, m)] + list(dset.K.dual().blocks)
-        )
-        self._m = m
+        self._m = dset.m
         self._cache: dict[tuple, float] = {}
+        self._nonempty = False  # an optimal row has shown a point of D_mu
         self._interval = None
-        if m == 1:
+        if self._m == 1:
             tol = 100.0 * self.opts.solver.feas_tol * (1.0 + float(np.max(np.abs(self.mu))))
             self._interval = _one_row_dmu(dset.K, self.mu, dset.A[0], tol)
 
     def feasibility(self):
-        """Solve the (A.0) feasibility problem; returns the raw Solution."""
+        """Solve the (A.0) feasibility problem over (lambda free, gamma in K*)
+        with A^T lambda + gamma = mu; returns the raw Solution."""
+        dset = self.dset
+        cone = ConeProduct([ConeBlock(BlockKind.FREE, self._m)] + list(dset.K.dual().blocks))
         return solve(
-            ConicProgram(np.zeros(self._m + self.dset.n), self._A, self.mu, self._cone),
+            ConicProgram(np.zeros(self._m + dset.n), np.hstack([dset.A.T, np.eye(dset.n)]),
+                         self.mu, cone),
             self.opts.solver,
         )
 
-    def eval(self, z) -> float:
-        """sigma_{D_mu}(z); +inf when unbounded, nan on solver limits."""
-        z = _vec(z, self._m)
+    def eval(self, z):
+        """sigma_{D_mu}(z) for one direction z of length m (a float), or for
+        each row of a (k, m) stack (an array of k values); +inf when D_mu is
+        unbounded in that direction, nan on solver limits."""
+        Z = np.asarray(z, dtype=float)
+        if Z.ndim == 2 and Z.shape[1] == self._m:
+            return self._values(Z)
+        return float(self._values(_vec(Z, self._m)[None])[0])
+
+    def _values(self, Z: np.ndarray) -> np.ndarray:
         if self._interval is not None:
             lo, hi = self._interval
             if lo > hi:
                 raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
-            t = float(z[0])
-            return t * hi if t > 0 else t * lo if t < 0 else 0.0
-        key = tuple(np.round(z, 12))
-        if key in self._cache:
-            return self._cache[key]
-        c = np.concatenate([-z, np.zeros(self.dset.n)])
-        sol = solve(ConicProgram(c, self._A, self.mu, self._cone), self.opts.solver)
-        if sol.status is SolveStatus.OPTIMAL:
-            val = -sol.objective
-        elif sol.status is SolveStatus.DUAL_INFEASIBLE:
-            val = math.inf
-        elif sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-            raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
-        else:
-            val = math.nan
-        self._cache[key] = val
-        return val
+            t = Z[:, 0]
+            out = np.zeros(len(t))
+            pos, neg = t > 0, t < 0
+            out[pos] = t[pos] * hi
+            out[neg] = t[neg] * lo
+            return out
+        keys = [tuple(np.round(z, 12)) for z in Z]
+        todo = {k: z for k, z in zip(keys, Z) if k not in self._cache}
+        if todo:
+            rows = _branch_rows(self.dset, self.mu, [("", z) for z in todo.values()],
+                                self.opts.solver)
+            if any(r.status == "unbounded" for r in rows):
+                raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
+            self._nonempty |= any(r.status == "optimal" for r in rows)
+            sigmas = [r.sigma for r in rows]
+            if not self._nonempty and math.inf in sigmas:
+                # +inf needs a point of D_mu, which no row has given yet
+                sol = self.feasibility()
+                if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
+                    raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
+                self._nonempty = sol.status is SolveStatus.OPTIMAL
+                if not self._nonempty:
+                    sigmas = [math.nan if v == math.inf else v for v in sigmas]
+            self._cache.update(zip(todo, sigmas))
+        return np.array([self._cache[k] for k in keys])
 
 
 def _one_row_dmu(K: ConeProduct, mu: np.ndarray, a: np.ndarray, tol: float):
@@ -356,17 +382,19 @@ class TightRay:
 
 def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int = 0):
     """Sampled (plus locally refined) extreme rays z of K whose support gap
-    <mu,z> - sigma(Az) is at most tol. Returns (tight rays, all sampled gaps)."""
+    <mu,z> - sigma(Az) is at most tol. Returns (tight rays, all sampled gaps).
+    The samples are evaluated in one call of `handle.eval`; the local
+    refinements evaluate one point at a time."""
     dset, mu = handle.dset, handle.mu
 
+    def gap(z, s):
+        return float(mu @ z - s) if math.isfinite(s) else math.inf
+
     def gap_of(z):
-        s = handle.eval(dset.A @ z)
-        if math.isnan(s) or math.isinf(s):
-            return math.inf
-        return float(mu @ z - s)
+        return gap(z, handle.eval(dset.A @ z))
 
     rays = sample_extreme_rays(dset.K, budget, seed)
-    gaps = [gap_of(z) for z in rays]
+    gaps = [gap(z, s) for z, s in zip(rays, handle.eval(np.array(rays) @ dset.A.T))]
 
     candidates = list(zip(rays, gaps))
     # refine around local minima on dim-3 Lorentz circles, and around the
@@ -506,16 +534,40 @@ def _greedy_interior_sum(vectors: list, K: ConeProduct):
 def check_minimal_sufficient(handle: SupportHandle, eta0: float, th: ThetaResult):
     """Certify minimality through points x^i on tight branches whose sum is
     interior. Applies only when eta0 equals inf_b sigma(b), read from the
-    branch table th = theta(dset, mu)."""
-    dset, mu, opts, inf_sigma = handle.dset, handle.mu, handle.opts, th.inf_sigma
+    branch table th = theta(dset, mu).
+
+    The points are first the tight rows' own optima. An IPM iterate lies
+    near the relative interior of its optimal face F_i, and
+    relint(F_1 + ... + F_r) = relint F_1 + ... + relint F_r lies in int K
+    as soon as any sum of points of the faces does (Rockafellar, Convex
+    Analysis, Cor. 6.6.2). Only when their sum fails the a-posteriori check
+    is the joint program solved; soundness rests on that check alone."""
+    opts, inf_sigma = handle.opts, th.inf_sigma
     if not math.isfinite(inf_sigma) or abs(eta0 - inf_sigma) > opts.tol:
         return Status.NOT_APPLICABLE, {"inf_sigma": inf_sigma}
-    bhat = [(r.label, r.b) for r in th.table
-            if math.isfinite(r.sigma) and r.sigma <= eta0 + opts.tol]
-    if not bhat:
+    tight = _tight_rows(th, eta0, opts.tol)
+    if not tight:
         return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma}
-    n, m, r = dset.n, dset.m, len(bhat)
-    # joint program: x^i in K per branch, w in K, t free (capped at 1):
+    status, payload = _verify_point_sum(handle, eta0, inf_sigma, tight, [r.x for r in tight])
+    if status is Status.HOLDS:
+        return status, payload
+    return _minimal_joint_program(handle, eta0, inf_sigma, tight)
+
+
+def _tight_rows(th: ThetaResult, eta0: float, tol: float) -> list[BranchValue]:
+    """The branch table's rows with a finite sigma(b) <= eta0 + tol; finite
+    sigma makes each an optimal row with its point x."""
+    return [r for r in th.table if math.isfinite(r.sigma) and r.sigma <= eta0 + tol]
+
+
+def _minimal_joint_program(handle: SupportHandle, eta0: float, inf_sigma: float,
+                           tight: list[BranchValue]):
+    """The joint program for the points of check_minimal_sufficient: one
+    x^i in K per tight row, and w in K and t (capped at 1) with
+    sum_i x^i = w + t e, maximizing t; its points are judged by
+    `_verify_point_sum`."""
+    dset, mu, opts = handle.dset, handle.mu, handle.opts
+    n, m, r = dset.n, dset.m, len(tight)
     #   A x^i = b^i,  <mu, x^i> = eta0,  sum_i x^i - w - t e = 0,  t + u = 1
     e = dset.K.canonical_interior_point()
     nv = r * n + n + 2
@@ -527,9 +579,9 @@ def check_minimal_sufficient(handle: SupportHandle, eta0: float, th: ThetaResult
     rows = r * (m + 1) + n + 1
     Amat = np.zeros((rows, nv))
     bvec = np.zeros(rows)
-    for i, (_, b) in enumerate(bhat):
+    for i, row in enumerate(tight):
         Amat[i * m : (i + 1) * m, i * n : (i + 1) * n] = dset.A
-        bvec[i * m : (i + 1) * m] = b
+        bvec[i * m : (i + 1) * m] = row.b
         Amat[r * m + i, i * n : (i + 1) * n] = mu
         bvec[r * m + i] = eta0
     row0 = r * (m + 1)
@@ -544,25 +596,32 @@ def check_minimal_sufficient(handle: SupportHandle, eta0: float, th: ThetaResult
     c[r * n + n] = -1.0
     sol = solve(ConicProgram(c, Amat, bvec, cone), opts.solver)
     # the tight-branch geometry is often degenerate (no strictly feasible
-    # point), so keep stalled iterates too and judge the certificate by a
-    # direct a-posteriori verification below
+    # point), so keep stalled iterates too and judge them by the check
     if sol.x is None:
         return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "solver": sol.status.value}
+    xs = [sol.x[i * n : (i + 1) * n] for i in range(r)]
+    return _verify_point_sum(handle, eta0, inf_sigma, tight, xs)
+
+
+def _verify_point_sum(handle: SupportHandle, eta0: float, inf_sigma: float,
+                      tight: list[BranchValue], xs: list):
+    """Polish each x^i onto the affine constraints {Ax = b^i, <mu,x> = eta0}
+    of its tight row and certify when the points' sum is interior: its
+    normalized margin must exceed margin_tol and ten times the points'
+    largest violation of K."""
+    dset, opts = handle.dset, handle.opts
+    M = np.vstack([dset.A, handle.mu.reshape(1, -1)])
     points = []
-    for i, (_, b) in enumerate(bhat):
-        x = sol.x[i * n : (i + 1) * n]
-        # polish onto the affine constraints {Ax=b, <mu,x>=eta0}
-        M = np.vstack([dset.A, mu.reshape(1, -1)])
-        v = np.concatenate([b, [eta0]])
-        corr, _ = least_squares_solve(M, v - M @ x)
+    for row, x in zip(tight, xs):
+        corr, _ = least_squares_solve(M, np.concatenate([row.b, [eta0]]) - M @ x)
         points.append(x + corr)
     total = np.sum(points, axis=0)
-    cone_viol = max(0.0, -min(dset.K.interior_margin(x) for x in points))
+    cone_viol = max(0.0, -float(np.min(dset.K.interior_margin(np.array(points)))))
     margin = dset.K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
     if margin > opts.margin_tol and margin > 10.0 * cone_viol:
         return Status.HOLDS, {
             "points": points,
-            "branches": [label for label, _ in bhat],
+            "branches": [row.label for row in tight],
             "sum": total,
             "margin": margin,
             "inf_sigma": inf_sigma,
@@ -678,12 +737,9 @@ def dominance_repair(
     mu = _vec(mu, dset.n)
     if not dset.is_orthant():
         return Status.NOT_APPLICABLE, None
-    handle = SupportHandle(dset, mu, opts)
-    mu_new = np.empty(dset.n)
-    for i in range(dset.n):
-        mu_new[i] = handle.eval(dset.A[:, i])
-        if not math.isfinite(mu_new[i]):
-            return Status.INCONCLUSIVE, None
+    mu_new = SupportHandle(dset, mu, opts).eval(dset.A.T)
+    if not np.all(np.isfinite(mu_new)):
+        return Status.INCONCLUSIVE, None
     inf_sigma = theta(dset, mu, opts).inf_sigma
     if not math.isfinite(inf_sigma):
         return Status.INCONCLUSIVE, None
@@ -900,10 +956,10 @@ def dmu_vertices_2d(
         raise ValueError("vertex reconstruction needs a 2-D multiplier space")
     opts = opts or AnalysisOptions()
     handle = SupportHandle(dset, mu, opts)
-    ds = [np.array([math.cos(a), math.sin(a)])
-          for a in 2.0 * np.pi * np.arange(directions) / directions]
-    vals = [handle.eval(d) for d in ds]
-    if any(not math.isfinite(v) for v in vals):
+    angles = 2.0 * np.pi * np.arange(directions) / directions
+    ds = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    vals = handle.eval(ds)
+    if not np.all(np.isfinite(vals)):
         raise ValueError("D_mu is unbounded in a sampled direction")
     verts = []
     for j in range(directions):
@@ -912,7 +968,7 @@ def dmu_vertices_2d(
         if abs(np.linalg.det(M)) < 1e-9:
             continue
         v = np.linalg.solve(M, np.array([vals[j], vals[k]]))
-        if all(ds[i] @ v <= vals[i] + 1e-7 for i in range(directions)):
+        if np.all(ds @ v <= vals + 1e-7):
             if all(np.linalg.norm(v - w) > 1e-5 for w in verts):
                 verts.append(v)
     return verts

@@ -557,9 +557,10 @@ def _iterate_solution(p: ConicProgram, status: SolveStatus, x, yh, tau, m: int,
 class _Verifier:
     """Independent checks, on the original program (c, A, K), of the status a
     row ends with, at loose = 100*max(feas_tol, gap_tol) scaled by the data.
-    An optimum must meet its KKT conditions. A primal infeasibility ray y
-    needs b.y > 0 and -A'y in K*; a dual infeasibility ray x needs c.x < 0,
-    Ax = 0 and x in K; these tolerances are relative to |A| and to the ray."""
+    An optimum must meet its KKT conditions. A primal infeasibility ray y,
+    normalized to b.y = 1, needs -A'y in K* within loose*|A|; a dual
+    infeasibility ray x, normalized to c.x = -1, needs |Ax| <= loose*|A| and
+    x in K within loose."""
 
     def __init__(self, p: ConicProgram, opts: SolverOptions):
         self.p = p
@@ -603,13 +604,18 @@ class _Verifier:
         )
 
     def ray(self, b: np.ndarray, sol: Solution) -> bool:
-        p, r = self.p, sol.certificate
-        tol = self.loose * np.abs(r).max(initial=0.0)
+        """The ray, normalized to b.y = 1 or c.x = -1, checked at absolute
+        tolerances, so that a huge ray with a small relative residual does
+        not pass."""
+        p, r, tol_A = self.p, sol.certificate, self.loose * self.scale_A
         if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-            return bool(b @ r > 0.0 and self.outside_Kd(-(p.A.T @ r)) <= tol * self.scale_A)
-        return bool(p.c @ r < 0.0
-                    and np.abs(p.A @ r).max(initial=0.0) <= tol * self.scale_A
-                    and self.outside_K(r) <= tol)
+            by = float(b @ r)
+            return bool(by > 0.0 and self.outside_Kd(-(p.A.T @ r) / by) <= tol_A)
+        cx = float(p.c @ r)
+        if not cx < 0.0:
+            return False
+        x = r / -cx
+        return bool(np.abs(p.A @ x).max(initial=0.0) <= tol_A and self.outside_K(x) <= self.loose)
 
 
 class _Violation:

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from conecert.analysis import (
     EmptyCutSetError,
     SupportHandle,
     check_A1i,
+    check_minimal_sufficient,
     full_report,
     theta,
+    tight_extreme_ray_search,
 )
 from conecert.cones import BlockKind, ConeProduct, free, lorentz, nonneg, sample_extreme_rays
 from conecert.fixtures import builtin, names
@@ -246,15 +250,25 @@ def _one_row_instance(rng, case):
 
 
 def _support_program(dset, mu, z):
-    """sigma_{D_mu}(z) as the conic program max z*lam : A^T lam + gamma = mu,
+    """sigma_{D_mu}(z) as the conic program max z.lam : A^T lam + gamma = mu,
     gamma in K*, in the solver's min form."""
     n = dset.n
     return solve(ConicProgram(
-        np.concatenate([[-z], np.zeros(n)]),
+        np.concatenate([-np.atleast_1d(np.asarray(z, dtype=float)), np.zeros(n)]),
         np.hstack([dset.A.T, np.eye(n)]),
         mu,
-        ConeProduct([free(1)] + list(dset.K.dual().blocks)),
+        ConeProduct([free(dset.m)] + list(dset.K.dual().blocks)),
     ))
+
+
+def _support_value(dset, mu, z):
+    """The support program's sigma_{D_mu}(z): its optimum, +inf when it is
+    unbounded, -inf when D_mu is empty and nan on a solver limit."""
+    sol = _support_program(dset, mu, z)
+    if sol.status is SolveStatus.OPTIMAL:
+        return -sol.objective
+    return {SolveStatus.DUAL_INFEASIBLE: math.inf,
+            SolveStatus.PRIMAL_INFEASIBLE: -math.inf}.get(sol.status, math.nan)
 
 
 def test_one_row_support_matches_support_program(monkeypatch):
@@ -308,8 +322,8 @@ def _branch_table_instance(rng, blocks):
 
 def test_branch_table_sigma_matches_support():
     """Each optimal row's sigma = y.b, each infeasible row's +inf, and the
-    table's inf sigma agree with SupportHandle.eval, which solves the support
-    program (or uses the one-row interval) instead of the branch program."""
+    table's inf sigma agree with the support program, solved here on its own
+    rather than as the dual of the branch program."""
     cases = [(fx.dset, fi.inequality.mu) for fx in map(builtin, names())
              for fi in fx.inequalities]
     rng = np.random.default_rng(31)
@@ -318,10 +332,9 @@ def test_branch_table_sigma_matches_support():
     rows = {"optimal": 0, "infeasible": 0}
     for dset, mu in cases:
         th = theta(dset, mu)
-        h = SupportHandle(dset, mu)
         sigmas = []
         for r in th.table:
-            s = h.eval(r.b)
+            s = _support_value(dset, mu, r.b)
             sigmas.append(s)
             if r.status == "optimal" and not math.isnan(s):
                 assert r.sigma == pytest.approx(s, abs=1e-6), (dset.A, mu, r.label)
@@ -332,3 +345,118 @@ def test_branch_table_sigma_matches_support():
         if not any(math.isnan(s) for s in sigmas):
             assert th.inf_sigma == pytest.approx(min(sigmas), abs=1e-6)
     assert rows["optimal"] >= 100 and rows["infeasible"] >= 10
+
+
+def _multi_row_instance(rng, m, blocks, empty):
+    """An m-row set over the given cone, a mu and eight directions. D_mu is
+    nonempty (mu = A^T lam + gamma with gamma in int K*) unless `empty`,
+    which zeroes A on the first block and puts mu there in -int K. The
+    directions are four images A x of interior points of K, where the branch
+    program is feasible, and four integer vectors, some of which A(K)
+    misses, so that sigma is +inf there."""
+    K = ConeProduct(blocks)
+    A = rng.integers(-2, 3, size=(m, K.dim)).astype(float)
+
+    def interior():
+        return np.concatenate([_lorentz_point(rng, blk.dim, 1) if blk.kind is BlockKind.LORENTZ
+                               else rng.uniform(0.5, 2.0, blk.dim) for blk in blocks])
+
+    mu = A.T @ rng.normal(size=m) + interior()
+    if empty:
+        d = blocks[0].dim
+        A[:, :d] = 0.0
+        mu[:d] = -K.canonical_interior_point()[:d]
+    Z = np.vstack([A @ interior() for _ in range(4)]
+                  + [rng.integers(-2, 3, size=(4, m)).astype(float)])
+    return DisjunctiveSet(A, K, RhsFamily(explicit=(Z[0],))), mu, Z
+
+
+def test_stacked_support_matches_single_and_support_program(monkeypatch):
+    """eval on a (k, m) stack equals eval one direction at a time and the
+    support program; an empty D_mu raises either way; and the tight-ray
+    search evaluates all its samples in one batched solve."""
+    batches = []
+    real_batch = analysis.solve_batch
+    monkeypatch.setattr(analysis, "solve_batch",
+                        lambda p, rhs, opts=None: batches.append(len(rhs)) or real_batch(p, rhs, opts))
+    rng = np.random.default_rng(17)
+    rows = Counter()
+    for rep in range(4):
+        for m in (2, 3):
+            for blocks in ([nonneg(5)], [lorentz(3)] * 2, [lorentz(3), nonneg(3)]):
+                dset, mu, Z = _multi_row_instance(rng, m, blocks, empty=rep == 3)
+                want = [_support_value(dset, mu, z) for z in Z]
+                if rep == 3:
+                    assert all(v == -math.inf for v in want)
+                    with pytest.raises(EmptyCutSetError):
+                        SupportHandle(dset, mu).eval(Z)
+                    for z in Z:
+                        with pytest.raises(EmptyCutSetError):
+                            SupportHandle(dset, mu).eval(z)
+                    rows["empty"] += 1
+                    continue
+                stacked = SupportHandle(dset, mu).eval(Z)
+                single = [SupportHandle(dset, mu).eval(z) for z in Z]
+                assert stacked.shape == (len(Z),)
+                for got, one, ref in zip(stacked, single, want):
+                    assert got == pytest.approx(one, abs=1e-6)
+                    if not math.isnan(ref):
+                        assert got == pytest.approx(ref, abs=1e-6), (dset.A, mu)
+                        rows["inf" if ref == math.inf else "finite"] += 1
+                if rep == 0 and m == 2:
+                    batches.clear()
+                    tight_extreme_ray_search(SupportHandle(dset, mu), budget=16)
+                    samples = {tuple(np.round(dset.A @ z, 12))
+                               for z in sample_extreme_rays(dset.K, 16, 0)}
+                    assert batches[0] == len(samples)
+                    assert all(b == 1 for b in batches[1:])  # refinement points
+                    if len(blocks) == 1 and blocks[0].kind is BlockKind.NONNEG:
+                        assert len(batches) == 1
+    assert rows["finite"] >= 100 and rows["inf"] >= 20 and rows["empty"] == 6
+
+
+def _minimality_cases():
+    """Every fixture x inequality, and cmir at f in {0.1, 0.25, 0.5, 0.6, 0.9}
+    and M in {6, 8, 10, 12}."""
+    cases = [(fx.dset, fi.inequality) for fx in map(builtin, names())
+             for fi in fx.inequalities]
+    for f in (0.1, 0.25, 0.5, 0.6, 0.9):
+        for M in (6, 8, 10, 12):
+            fx = builtin("cmir", f=f, M=M)
+            cases += [(fx.dset, fi.inequality) for fi in fx.inequalities]
+    return cases
+
+
+def test_table_witness_matches_joint_program(monkeypatch):
+    """check_minimal_sufficient has the joint program's status everywhere,
+    makes no solve when the branch table's tight points pass, and falls back
+    to the joint program when those points are moved to the apex of K, the
+    boundary point that every face of K shares."""
+    solves = []
+    real_solve = analysis.solve
+    monkeypatch.setattr(analysis, "solve", lambda *args: solves.append(args) or real_solve(*args))
+    statuses, fallbacks = Counter(), 0
+    for dset, ineq in _minimality_cases():
+        eta0 = float(ineq.eta0)
+        th, h = theta(dset, ineq.mu), SupportHandle(dset, ineq.mu)
+        solves.clear()
+        status, _ = check_minimal_sufficient(h, eta0, th)
+        if status is Status.NOT_APPLICABLE:
+            continue
+        statuses[status] += 1
+        tight = analysis._tight_rows(th, eta0, h.opts.tol)
+        table, _ = analysis._verify_point_sum(h, eta0, th.inf_sigma, tight, [r.x for r in tight])
+        if table is Status.HOLDS:
+            assert not solves
+        joint, _ = analysis._minimal_joint_program(h, eta0, th.inf_sigma, tight)
+        assert status is joint, (dset.A, ineq.name)
+        apex = [np.zeros(dset.n)] * len(tight)
+        moved = replace(th, table=[replace(r, x=np.zeros(dset.n)) if any(r is t for t in tight)
+                                   else r for r in th.table])
+        solves.clear()
+        assert check_minimal_sufficient(h, eta0, moved)[0] is joint
+        if analysis._verify_point_sum(h, eta0, th.inf_sigma, tight, apex)[0] is not Status.HOLDS:
+            assert len(solves) == 1
+            fallbacks += 1
+    assert statuses[Status.HOLDS] >= 45 and statuses[Status.INCONCLUSIVE] >= 4
+    assert fallbacks >= 45

@@ -221,6 +221,20 @@ def test_failed_ray_check_downgrades_to_numerical_limit(monkeypatch):
 # lockstep batches
 
 
+def test_weak_farkas_ray_is_not_infeasibility():
+    # D_mu = {lam : mu - lam*a in K*} over K = L4 x L2 x N2 is the one point
+    # lam = -2, so the (A.0) program over (lam free, gamma in K*) is feasible
+    # with no strictly feasible point. The IPM's Farkas ray there has b.y = 1
+    # and leaves K* by 0.53, small only relative to its own size.
+    a = np.array([1.0, 0.0, -2.0, 0.0, 2.0, 0.0, 0.0, 2.0])
+    mu = np.array([-2.0, 0.0, 4.0, 0.0, -6.0, 3.0, 1.0, -3.0])
+    K = ConeProduct([lorentz(4), lorentz(2), nonneg(2)])
+    assert K.dual().contains(mu + 2.0 * a)
+    p = ConicProgram(np.zeros(9), np.hstack([a[:, None], np.eye(8)]), mu,
+                     ConeProduct([free(1)] + list(K.dual().blocks)))
+    assert solve(p).status is SolveStatus.NUMERICAL_LIMIT
+
+
 def _batch_family(rng, unbounded: bool):
     """A seeded (c, A, K) over Nonneg, L2/L3/L4, Free and Zero blocks (in a
     shuffled order) with feasible and infeasible right-hand sides. Row 0 of
