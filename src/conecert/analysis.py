@@ -10,7 +10,7 @@ valid-equation detection, and the full verdict ladder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -163,15 +163,20 @@ class SupportHandle:
     all uncached directions of a call in one batch, as `theta` does for the
     rhs family: a verified optimum gives sigma(z) = y.z, a verified
     infeasibility +inf (its Farkas ray is a recession direction of D_mu
-    with a positive z-value), and an unbounded row shows D_mu empty."""
+    with a positive z-value), and an unbounded row shows D_mu empty. A +inf
+    stands once D_mu is known to have a point: from an optimal row of any
+    call, else from one (A.0) feasibility solve per handle; while a limit of
+    that solve leaves it unknown, +inf reads as nan."""
 
     def __init__(self, dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None):
         self.dset = dset
         self.opts = opts or AnalysisOptions()
         self.mu = _vec(mu, dset.n)
         self._m = dset.m
-        self._cache: dict[tuple, float] = {}
-        self._nonempty = False  # an optimal row has shown a point of D_mu
+        self._cache: dict[tuple, float] = {}  # sigma, +inf for an infeasible row
+        # D_mu: "nonempty" once a point is known, "empty", or "unknown" when
+        # the feasibility solve ended at a limit; None before either
+        self._dmu: str | None = None
         self._interval = None
         if self._m == 1:
             tol = 100.0 * self.opts.solver.feas_tol * (1.0 + float(np.max(np.abs(self.mu))))
@@ -215,18 +220,22 @@ class SupportHandle:
                                 self.opts.solver)
             if any(r.status == "unbounded" for r in rows):
                 raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
-            self._nonempty |= any(r.status == "optimal" for r in rows)
-            sigmas = [r.sigma for r in rows]
-            if not self._nonempty and math.inf in sigmas:
-                # +inf needs a point of D_mu, which no row has given yet
-                sol = self.feasibility()
-                if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-                    raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
-                self._nonempty = sol.status is SolveStatus.OPTIMAL
-                if not self._nonempty:
-                    sigmas = [math.nan if v == math.inf else v for v in sigmas]
-            self._cache.update(zip(todo, sigmas))
-        return np.array([self._cache[k] for k in keys])
+            if any(r.status == "optimal" for r in rows):
+                self._dmu = "nonempty"
+            self._cache.update(zip(todo, (r.sigma for r in rows)))
+        out = np.array([self._cache[k] for k in keys])
+        inf = out == math.inf
+        if inf.any() and self._dmu != "nonempty":
+            # +inf needs a point of D_mu, which no row has given yet
+            if self._dmu is None:
+                self._dmu = {SolveStatus.OPTIMAL: "nonempty",
+                             SolveStatus.PRIMAL_INFEASIBLE: "empty"}.get(
+                                 self.feasibility().status, "unknown")
+            if self._dmu == "empty":
+                raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
+            if self._dmu == "unknown":
+                out[inf] = math.nan
+        return out
 
 
 def _one_row_dmu(K: ConeProduct, mu: np.ndarray, a: np.ndarray, tol: float):
@@ -536,71 +545,25 @@ def check_minimal_sufficient(handle: SupportHandle, eta0: float, th: ThetaResult
     interior. Applies only when eta0 equals inf_b sigma(b), read from the
     branch table th = theta(dset, mu).
 
-    The points are first the tight rows' own optima. An IPM iterate lies
-    near the relative interior of its optimal face F_i, and
+    The points are the tight rows' own optima, so no solve is made. An IPM
+    iterate lies near the relative interior of its optimal face F_i, and
     relint(F_1 + ... + F_r) = relint F_1 + ... + relint F_r lies in int K
     as soon as any sum of points of the faces does (Rockafellar, Convex
-    Analysis, Cor. 6.6.2). Only when their sum fails the a-posteriori check
-    is the joint program solved; soundness rests on that check alone."""
+    Analysis, Cor. 6.6.2). Soundness rests on the a-posteriori check of
+    `_verify_point_sum` alone."""
     opts, inf_sigma = handle.opts, th.inf_sigma
     if not math.isfinite(inf_sigma) or abs(eta0 - inf_sigma) > opts.tol:
         return Status.NOT_APPLICABLE, {"inf_sigma": inf_sigma}
     tight = _tight_rows(th, eta0, opts.tol)
     if not tight:
         return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma}
-    status, payload = _verify_point_sum(handle, eta0, inf_sigma, tight, [r.x for r in tight])
-    if status is Status.HOLDS:
-        return status, payload
-    return _minimal_joint_program(handle, eta0, inf_sigma, tight)
+    return _verify_point_sum(handle, eta0, inf_sigma, tight, [r.x for r in tight])
 
 
 def _tight_rows(th: ThetaResult, eta0: float, tol: float) -> list[BranchValue]:
     """The branch table's rows with a finite sigma(b) <= eta0 + tol; finite
     sigma makes each an optimal row with its point x."""
     return [r for r in th.table if math.isfinite(r.sigma) and r.sigma <= eta0 + tol]
-
-
-def _minimal_joint_program(handle: SupportHandle, eta0: float, inf_sigma: float,
-                           tight: list[BranchValue]):
-    """The joint program for the points of check_minimal_sufficient: one
-    x^i in K per tight row, and w in K and t (capped at 1) with
-    sum_i x^i = w + t e, maximizing t; its points are judged by
-    `_verify_point_sum`."""
-    dset, mu, opts = handle.dset, handle.mu, handle.opts
-    n, m, r = dset.n, dset.m, len(tight)
-    #   A x^i = b^i,  <mu, x^i> = eta0,  sum_i x^i - w - t e = 0,  t + u = 1
-    e = dset.K.canonical_interior_point()
-    nv = r * n + n + 2
-    cone = ConeProduct(
-        list(dset.K.blocks) * r
-        + list(dset.K.blocks)
-        + [ConeBlock(BlockKind.FREE, 1), ConeBlock(BlockKind.NONNEG, 1)]
-    )
-    rows = r * (m + 1) + n + 1
-    Amat = np.zeros((rows, nv))
-    bvec = np.zeros(rows)
-    for i, row in enumerate(tight):
-        Amat[i * m : (i + 1) * m, i * n : (i + 1) * n] = dset.A
-        bvec[i * m : (i + 1) * m] = row.b
-        Amat[r * m + i, i * n : (i + 1) * n] = mu
-        bvec[r * m + i] = eta0
-    row0 = r * (m + 1)
-    for i in range(r):
-        Amat[row0 : row0 + n, i * n : (i + 1) * n] = np.eye(n)
-    Amat[row0 : row0 + n, r * n : r * n + n] = -np.eye(n)
-    Amat[row0 : row0 + n, r * n + n] = -e
-    Amat[row0 + n, r * n + n] = 1.0
-    Amat[row0 + n, r * n + n + 1] = 1.0
-    bvec[row0 + n] = 1.0
-    c = np.zeros(nv)
-    c[r * n + n] = -1.0
-    sol = solve(ConicProgram(c, Amat, bvec, cone), opts.solver)
-    # the tight-branch geometry is often degenerate (no strictly feasible
-    # point), so keep stalled iterates too and judge them by the check
-    if sol.x is None:
-        return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "solver": sol.status.value}
-    xs = [sol.x[i * n : (i + 1) * n] for i in range(r)]
-    return _verify_point_sum(handle, eta0, inf_sigma, tight, xs)
 
 
 def _verify_point_sum(handle: SupportHandle, eta0: float, inf_sigma: float,

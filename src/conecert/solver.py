@@ -558,9 +558,10 @@ class _Verifier:
     """Independent checks, on the original program (c, A, K), of the status a
     row ends with, at loose = 100*max(feas_tol, gap_tol) scaled by the data.
     An optimum must meet its KKT conditions. A primal infeasibility ray y,
-    normalized to b.y = 1, needs -A'y in K* within loose*|A|; a dual
-    infeasibility ray x, normalized to c.x = -1, needs |Ax| <= loose*|A| and
-    x in K within loose."""
+    normalized to b.y = 1, needs -A'y in K* within loose*|A|/|b|; a dual
+    infeasibility ray x, normalized to c.x = -1, needs |Ax| <= loose*|A|/|c|
+    and x in K within loose/|c|. Rays are homogeneous, so these bounds scale
+    with the data: multiplying b or c by s leaves each check unchanged."""
 
     def __init__(self, p: ConicProgram, opts: SolverOptions):
         self.p = p
@@ -604,18 +605,21 @@ class _Verifier:
         )
 
     def ray(self, b: np.ndarray, sol: Solution) -> bool:
-        """The ray, normalized to b.y = 1 or c.x = -1, checked at absolute
-        tolerances, so that a huge ray with a small relative residual does
-        not pass."""
+        """The ray, normalized to b.y = 1 or c.x = -1, checked at tolerances
+        that do not grow with the ray, so that a huge ray with a small
+        relative residual does not pass. b.y > 0 makes b nonzero, and
+        c.x < 0 makes c nonzero."""
         p, r, tol_A = self.p, sol.certificate, self.loose * self.scale_A
         if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
             by = float(b @ r)
-            return bool(by > 0.0 and self.outside_Kd(-(p.A.T @ r) / by) <= tol_A)
+            return bool(by > 0.0 and self.outside_Kd(-(p.A.T @ r) / by)
+                        * np.abs(b).max() <= tol_A)
         cx = float(p.c @ r)
         if not cx < 0.0:
             return False
-        x = r / -cx
-        return bool(np.abs(p.A @ x).max(initial=0.0) <= tol_A and self.outside_K(x) <= self.loose)
+        x, size_c = r / -cx, np.abs(p.c).max()
+        return bool(np.abs(p.A @ x).max(initial=0.0) * size_c <= tol_A
+                    and self.outside_K(x) * size_c <= self.loose)
 
 
 class _Violation:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,14 +178,18 @@ def test_primal_ray_check_rejects_doctored_certificates():
     )
     sol = solve(p)
     assert sol.status is SolveStatus.PRIMAL_INFEASIBLE
-    assert _ray_ok(p, sol)
     y = sol.certificate
-    # b.y <= 0
-    assert not _ray_ok(p, Solution(sol.status, certificate=-y))
-    # -A'y leaves the Lorentz block of K*
-    assert not _ray_ok(p, Solution(sol.status, certificate=y + [2.0, 0.0]))
-    # -A'y is nonzero on the free block, whose dual block is {0}
-    assert not _ray_ok(p, Solution(sol.status, certificate=y + [0.0, 1e-3]))
+    # y is a ray of the program with b times s too, and the check does not
+    # depend on s
+    for s in (1e-6, 1.0, 1e6):
+        ps = replace(p, b=s * p.b)
+        assert _ray_ok(ps, sol)
+        # b.y <= 0
+        assert not _ray_ok(ps, Solution(sol.status, certificate=-y))
+        # -A'y leaves the Lorentz block of K*
+        assert not _ray_ok(ps, Solution(sol.status, certificate=y + [2.0, 0.0]))
+        # -A'y is nonzero on the free block, whose dual block is {0}
+        assert not _ray_ok(ps, Solution(sol.status, certificate=y + [0.0, 1e-3]))
 
 
 def test_dual_ray_check_rejects_doctored_certificates():
@@ -196,14 +201,18 @@ def test_dual_ray_check_rejects_doctored_certificates():
     )
     sol = solve(p)
     assert sol.status is SolveStatus.DUAL_INFEASIBLE
-    assert _ray_ok(p, sol)
     x = sol.certificate
-    # c.x >= 0
-    assert not _ray_ok(p, Solution(sol.status, certificate=-x))
-    # Ax != 0
-    assert not _ray_ok(p, Solution(sol.status, certificate=x + [1.0, 0.0, 0.0]))
-    # x leaves K
-    assert not _ray_ok(p, Solution(sol.status, certificate=x + [0.0, 0.0, -1.0]))
+    # x is a ray of the program with c times s too, and the check does not
+    # depend on s
+    for s in (1e-6, 1.0, 1e6):
+        ps = replace(p, c=s * p.c)
+        assert _ray_ok(ps, sol)
+        # c.x >= 0
+        assert not _ray_ok(ps, Solution(sol.status, certificate=-x))
+        # Ax != 0
+        assert not _ray_ok(ps, Solution(sol.status, certificate=x + [1.0, 0.0, 0.0]))
+        # x leaves K
+        assert not _ray_ok(ps, Solution(sol.status, certificate=x + [0.0, 0.0, -1.0]))
 
 
 def test_failed_ray_check_downgrades_to_numerical_limit(monkeypatch):
@@ -230,9 +239,12 @@ def test_weak_farkas_ray_is_not_infeasibility():
     mu = np.array([-2.0, 0.0, 4.0, 0.0, -6.0, 3.0, 1.0, -3.0])
     K = ConeProduct([lorentz(4), lorentz(2), nonneg(2)])
     assert K.dual().contains(mu + 2.0 * a)
-    p = ConicProgram(np.zeros(9), np.hstack([a[:, None], np.eye(8)]), mu,
-                     ConeProduct([free(1)] + list(K.dual().blocks)))
-    assert solve(p).status is SolveStatus.NUMERICAL_LIMIT
+    # The check does not depend on the scale of mu (the program's b): the
+    # ray of mu * 1e6 is 1e6 times longer and leaves K* by as much.
+    for scale in (1.0, 1e6):
+        p = ConicProgram(np.zeros(9), np.hstack([a[:, None], np.eye(8)]), scale * mu,
+                         ConeProduct([free(1)] + list(K.dual().blocks)))
+        assert solve(p).status is SolveStatus.NUMERICAL_LIMIT, scale
 
 
 def _batch_family(rng, unbounded: bool):
