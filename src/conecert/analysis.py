@@ -73,7 +73,6 @@ class ThetaResult:
     value: float  # may be -inf
     argmin: str | None
     table: list  # BranchValue rows, one per expanded b
-    unbounded: bool = False
     had_limit: bool = False
     inf_sigma: float = math.nan  # min of the rows' sigma; may be +inf/nan
     sigma_argmin: str | None = None
@@ -98,8 +97,8 @@ def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> Thet
     inf_sigma, sigma_argmin = _column_min(table, "sigma")
     if not math.isfinite(inf_sigma) and had_limit:
         inf_sigma, sigma_argmin = math.nan, None
-    return ThetaResult(value, argmin, table, value == -math.inf, had_limit, inf_sigma,
-                       sigma_argmin, _lattice_monotone(dset, table))
+    return ThetaResult(value, argmin, table, had_limit, inf_sigma, sigma_argmin,
+                       _lattice_monotone(dset, table))
 
 
 def _branch_rows(dset: DisjunctiveSet, mu: np.ndarray, labeled: list,
@@ -164,9 +163,9 @@ class SupportHandle:
     rhs family: a verified optimum gives sigma(z) = y.z, a verified
     infeasibility +inf (its Farkas ray is a recession direction of D_mu
     with a positive z-value), and an unbounded row shows D_mu empty. A +inf
-    stands once D_mu is known to have a point: from an optimal row of any
-    call, else from one (A.0) feasibility solve per handle; while a limit of
-    that solve leaves it unknown, +inf reads as nan."""
+    reads the handle's one (A.0) decision (`decide_A0`): it stands when
+    D_mu holds a point, raises when D_mu is empty, and reads as nan while a
+    solver limit leaves (A.0) inconclusive."""
 
     def __init__(self, dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None):
         self.dset = dset
@@ -174,13 +173,35 @@ class SupportHandle:
         self.mu = _vec(mu, dset.n)
         self._m = dset.m
         self._cache: dict[tuple, float] = {}  # sigma, +inf for an infeasible row
-        # D_mu: "nonempty" once a point is known, "empty", or "unknown" when
-        # the feasibility solve ended at a limit; None before either
-        self._dmu: str | None = None
+        self._a0: tuple | None = None  # (Status, witness) once (A.0) is settled
         self._interval = None
         if self._m == 1:
             tol = 100.0 * self.opts.solver.feas_tol * (1.0 + float(np.max(np.abs(self.mu))))
             self._interval = _one_row_dmu(dset.K, self.mu, dset.A[0], tol)
+        if self._interval is not None and self._interval[0] <= self._interval[1]:
+            lo, hi = self._interval
+            self._a0 = Status.HOLDS, self._witness(
+                np.array([lo if lo > -math.inf else hi if hi < math.inf else 0.0]))
+
+    def _witness(self, lam: np.ndarray) -> dict:
+        return {"lambda": lam, "gamma": self.mu - self.dset.A.T @ lam}
+
+    def decide_A0(self):
+        """(A.0), i.e. D_mu nonempty, as (Status, witness), settled once per
+        handle: Holds with a known point of D_mu (the one-row interval, or
+        the dual y of an optimal row some `eval` has solved), else the
+        result of one `feasibility` solve, Holds with its point, Fails with
+        its Farkas ray, or Inconclusive at a solver limit, which an optimal
+        row seen later upgrades to Holds."""
+        if self._a0 is None:
+            sol = self.feasibility()
+            if sol.status is SolveStatus.OPTIMAL:
+                self._a0 = Status.HOLDS, {"lambda": sol.x[:self._m], "gamma": sol.x[self._m:]}
+            elif sol.status is SolveStatus.PRIMAL_INFEASIBLE:
+                self._a0 = Status.FAILS, {"ray": -sol.certificate}
+            else:
+                self._a0 = Status.INCONCLUSIVE, {}
+        return self._a0
 
     def feasibility(self):
         """Solve the (A.0) feasibility problem over (lambda free, gamma in K*)
@@ -220,20 +241,17 @@ class SupportHandle:
                                 self.opts.solver)
             if any(r.status == "unbounded" for r in rows):
                 raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
-            if any(r.status == "optimal" for r in rows):
-                self._dmu = "nonempty"
+            y = next((r.y for r in rows if r.status == "optimal"), None)
+            if y is not None and (self._a0 is None or self._a0[0] is Status.INCONCLUSIVE):
+                self._a0 = Status.HOLDS, self._witness(y)
             self._cache.update(zip(todo, (r.sigma for r in rows)))
         out = np.array([self._cache[k] for k in keys])
         inf = out == math.inf
-        if inf.any() and self._dmu != "nonempty":
-            # +inf needs a point of D_mu, which no row has given yet
-            if self._dmu is None:
-                self._dmu = {SolveStatus.OPTIMAL: "nonempty",
-                             SolveStatus.PRIMAL_INFEASIBLE: "empty"}.get(
-                                 self.feasibility().status, "unknown")
-            if self._dmu == "empty":
+        if inf.any():
+            a0 = self.decide_A0()[0]
+            if a0 is Status.FAILS:
                 raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
-            if self._dmu == "unknown":
+            if a0 is Status.INCONCLUSIVE:
                 out[inf] = math.nan
         return out
 
@@ -323,22 +341,12 @@ def _lorentz_form(u: np.ndarray, v: np.ndarray) -> float:
 def check_A0(handle: SupportHandle, th: ThetaResult | None = None):
     """Feasibility of D_mu, i.e. mu in K* + Im(A*). The witness is the dual y
     of the first optimal row of the branch table `th` (theta(dset, mu)),
-    else a point of the handle's one-row interval, and only without either
-    the solution of the (A.0) feasibility program, which also gives the
-    Farkas ray when D_mu is empty."""
-    dset, mu, interval = handle.dset, handle.mu, handle._interval
+    else the handle's own (A.0) decision, which gives the Farkas ray when
+    D_mu is empty."""
     lam = next((r.y for r in (th.table if th else ()) if r.status == "optimal"), None)
-    if lam is None and interval is not None and interval[0] <= interval[1]:
-        lo, hi = interval
-        lam = np.array([lo if lo > -math.inf else hi if hi < math.inf else 0.0])
     if lam is not None:
-        return Status.HOLDS, {"lambda": lam, "gamma": mu - dset.A.T @ lam}
-    sol = handle.feasibility()
-    if sol.status is SolveStatus.OPTIMAL:
-        return Status.HOLDS, {"lambda": sol.x[:dset.m], "gamma": sol.x[dset.m:]}
-    if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-        return Status.FAILS, {"ray": -sol.certificate}
-    return Status.INCONCLUSIVE, {}
+        return Status.HOLDS, handle._witness(lam)
+    return handle.decide_A0()
 
 
 # ---------------------------------------------------------------------------
@@ -497,47 +505,27 @@ def check_sublinear_sufficient(
 ):
     """Certify sublinearity through tight extreme rays summing into int(K).
     Validity is pre-certified through eta0 <= inf_b sigma(b), read from the
-    branch table th = theta(dset, mu)."""
+    branch table th = theta(dset, mu).
+
+    The certificate is the sum of every tight ray: the interior margin is
+    concave and positively homogeneous on K, hence superadditive, and every
+    ray lies in K, so no sub-sum lies deeper inside K than the full sum."""
     opts, K, inf_sigma = handle.opts, handle.dset.K, th.inf_sigma
     if math.isnan(inf_sigma) or eta0 > inf_sigma + opts.tol:
         return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma}
     if not tight_rays:
         return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "tight_rays": []}
-    chosen, total = _greedy_interior_sum([t.z for t in tight_rays], K)
+    rays = [t.z for t in tight_rays]
+    total = np.sum(rays, axis=0)
     margin = K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
     if margin > opts.margin_tol:
         return Status.HOLDS, {
-            "rays": chosen,
+            "rays": rays,
             "sum": total,
             "margin": margin,
             "inf_sigma": inf_sigma,
         }
     return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "margin": margin}
-
-
-def _greedy_interior_sum(vectors: list, K: ConeProduct):
-    """Greedily add vectors maximizing the running sum's interior margin;
-    ties broken by lexicographic order."""
-    ordered = sorted(vectors, key=lambda v: tuple(np.round(v, 12)))
-    left = np.array(ordered, dtype=float).reshape(-1, K.dim)
-    total = np.zeros(K.dim)
-    order: list[np.ndarray] = []
-    sums = [total]
-    while len(left):
-        best_j = 0
-        best_margin = -math.inf
-        for j, mgn in enumerate(K.interior_margin(total + left).tolist()):
-            if mgn > best_margin + 1e-15:
-                best_margin = mgn
-                best_j = j
-        v = left[best_j]
-        left = np.delete(left, best_j, axis=0)
-        total = total + v
-        order.append(v)
-        sums.append(total)
-    # keep the prefix whose running sum is deepest inside the cone
-    best = int(np.argmax(K.interior_margin(np.array(sums))))
-    return order[:best], sums[best]
 
 
 def check_minimal_sufficient(handle: SupportHandle, eta0: float, th: ThetaResult):

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from . import fixtures
 from .analysis import (
     AnalysisOptions,
     EmptyCutSetError,
-    ModelError,
     SupportHandle,
     check_A0,
     dmu_vertices_2d,
@@ -29,7 +27,6 @@ from .analysis import (
     theta,
 )
 from .model import (
-    Inequality,
     Problem,
     ProblemFormatError,
     Status,
@@ -45,47 +42,26 @@ EXIT_FORMAT = 2
 EXIT_SOLVER = 3
 
 
-@dataclass
-class CliConfig:
-    tol: float = 1e-6
-    seed: int = 0
-    samples: int = 256
-    json_output: bool = False
-    max_iters: int = 200
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-8
-
-    def analysis(self) -> AnalysisOptions:
-        return AnalysisOptions(
-            tol=self.tol,
-            samples=self.samples,
-            seed=self.seed,
-            solver=SolverOptions(
-                feas_tol=self.feas_tol,
-                gap_tol=self.gap_tol,
-                max_iters=self.max_iters,
-            ),
-        )
-
-
-def _config_from(args) -> CliConfig:
+def _options(args) -> AnalysisOptions:
+    """The analysis options of the common flags; --seed falls back to
+    CCLAB_SEED, then 0."""
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CCLAB_SEED", "0"))
-    cfg = CliConfig(
-        tol=args.tol,
-        seed=seed,
-        samples=args.samples,
-        json_output=args.json,
-        max_iters=args.max_iters,
-        feas_tol=args.feas_tol,
-        gap_tol=args.gap_tol,
-    )
-    if cfg.tol <= 0:
+    if args.tol <= 0:
         raise ProblemFormatError("--tol must be positive")
-    if cfg.samples < 1:
+    if args.samples < 1:
         raise ProblemFormatError("--samples must be at least 1")
-    return cfg
+    return AnalysisOptions(
+        tol=args.tol,
+        samples=args.samples,
+        seed=seed,
+        solver=SolverOptions(
+            feas_tol=args.feas_tol,
+            gap_tol=args.gap_tol,
+            max_iters=args.max_iters,
+        ),
+    )
 
 
 def _load(path: str) -> Problem:
@@ -107,8 +83,8 @@ def _select_inequalities(problem: Problem, selector: str | None):
     raise ProblemFormatError(f"no inequality named {selector!r} in the problem file")
 
 
-def _emit(doc, cfg: CliConfig):
-    if cfg.json_output:
+def _emit(doc, as_json: bool):
+    if as_json:
         print(json.dumps(_plain(doc), indent=2))
     else:
         _emit_text(doc)
@@ -149,16 +125,15 @@ def _emit_text(doc, indent: int = 0):
 
 
 def cmd_report(args) -> int:
-    cfg = _config_from(args)
+    opts = _options(args)
     problem = _load(args.problem)
-    opts = cfg.analysis()
     ineqs = _select_inequalities(problem, args.inequality)
     a2 = assumption2_check(problem.dset, opts.solver, opts.margin_tol)
     out = []
     for q in ineqs:
         rep = full_report(problem.dset, q, opts, a2)
         out.append({"inequality": q.name, **rep.to_dict()})
-        if not cfg.json_output:
+        if not args.json:
             print(f"== {q.name or '(unnamed)'} ==")
             for e in rep.entries:
                 vals = ", ".join(
@@ -167,15 +142,14 @@ def cmd_report(args) -> int:
                 )
                 print(f"  {e.name:28s} {e.status.value:14s} {vals}")
             print(f"  final verdict: {rep.final_verdict}")
-    if cfg.json_output:
-        _emit(out, cfg)
+    if args.json:
+        _emit(out, True)
     return EXIT_OK
 
 
 def cmd_theta(args) -> int:
-    cfg = _config_from(args)
+    opts = _options(args)
     problem = _load(args.problem)
-    opts = cfg.analysis()
     out = []
     for q in _select_inequalities(problem, args.inequality):
         th = theta(problem.dset, q.mu, opts)
@@ -190,14 +164,13 @@ def cmd_theta(args) -> int:
                 },
             }
         )
-    _emit(out, cfg)
+    _emit(out, args.json)
     return EXIT_OK
 
 
 def cmd_support(args) -> int:
-    cfg = _config_from(args)
+    opts = _options(args)
     problem = _load(args.problem)
-    opts = cfg.analysis()
     out = []
     for q in _select_inequalities(problem, args.inequality):
         handle = SupportHandle(problem.dset, q.mu, opts)
@@ -218,31 +191,28 @@ def cmd_support(args) -> int:
                     "table": {r.label: r.sigma for r in th.table},
                 }
             )
-    _emit(out, cfg)
+    _emit(out, args.json)
     return EXIT_OK
 
 
 def cmd_equations(args) -> int:
-    cfg = _config_from(args)
+    opts = _options(args)
     problem = _load(args.problem)
-    eqs = enumerate_valid_equations(problem.dset, cfg.analysis())
-    _emit(
-        [{"name": q.name, "mu": q.mu, "eta0": q.eta0} for q in eqs],
-        cfg,
-    )
+    eqs = enumerate_valid_equations(problem.dset, opts)
+    _emit([{"name": q.name, "mu": q.mu, "eta0": q.eta0} for q in eqs], args.json)
     return EXIT_OK
 
 
 def cmd_separate(args) -> int:
-    cfg = _config_from(args)
+    opts = _options(args)
     problem = _load(args.problem)
     xhat = _parse_vector(args.point, problem.dset.n, "--point")
     res = generate_cut(
         branches_from_set(problem.dset),
         xhat,
         normalization=args.normalization,
-        tol=cfg.tol,
-        solver=cfg.analysis().solver,
+        tol=opts.tol,
+        solver=opts.solver,
     )
     doc = {"found": res.found, "diagnostic": res.diagnostic}
     if res.found:
@@ -254,13 +224,12 @@ def cmd_separate(args) -> int:
                 "verified": res.verified,
             }
         )
-    _emit(doc, cfg)
+    _emit(doc, args.json)
     return EXIT_OK
 
 
 def cmd_demo(args) -> int:
-    cfg = _config_from(args)
-    opts = cfg.analysis()
+    opts = _options(args)
     params = {}
     if args.name == "cmir":
         params = {"f": args.f, "M": args.M}
@@ -296,7 +265,7 @@ def cmd_demo(args) -> int:
                 got = _report_value(rep, rung, key)
                 check(
                     f"{fi.inequality.name} {key}",
-                    abs(got - fi.scalars[key]) <= cfg.tol,
+                    abs(got - fi.scalars[key]) <= opts.tol,
                     f"got {_fmt(got)}",
                 )
     if fx.notes.get("dmu_vertices"):
@@ -309,8 +278,8 @@ def cmd_demo(args) -> int:
         check("dmu vertices", ok, f"got {got}")
 
     all_pass = all(c["pass"] for c in checks)
-    if cfg.json_output:
-        _emit({"fixture": fx.name, "checks": checks, "all_pass": all_pass}, cfg)
+    if args.json:
+        _emit({"fixture": fx.name, "checks": checks, "all_pass": all_pass}, True)
     else:
         for c in checks:
             line = "PASS" if c["pass"] else "FAIL"
@@ -406,10 +375,7 @@ def main(argv=None) -> int:
         args.M = 10 if args.name == "cmir" else 5
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (ValueError, ModelError, EmptyCutSetError) as exc:
+    except ValueError as exc:  # ProblemFormatError, ModelError and EmptyCutSetError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

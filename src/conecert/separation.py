@@ -7,7 +7,6 @@ for one that separates a given point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,16 +97,16 @@ def generate_cut(
     normalization: str = "trivial_box",
     tol: float = 1e-6,
     solver: SolverOptions | None = None,
-    shared_dim: int | None = None,
 ) -> CutResult:
     """Search for (mu; eta0) valid on every feasible branch (in the shared
-    variables) with <mu, xhat> < eta0 - tol."""
+    variables, the first len(xhat) of every branch) with
+    <mu, xhat> < eta0 - tol."""
     if normalization not in ("trivial_box", "alpha_norm"):
         raise ValueError(f"unknown normalization {normalization!r}")
     solver = solver or SolverOptions()
     xhat = np.asarray(xhat, dtype=float).ravel()
-    ns = shared_dim if shared_dim is not None else xhat.size
-    if xhat.size != ns or ns > min(br.K.dim for br in branches):
+    ns = xhat.size
+    if ns > min(br.K.dim for br in branches):
         raise ValueError(f"xhat must have the shared-variable length (got {xhat.size})")
 
     is_feasible = []

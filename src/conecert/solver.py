@@ -38,7 +38,6 @@ class SolverOptions:
     feas_tol: float = 1e-8
     gap_tol: float = 1e-8
     max_iters: int = 200
-    static_reg: float = 1e-10
 
 
 @dataclass
@@ -73,7 +72,9 @@ class Solution:
     iterations: int = 0
 
 
-# Regularization multipliers tried in turn when a KKT factorization fails.
+# Static regularization of the KKT matrix, and the multipliers of it tried
+# in turn when a factorization fails.
+_STATIC_REG = 1e-10
 _BUMPS = (1.0, 1e2, 1e4, 1e6)
 
 
@@ -251,8 +252,8 @@ class _KKT:
     LAPACK as the Fortran-ordered K[i]', factored in place and solved with
     trans=1."""
 
-    def __init__(self, emb: _Embedding, reg: float):
-        self.emb, self.reg = emb, reg
+    def __init__(self, emb: _Embedding):
+        self.emb = emb
         pc = emb.work.dim - 1
         self.size = emb.n + emb.mh + pc
         off = emb.n + emb.mh
@@ -269,7 +270,7 @@ class _KKT:
         if bump not in self._static:
             emb = self.emb
             n, mh = emb.n, emb.mh
-            rr = self.reg * bump
+            rr = _STATIC_REG * bump
             T = np.zeros((self.size, self.size))
             T[:n, n : n + mh] = emb.AhatT
             T[n : n + mh, :n] = emb.Ahat
@@ -372,7 +373,7 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None) -> list
     ftol, gtol = opts.feas_tol, opts.gap_tol
     ftol_c = ftol * (1.0 + np.abs(c).max(initial=0.0))
     ftol_A = ftol * (1.0 + np.abs(Ah).max(initial=0.0))
-    kkt = _KKT(emb, opts.static_reg)
+    kkt = _KKT(emb)
 
     B = rhs.shape[0]
     e = work.identity()

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conecert import analysis
 from conecert.analysis import (
     AnalysisOptions,
     EmptyCutSetError,
@@ -23,7 +22,7 @@ from conecert.analysis import (
     tight_extreme_ray_search,
     valid_equation_check,
 )
-from conecert.cones import ConeProduct, lorentz, nonneg, sample_extreme_rays
+from conecert.cones import ConeProduct, lorentz, nonneg
 from conecert.fixtures import builtin
 from conecert.model import DisjunctiveSet, Inequality, RhsFamily, Status
 
@@ -65,7 +64,6 @@ def test_theta_unbounded_branch():
     )
     th = theta(dset, [-1.0, 0.0])
     assert th.value == -math.inf
-    assert th.unbounded
 
 
 def test_theta_rejects_zero_mu():
@@ -280,40 +278,19 @@ def test_sublinear_sufficient():
     status, payload = _sublinear_sufficient(fx.dset, [0.0, 0.0, 1.0], 0.5)
     assert status is Status.INCONCLUSIVE
 
+    # ex2_1: every sampled ray of the arc is tight, and the certificate is
+    # the sum of all of them, which points along the cone's axis
+    fx = builtin("ex2_1")
+    ineq = fx.inequalities[0].inequality
+    h = SupportHandle(fx.dset, ineq.mu)
+    rays, _ = tight_extreme_ray_search(h)
+    assert len(rays) == 256
+    status, payload = check_sublinear_sufficient(h, ineq.eta0, theta(fx.dset, ineq.mu), rays)
+    assert status is Status.HOLDS
+    assert len(payload["rays"]) == len(rays)
+    assert np.array_equal(payload["sum"], np.sum([t.z for t in rays], axis=0))
+    assert payload["margin"] == pytest.approx(1.0, abs=1e-12)
 
-
-def _greedy_interior_sum_loop(vectors, K):
-    """The greedy interior sum with one scalar margin per candidate."""
-    remaining = sorted(vectors, key=lambda v: tuple(np.round(v, 12)))
-    total = np.zeros(K.dim)
-    order, sums = [], [total]
-    while remaining:
-        best_j, best_margin = 0, -math.inf
-        for j, v in enumerate(remaining):
-            mgn = K.interior_margin(total + v)
-            if mgn > best_margin + 1e-15:
-                best_j, best_margin = j, mgn
-        v = remaining.pop(best_j)
-        total = total + v
-        order.append(v)
-        sums.append(total)
-    best = max(range(len(sums)), key=lambda i: K.interior_margin(sums[i]))
-    return order[:best], sums[best]
-
-
-def test_greedy_interior_sum_matches_loop():
-    rng = np.random.default_rng(11)
-    for K, count in (
-        (ConeProduct([lorentz(3)]), 64),  # an equispaced arc: many tied margins
-        (ConeProduct([lorentz(3), nonneg(2), lorentz(4)]), 24),
-    ):
-        rays = sample_extreme_rays(K, count, seed=1)
-        rays = [rays[i] for i in rng.permutation(len(rays))]
-        chosen, total = analysis._greedy_interior_sum(rays, K)
-        ref_chosen, ref_total = _greedy_interior_sum_loop(rays, K)
-        assert len(chosen) == len(ref_chosen) > 0
-        assert all(np.array_equal(u, v) for u, v in zip(chosen, ref_chosen))
-        assert np.array_equal(total, ref_total)
 
 # ---------------------------------------------------------------------------
 # minimality

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conecert.cli import main
-from conecert.fixtures import builtin
+from conecert.fixtures import builtin, names
 from conecert.model import save_problem
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "conecert" / "data"
@@ -107,10 +107,13 @@ def test_separate_bad_point(capsys):
 
 
 def test_demo_pass_lines(capsys):
-    code, out, _ = run(capsys, "demo", "ex2_1")
-    assert code == 0
-    assert "PASS" in out
-    assert "FAIL" not in out
+    # every built-in demo, among them ex2_2's Assumption 2 Fails note,
+    # ex4_2's infeasible right-hand side and ex4_3's lattice
+    for name in names():
+        code, out, _ = run(capsys, "demo", name)
+        assert code == 0, (name, out)
+        assert "PASS" in out, name
+        assert "FAIL" not in out, (name, out)
 
 
 def test_demo_cmir_vertices(capsys):

@@ -9,6 +9,7 @@ from conecert.analysis import (
     AnalysisOptions,
     EmptyCutSetError,
     SupportHandle,
+    check_A0,
     check_A1i,
     check_minimal_sufficient,
     full_report,
@@ -415,9 +416,10 @@ def test_stacked_support_matches_single_and_support_program(monkeypatch):
 
 
 def test_unknown_dmu_is_settled_once(monkeypatch):
-    """When the (A.0) feasibility solve ends at a limit, +inf rows read nan
-    and that solve is not repeated; once an optimal row shows a point of
-    D_mu, the cached rows read +inf again."""
+    """When the (A.0) feasibility solve ends at a limit, +inf rows read nan,
+    check_A0 is Inconclusive, and that solve is not repeated; once an
+    optimal row shows a point of D_mu, the cached rows read +inf again and
+    check_A0 holds with that point."""
     dset, mu, Z = _multi_row_instance(np.random.default_rng(17), 2, [nonneg(5)], empty=False)
     want = SupportHandle(dset, mu).eval(Z)
     inf, finite = Z[want == math.inf], Z[np.isfinite(want)]
@@ -429,8 +431,12 @@ def test_unknown_dmu_is_settled_once(monkeypatch):
     for z in inf:
         assert math.isnan(h.eval(z))
     assert np.isnan(h.eval(inf)).all() and len(calls) == 1
+    assert check_A0(h) == (Status.INCONCLUSIVE, {}) and len(calls) == 1
     assert h.eval(finite) == pytest.approx(want[np.isfinite(want)])
     assert (h.eval(inf) == math.inf).all() and len(calls) == 1
+    status, witness = check_A0(h)
+    assert status is Status.HOLDS and len(calls) == 1
+    assert dset.K.dual().contains(witness["gamma"], 1e-6)
 
 
 def _minimality_cases():

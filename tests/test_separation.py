@@ -116,7 +116,7 @@ def test_branch_union_fidelity():
         np.zeros((0, 2)), np.zeros(0), ConeProduct([nonneg(2)]), [1, 0], 0
     )
     branches = build_split_set(sd)
-    res = generate_cut(branches, [0.25, 0.1], shared_dim=2)
+    res = generate_cut(branches, [0.25, 0.1])
     # random feasible points of each branch satisfy any generated cut
     for br in branches:
         for _ in range(20):
