@@ -350,44 +350,6 @@ def check_A0(handle: SupportHandle, th: ThetaResult | None = None):
 
 
 # ---------------------------------------------------------------------------
-# (A.1i) on the orthant
-
-
-@dataclass
-class A1iEntry:
-    index: int
-    status: Status
-    optimum: float | None = None
-    vacuous: bool = False
-    witness: np.ndarray | None = None
-
-
-def check_A1i(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> list[A1iEntry]:
-    """Per-coordinate condition mu_i <= <mu, w> for all w in K with Aw = a^i."""
-    opts = opts or AnalysisOptions()
-    mu = _vec(mu, dset.n)
-    if not dset.is_orthant():
-        raise ValueError("check_A1i applies to Nonneg-only cones")
-    out = []
-    sols = solve_batch(ConicProgram(mu, dset.A, dset.A[:, 0], dset.K), dset.A.T, opts.solver)
-    for i, sol in enumerate(sols):
-        if sol.status is SolveStatus.OPTIMAL:
-            ok = sol.objective >= mu[i] - opts.tol
-            out.append(
-                A1iEntry(i, Status.HOLDS if ok else Status.FAILS, sol.objective,
-                         witness=None if ok else sol.x)
-            )
-        elif sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-            # no w exists: the condition quantifies over an empty set
-            out.append(A1iEntry(i, Status.HOLDS, None, vacuous=True))
-        elif sol.status is SolveStatus.DUAL_INFEASIBLE:
-            out.append(A1iEntry(i, Status.FAILS, -math.inf, witness=sol.certificate))
-        else:
-            out.append(A1iEntry(i, Status.INCONCLUSIVE))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # tight extreme rays
 
 
@@ -401,7 +363,9 @@ def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int
     """Sampled (plus locally refined) extreme rays z of K whose support gap
     <mu,z> - sigma(Az) is at most tol. Returns (tight rays, all sampled gaps).
     The samples are evaluated in one call of `handle.eval`; the local
-    refinements evaluate one point at a time."""
+    refinements evaluate one point at a time. Nonneg blocks contribute
+    their coordinate rays, which are all of their extreme rays, so on the
+    orthant the search is exact and refines nothing."""
     dset, mu = handle.dset, handle.mu
 
     def gap(z, s):
@@ -509,15 +473,26 @@ def check_sublinear_sufficient(
 
     The certificate is the sum of every tight ray: the interior margin is
     concave and positively homogeneous on K, hence superadditive, and every
-    ray lies in K, so no sub-sum lies deeper inside K than the full sum."""
-    opts, K, inf_sigma = handle.opts, handle.dset.K, th.inf_sigma
+    ray lies in K, so no sub-sum lies deeper inside K than the full sum.
+
+    On the orthant the extreme rays are the n coordinate rays e_i, so the
+    ray test is exact: sublinearity fails as soon as a gap
+    mu_i - sigma(a^i) exceeds tol (condition (A.1i)), and the Fails witness
+    lists those coordinates and their gaps. The values are the search's,
+    read again from the handle's cache."""
+    dset, opts, inf_sigma = handle.dset, handle.opts, th.inf_sigma
+    if dset.is_orthant():
+        gaps = handle.mu - handle.eval(dset.A.T)
+        non_tight = np.flatnonzero(gaps > opts.tol)  # a nan gap is no evidence
+        if non_tight.size:
+            return Status.FAILS, {"non_tight": non_tight.tolist(), "gaps": gaps[non_tight]}
     if math.isnan(inf_sigma) or eta0 > inf_sigma + opts.tol:
         return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma}
     if not tight_rays:
         return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "tight_rays": []}
     rays = [t.z for t in tight_rays]
     total = np.sum(rays, axis=0)
-    margin = K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
+    margin = dset.K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
     if margin > opts.margin_tol:
         return Status.HOLDS, {
             "rays": rays,
@@ -828,33 +803,18 @@ def full_report(
     rep.add("assumption2", a2_status, {"margin": a2_margin},
             {"witness": a2_witness} if a2_witness is not None else {})
 
-    orthant = dset.is_orthant()
-    if orthant:
-        entries = check_A1i(dset, mu, opts)
-        per = {f"i{e.index}": e.status.value + (" (vacuous)" if e.vacuous else "")
-               for e in entries}
-        opt_vals = {f"i{e.index}": e.optimum for e in entries if e.optimum is not None}
-        if any(e.status is Status.FAILS for e in entries):
-            sub_status = Status.FAILS
-        elif any(e.status is Status.INCONCLUSIVE for e in entries):
-            sub_status = Status.INCONCLUSIVE
-        else:
-            sub_status = Status.HOLDS
-        rep.add("A1i", sub_status, {"per_index": per, "optima": opt_vals})
-        rep.add("sublinearity", sub_status, {})
-    else:
-        rays, sampled_gaps = tight_extreme_ray_search(handle, opts.samples, opts.seed)
-        rep.add(
-            "tight_rays",
-            Status.HOLDS if rays else Status.INCONCLUSIVE,
-            {"count": len(rays), "min_sampled_gap": float(min(sampled_gaps))},
-            {"rays": [t.z for t in rays], "gaps": [t.gap for t in rays]},
-        )
-        sub_status, sub_payload = check_sublinear_sufficient(handle, eta0, th, rays)
-        rep.add("sublinearity", sub_status, sub_payload)
+    rays, sampled_gaps = tight_extreme_ray_search(handle, opts.samples, opts.seed)
+    rep.add(
+        "tight_rays",
+        Status.HOLDS if rays else Status.INCONCLUSIVE,
+        {"count": len(rays), "min_sampled_gap": float(min(sampled_gaps))},
+        {"rays": [t.z for t in rays], "gaps": [t.gap for t in rays]},
+    )
+    sub_status, sub_payload = check_sublinear_sufficient(handle, eta0, th, rays)
+    rep.add("sublinearity", sub_status, sub_payload)
 
     verdict = None
-    if orthant:
+    if dset.is_orthant():
         ex_status, ex_payload = decide_minimal_exact(dset, mu, eta0, th, opts)
         rep.add("minimality_exact", ex_status, ex_payload)
         if ex_status is Status.HOLDS:

@@ -66,7 +66,8 @@ def _options(args) -> AnalysisOptions:
 
 def _load(path: str) -> Problem:
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
     return load_problem(text)
@@ -275,7 +276,8 @@ def cmd_demo(args) -> int:
         ok = len(want) == len(got) and all(
             max(abs(a - b) for a, b in zip(w, g)) <= 1e-6 for w, g in zip(want, got)
         )
-        check("dmu vertices", ok, f"got {got}")
+        check("dmu vertices", ok,
+              "got " + ", ".join("(" + ", ".join(map(_fmt, v)) + ")" for v in got))
 
     all_pass = all(c["pass"] for c in checks)
     if args.json:
@@ -375,12 +377,12 @@ def main(argv=None) -> int:
         args.M = 10 if args.name == "cmir" else 5
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass: caught first
+        print(f"solver breakdown: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except ValueError as exc:  # ProblemFormatError, ModelError and EmptyCutSetError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"solver breakdown: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

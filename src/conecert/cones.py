@@ -95,15 +95,15 @@ class ConeProduct:
             v = x[off:off + b.dim]
             if b.kind is BlockKind.FREE:
                 continue
+            # each test passes only on a true comparison, so nan fails it
             if b.kind is BlockKind.ZERO:
-                if np.max(np.abs(v)) > tol:
+                if not np.max(np.abs(v)) <= tol:
                     return False
             elif b.kind is BlockKind.NONNEG:
-                if np.min(v) < -tol:
+                if not np.min(v) >= -tol:
                     return False
-            else:
-                if v[-1] < np.linalg.norm(v[:-1]) - tol:
-                    return False
+            elif not v[-1] >= np.linalg.norm(v[:-1]) - tol:
+                return False
         return True
 
     def interior_margin(self, x) -> float | np.ndarray:

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conecert import analysis
 from conecert.analysis import (
     AnalysisOptions,
     EmptyCutSetError,
     ModelError,
     SupportHandle,
     check_A0,
-    check_A1i,
     check_minimal_necessary_interior,
     check_minimal_sufficient,
     check_sublinear_sufficient,
@@ -190,40 +190,62 @@ def test_theta_inf_sigma_and_monotone_flag():
 
 
 # ---------------------------------------------------------------------------
-# per-coordinate condition on the orthant
+# the per-coordinate condition (A.1i) through the tight-ray rung on the orthant
 
 
-def test_check_A1i_holds_and_fails():
+def _orthant_sublinearity(dset, mu):
+    h = SupportHandle(dset, mu)
+    rays, gaps = tight_extreme_ray_search(h)
+    th = theta(dset, mu)
+    return rays, gaps, check_sublinear_sufficient(h, th.value, th, rays)
+
+
+def test_orthant_sublinearity_holds_and_fails():
     fx = builtin("ex2_4")
-    entries = check_A1i(fx.dset, [1.0, -1.0])
-    assert all(e.status is Status.HOLDS for e in entries)
-    assert entries[0].optimum == pytest.approx(1.0, abs=1e-6)
-    assert entries[1].optimum == pytest.approx(-1.0, abs=1e-6)
+    rays, gaps, (status, payload) = _orthant_sublinearity(fx.dset, [1.0, -1.0])
+    assert status is Status.HOLDS
+    assert np.allclose(gaps, 0.0, atol=1e-9)
+    assert np.array_equal(payload["rays"], np.eye(2))
+    assert np.array_equal(payload["sum"], np.ones(2))
 
     dset = DisjunctiveSet(
         np.array([[1.0, 1.0]]),
         ConeProduct([nonneg(2)]),
         RhsFamily(explicit=(np.array([1.0]),)),
     )
-    entries = check_A1i(dset, [1.0, 2.0])
-    assert entries[0].status is Status.HOLDS
-    assert entries[1].status is Status.FAILS
-    assert entries[1].optimum == pytest.approx(1.0, abs=1e-6)
+    rays, gaps, (status, payload) = _orthant_sublinearity(dset, [1.0, 2.0])
+    assert [list(t.z) for t in rays] == [[1.0, 0.0]]
+    assert status is Status.FAILS
+    assert payload["non_tight"] == [1]
+    assert payload["gaps"] == pytest.approx([1.0], abs=1e-6)
 
 
-def test_check_A1i_adjoint_image_all_tight():
+def test_orthant_sublinearity_adjoint_image_all_tight():
     fx = builtin("ex2_4")
     mu = fx.dset.A.T @ np.array([2.0])
-    entries = check_A1i(fx.dset, mu)
-    for i, e in enumerate(entries):
-        assert e.status is Status.HOLDS
-        assert e.optimum == pytest.approx(mu[i], abs=1e-6)
+    rays, gaps, (status, _) = _orthant_sublinearity(fx.dset, mu)
+    assert gaps == pytest.approx([0.0, 0.0], abs=1e-6)
+    assert len(rays) == fx.dset.n
+    assert status is Status.HOLDS
 
 
-def test_check_A1i_requires_orthant():
-    fx = builtin("ex2_1")
-    with pytest.raises(ValueError):
-        check_A1i(fx.dset, [1.0, 0.0, -1.0])
+def test_one_row_orthant_report_solves_no_column_program(monkeypatch):
+    """On a one-row orthant set the support values sigma(a^i) come from the
+    closed-form interval: the report makes no solve over the columns of A."""
+    fx = builtin("ex2_4")
+    rhs_seen = []
+    real_batch = analysis.solve_batch
+    monkeypatch.setattr(analysis, "solve_batch",
+                        lambda p, rhs, opts=None: rhs_seen.append(np.asarray(rhs))
+                        or real_batch(p, rhs, opts))
+    for fi in fx.inequalities:
+        rep = full_report(fx.dset, fi.inequality)
+        assert rep.final_verdict == fi.expected_verdict
+        assert rep.entry("tight_rays").values["count"] == fx.dset.n
+        assert rep.entry("A1i") is None
+    assert rhs_seen
+    cols = fx.dset.A.T
+    assert not any(r.shape == cols.shape and np.array_equal(r, cols) for r in rhs_seen)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conecert import cli
 from conecert.cli import main
 from conecert.fixtures import builtin, names
 from conecert.model import save_problem
@@ -121,6 +123,7 @@ def test_demo_cmir_vertices(capsys):
     assert code == 0
     assert "dmu vertices" in out
     assert "FAIL" not in out
+    assert "np.float64" not in out
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
@@ -136,3 +139,15 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
 def test_invalid_tol_rejected(capsys):
     code, _, err = run(capsys, "report", str(DATA / "ex2_1.json"), "--tol", "-1")
     assert code == 2
+
+
+def test_solver_breakdown_exit_code(capsys, monkeypatch):
+    # np.linalg.LinAlgError subclasses ValueError, yet it is a solver
+    # breakdown, not a format error
+    def breakdown(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular KKT system")
+
+    monkeypatch.setattr(cli, "full_report", breakdown)
+    code, _, err = run(capsys, "report", str(DATA / "ex2_4.json"))
+    assert code == 3
+    assert "solver breakdown" in err

@@ -40,6 +40,12 @@ def test_contains_orthant_and_lorentz():
     # radius coordinate comes last in each Lorentz block
     assert K.contains([0, 0, 3, 4, 5])
     assert not K.contains([0, 0, 3, 4, 4.9])
+    # a nan entry fails every block test: Nonneg, Lorentz bar and radius
+    nan = math.nan
+    assert not K.contains([nan, 0, 0, 0, 1])
+    assert not K.contains([1, 0, nan, 0, 1])
+    assert not K.contains([1, 0, 0, 0, nan])
+    assert not ConeProduct([zero(2)]).contains([0, nan])
 
 
 def test_self_duality_of_regular_blocks():

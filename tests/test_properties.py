@@ -10,7 +10,6 @@ from conecert.analysis import (
     EmptyCutSetError,
     SupportHandle,
     check_A0,
-    check_A1i,
     check_minimal_sufficient,
     full_report,
     theta,
@@ -129,8 +128,9 @@ def test_orthant_equalities_under_per_column_conditions():
             mu = dset.A.T @ rng.normal(size=dset.m)
             if not np.any(mu):
                 continue
-        entries = check_A1i(dset, mu)
-        if not all(e.status is Status.HOLDS for e in entries):
+        per_column = [oracle_lp(mu, dset.A, dset.A[:, i]) for i in range(dset.n)]
+        if not all(st == "optimal" and v >= mu[i] - 1e-6
+                   for i, (st, v, _) in enumerate(per_column)):
             continue
         handle = SupportHandle(dset, mu)
         ok = True
