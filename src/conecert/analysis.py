@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .cones import BlockKind, ConeBlock, ConeProduct, sample_extreme_rays
 from .linalg import least_squares_solve, null_space_basis
@@ -174,14 +173,16 @@ class SupportHandle:
         self._m = dset.m
         self._cache: dict[tuple, float] = {}  # sigma, +inf for an infeasible row
         self._a0: tuple | None = None  # (Status, witness) once (A.0) is settled
+        # the points of D_mu the handle holds: the interval's finite ends,
+        # or the dual y of every optimal row `eval` has solved
+        self.points: list[np.ndarray] = []
         self._interval = None
         if self._m == 1:
             tol = 100.0 * self.opts.solver.feas_tol * (1.0 + float(np.max(np.abs(self.mu))))
             self._interval = _one_row_dmu(dset.K, self.mu, dset.A[0], tol)
         if self._interval is not None and self._interval[0] <= self._interval[1]:
-            lo, hi = self._interval
-            self._a0 = Status.HOLDS, self._witness(
-                np.array([lo if lo > -math.inf else hi if hi < math.inf else 0.0]))
+            self.points = [np.array([v]) for v in self._interval if math.isfinite(v)]
+            self._a0 = Status.HOLDS, self._witness(self.points[0] if self.points else np.zeros(1))
 
     def _witness(self, lam: np.ndarray) -> dict:
         return {"lambda": lam, "gamma": self.mu - self.dset.A.T @ lam}
@@ -241,9 +242,9 @@ class SupportHandle:
                                 self.opts.solver)
             if any(r.status == "unbounded" for r in rows):
                 raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
-            y = next((r.y for r in rows if r.status == "optimal"), None)
-            if y is not None and (self._a0 is None or self._a0[0] is Status.INCONCLUSIVE):
-                self._a0 = Status.HOLDS, self._witness(y)
+            self.points += [r.y for r in rows if r.status == "optimal"]
+            if self.points and (self._a0 is None or self._a0[0] is Status.INCONCLUSIVE):
+                self._a0 = Status.HOLDS, self._witness(self.points[0])
             self._cache.update(zip(todo, (r.sigma for r in rows)))
         out = np.array([self._cache[k] for k in keys])
         inf = out == math.inf
@@ -360,92 +361,45 @@ class TightRay:
 
 
 def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int = 0):
-    """Sampled (plus locally refined) extreme rays z of K whose support gap
-    <mu,z> - sigma(Az) is at most tol. Returns (tight rays, all sampled gaps).
-    The samples are evaluated in one call of `handle.eval`; the local
-    refinements evaluate one point at a time. Nonneg blocks contribute
-    their coordinate rays, which are all of their extreme rays, so on the
-    orthant the search is exact and refines nothing."""
-    dset, mu = handle.dset, handle.mu
+    """Extreme rays z of K whose support gap <mu,z> - sigma(Az) is at most
+    tol. Returns (tight rays, all sampled gaps).
 
-    def gap(z, s):
-        return float(mu @ z - s) if math.isfinite(s) else math.inf
+    One call of `handle.eval` evaluates the samples of `sample_extreme_rays`.
+    On Nonneg blocks and dim-2 Lorentz blocks these are all the extreme
+    rays, so there the search is exact. On larger Lorentz blocks the tight
+    rays come from the points of D_mu the handle holds: each such lam
+    bounds the gap by <gamma, z> with gamma = mu - A^T lam in K*, so where
+    gamma = (gbar, g0) lies on the boundary of a block (margin g0 - |gbar|
+    within tol, gbar nonzero), the reflected ray (-gbar/|gbar|, 1)/sqrt(2)
+    on that block has gap at most margin/sqrt(2). One more call evaluates
+    all of these rays. Where gamma is zero on a block no reflection is
+    defined, and the tight samples stand."""
+    dset, mu, tol = handle.dset, handle.mu, handle.opts.tol
 
-    def gap_of(z):
-        return gap(z, handle.eval(dset.A @ z))
+    def gaps_of(Z: np.ndarray) -> np.ndarray:
+        s = handle.eval(Z @ dset.A.T)
+        return np.where(np.isfinite(s), Z @ mu - s, math.inf)
 
-    rays = sample_extreme_rays(dset.K, budget, seed)
-    gaps = [gap(z, s) for z, s in zip(rays, handle.eval(np.array(rays) @ dset.A.T))]
-
-    candidates = list(zip(rays, gaps))
-    # refine around local minima on dim-3 Lorentz circles, and around the
-    # best samples for higher-dimensional Lorentz blocks
+    rays = np.array(sample_extreme_rays(dset.K, budget, seed))
+    gaps = gaps_of(rays)
+    reflected = []
+    gamma = mu - np.reshape(handle.points, (-1, dset.m)) @ dset.A
     for blk, off in dset.K.offsets():
-        if blk.kind is not BlockKind.LORENTZ or blk.dim == 2:
-            continue
-        if blk.dim == 3:
-            idx = [
-                k
-                for k, z in enumerate(rays)
-                if abs(z[off + 2]) > 1e-12
-            ]
-            ring = sorted(idx, key=lambda k: math.atan2(rays[k][off + 1], rays[k][off]))
-            nn = len(ring)
+        if blk.kind is BlockKind.LORENTZ and blk.dim > 2:
+            gbar, g0 = gamma[:, off:off + blk.dim - 1], gamma[:, off + blk.dim - 1]
+            r = np.linalg.norm(gbar, axis=1)
+            on = (r > tol) & (g0 - r <= tol)
+            if on.any():
+                Z = np.zeros((on.sum(), dset.n))
+                Z[:, off:off + blk.dim - 1] = -gbar[on] / r[on, None]
+                Z[:, off + blk.dim - 1] = 1.0
+                reflected.append(Z / math.sqrt(2.0))
+    candidates, cand_gaps = rays, gaps
+    if reflected:
+        Z = np.vstack(reflected)
+        candidates, cand_gaps = np.vstack([rays, Z]), np.concatenate([gaps, gaps_of(Z)])
 
-            def ray_at(theta):
-                z = np.zeros(dset.n)
-                z[off] = math.cos(theta)
-                z[off + 1] = math.sin(theta)
-                z[off + 2] = 1.0
-                return z / math.sqrt(2.0)
-
-            locs = []
-            for j in range(nn):
-                g = gaps[ring[j]]
-                if g <= gaps[ring[(j - 1) % nn]] and g <= gaps[ring[(j + 1) % nn]]:
-                    locs.append(j)
-            locs = sorted(locs, key=lambda j: gaps[ring[j]])[:8]
-            width = 2.0 * math.pi / nn
-            for j in locs:
-                z0 = rays[ring[j]]
-                th = math.atan2(z0[off + 1], z0[off])
-                res = scipy.optimize.minimize_scalar(
-                    lambda t: gap_of(ray_at(t)),
-                    bounds=(th - width, th + width),
-                    method="bounded",
-                    options={"xatol": 1e-10},
-                )
-                candidates.append((ray_at(res.x), gap_of(ray_at(res.x))))
-        else:
-            d = blk.dim
-            block_rays = sorted(
-                (k for k, z in enumerate(rays) if abs(z[off + d - 1]) > 1e-12),
-                key=lambda k: gaps[k],
-            )[:4]
-
-            def ray_from(bar):
-                bar = np.asarray(bar, float)
-                nrm = np.linalg.norm(bar)
-                if nrm < 1e-12:
-                    return None
-                z = np.zeros(dset.n)
-                z[off : off + d - 1] = bar / nrm
-                z[off + d - 1] = 1.0
-                return z / math.sqrt(2.0)
-
-            for k in block_rays:
-                x0 = rays[k][off : off + d - 1] * math.sqrt(2.0)
-                res = scipy.optimize.minimize(
-                    lambda bar: gap_of(ray_from(bar)) if ray_from(bar) is not None else math.inf,
-                    x0,
-                    method="Nelder-Mead",
-                    options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 200},
-                )
-                z = ray_from(res.x)
-                if z is not None:
-                    candidates.append((z, gap_of(z)))
-
-    tight = [(z, g) for z, g in candidates if g <= handle.opts.tol]
+    tight = [(z, float(g)) for z, g in zip(candidates, cand_gaps) if g <= tol]
     tight.sort(key=lambda t: t[1])
     dedup: list[TightRay] = []
     kept = np.empty((len(tight), dset.n))
@@ -454,7 +408,7 @@ def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int
         if k == 0 or np.min(np.max(np.abs(kept[:k] - z), axis=1)) > 1e-6:
             kept[k] = z
             dedup.append(TightRay(z, g))
-    return dedup, gaps
+    return dedup, gaps.tolist()
 
 
 # ---------------------------------------------------------------------------

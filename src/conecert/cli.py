@@ -48,10 +48,13 @@ def _options(args) -> AnalysisOptions:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CCLAB_SEED", "0"))
-    if args.tol <= 0:
-        raise ProblemFormatError("--tol must be positive")
+    for flag, v in (("--tol", args.tol), ("--feas-tol", args.feas_tol), ("--gap-tol", args.gap_tol)):
+        if not (math.isfinite(v) and v > 0):
+            raise ProblemFormatError(f"{flag} must be finite and positive, got {v}")
     if args.samples < 1:
         raise ProblemFormatError("--samples must be at least 1")
+    if args.max_iters < 1:
+        raise ProblemFormatError("--max-iters must be at least 1")
     return AnalysisOptions(
         tol=args.tol,
         samples=args.samples,

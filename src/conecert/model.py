@@ -204,23 +204,27 @@ def load_problem(text: str) -> Problem:
             f"format_version: expected {FORMAT_VERSION}, got {doc.get('format_version')!r}"
         )
     try:
-        shape = doc["A"]["shape"]
+        rows, cols = doc["A"]["shape"]
         entries = doc["A"]["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ProblemFormatError("A: needs 'shape' and row-major 'entries'") from exc
-    m, n = int(shape[0]), int(shape[1])
-    if len(entries) != m * n:
-        raise ProblemFormatError(f"A.entries: expected {m * n} values, got {len(entries)}")
-    A = np.asarray(entries, dtype=float).reshape(m, n)
+        size = len(entries)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProblemFormatError("A: needs a two-entry 'shape' and row-major 'entries'") from exc
+    m, n = _integer(rows, "A.shape"), _integer(cols, "A.shape")
+    if size != m * n:
+        raise ProblemFormatError(f"A.entries: expected {m * n} values, got {size}")
+    A = _finite(entries, "A.entries").reshape(m, n)
 
+    if not isinstance(doc.get("cone", []), list):
+        raise ProblemFormatError("cone: expected a list of blocks")
     blocks = []
     for i, blk in enumerate(doc.get("cone", [])):
         kind = blk.get("kind") if isinstance(blk, dict) else None
         if kind not in _KIND_NAMES:
             raise ProblemFormatError(f"cone[{i}].kind: unknown kind {kind!r}")
+        dim = _integer(blk.get("dim"), f"cone[{i}].dim")
         try:
-            blocks.append(ConeBlock(_KIND_NAMES[kind], int(blk["dim"])))
-        except (KeyError, ValueError) as exc:
+            blocks.append(ConeBlock(_KIND_NAMES[kind], dim))
+        except ValueError as exc:
             raise ProblemFormatError(f"cone[{i}]: {exc}") from exc
     if not blocks:
         raise ProblemFormatError("cone: at least one block required")
@@ -229,18 +233,19 @@ def load_problem(text: str) -> Problem:
     rhs = doc.get("rhs")
     if not isinstance(rhs, dict):
         raise ProblemFormatError("rhs: expected an object")
-    explicit = tuple(np.asarray(b, dtype=float).ravel() for b in rhs.get("explicit", []))
+    explicit = tuple(_finite(b, f"rhs.explicit[{i}]")
+                     for i, b in enumerate(rhs.get("explicit", [])))
     lattice = None
     if rhs.get("lattice") is not None:
         lat = rhs["lattice"]
         try:
             lattice = Lattice(
-                base=np.asarray(lat["base"], dtype=float).ravel(),
-                step=np.asarray(lat["step"], dtype=float).ravel(),
-                k_min=int(lat["kmin"]),
-                k_max=int(lat["kmax"]),
+                base=_finite(lat["base"], "rhs.lattice.base"),
+                step=_finite(lat["step"], "rhs.lattice.step"),
+                k_min=_integer(lat["kmin"], "rhs.lattice.kmin"),
+                k_max=_integer(lat["kmax"], "rhs.lattice.kmax"),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ProblemFormatError(f"rhs.lattice: {exc}") from exc
         if lattice.k_min > lattice.k_max:
             raise ProblemFormatError("rhs.lattice: kmin > kmax")
@@ -249,17 +254,37 @@ def load_problem(text: str) -> Problem:
     dset = DisjunctiveSet(A, K, B)
     ineqs = []
     for i, item in enumerate(doc.get("inequalities", [])):
-        try:
-            mu = np.asarray(item["mu"], dtype=float).ravel()
-            eta0 = float(item["eta0"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProblemFormatError(f"inequalities[{i}]: {exc}") from exc
+        if not isinstance(item, dict) or "mu" not in item or "eta0" not in item:
+            raise ProblemFormatError(f"inequalities[{i}]: needs 'mu' and 'eta0'")
+        mu = _finite(item["mu"], f"inequalities[{i}].mu")
+        eta0 = _finite(item["eta0"], f"inequalities[{i}].eta0")
         if mu.size != n:
             raise ProblemFormatError(
                 f"inequalities[{i}].mu: length {mu.size} != {n}"
             )
-        ineqs.append(Inequality(mu, eta0, str(item.get("name", f"ineq{i}"))))
+        if eta0.size != 1:
+            raise ProblemFormatError(f"inequalities[{i}].eta0: expected one number")
+        ineqs.append(Inequality(mu, eta0[0], str(item.get("name", f"ineq{i}"))))
     return Problem(dset, tuple(ineqs))
+
+
+def _finite(v, name: str) -> np.ndarray:
+    """The numbers of a JSON value as a flat float array; raises a
+    ProblemFormatError naming the field unless they are all finite."""
+    try:
+        arr = np.asarray(v, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"{name}: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ProblemFormatError(f"{name}: entries must be finite numbers")
+    return arr
+
+
+def _integer(v, name: str) -> int:
+    """A JSON integer (an integral float such as 3.0 too), never truncated."""
+    if isinstance(v, bool) or not (isinstance(v, int) or (isinstance(v, float) and v.is_integer())):
+        raise ProblemFormatError(f"{name}: expected an integer, got {v!r}")
+    return int(v)
 
 
 def save_problem(problem: Problem) -> str:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,12 +260,14 @@ def test_tight_rays_unique_direction():
     )
     assert len(rays) == 1
     z = rays[0].z
-    assert np.allclose(z, fx.notes["tight_ray"], atol=1e-6)
+    assert np.allclose(z, fx.notes["tight_ray"], atol=1e-9)
     others = sorted(g for g in gaps if g > 1e-6)
     assert others[0] > 1e-3
 
 
-def test_tight_rays_refinement_finds_offgrid_directions():
+def test_tight_rays_reflect_offgrid_directions_exactly():
+    # the ends +-sqrt(3) of D_mu give gamma = (-+sqrt(3), 1, 2) on the
+    # boundary of L3, whose reflections lie between the 64 grid angles
     fx = builtin("ex4_1")
     rays, _ = tight_extreme_ray_search(SupportHandle(fx.dset, [0.0, 1.0, 2.0]), budget=64, seed=0)
     assert len(rays) == 2
@@ -274,7 +277,50 @@ def test_tight_rays_refinement_finds_offgrid_directions():
     ]
     for r in rays:
         d = r.z / np.linalg.norm(r.z)
-        assert any(np.allclose(d, e / np.linalg.norm(e), atol=1e-5) for e in expected)
+        assert any(np.allclose(d, e / np.linalg.norm(e), atol=1e-9) for e in expected)
+
+
+def test_tight_rays_one_row_lorentz4():
+    # mu - lam*a = (-lam, 1, 1, 2) lies in L4 for |lam| <= sqrt(2); each end
+    # puts it on the boundary, and its reflection is the only tight ray on
+    # that side, which no Gaussian sample of the sphere hits
+    dset = DisjunctiveSet(
+        np.array([[1.0, 0.0, 0.0, 0.0]]),
+        ConeProduct([lorentz(4)]),
+        RhsFamily(explicit=(np.array([-1.0]), np.array([1.0]))),
+    )
+    rays, gaps = tight_extreme_ray_search(SupportHandle(dset, [0.0, 1.0, 1.0, 2.0]), budget=64)
+    assert min(gaps) > 1e-6
+    expected = [np.array([s * math.sqrt(0.5), -0.5, -0.5, 1.0]) / math.sqrt(2.0) for s in (1, -1)]
+    assert len(rays) == 2
+    for r in rays:
+        assert abs(r.gap) <= 1e-12
+        assert any(np.allclose(r.z, e, atol=1e-12) for e in expected)
+
+
+def test_tight_rays_three_row_search_raises_no_warning(monkeypatch):
+    """Many sampled directions of this set have sigma = +inf; the search
+    must neither compute with those values nor solve more than one batch
+    beyond its sample sweep."""
+    A = np.array([[-2.0, -1.0, 1.0, 0.0, 2.0, 2.0],
+                  [0.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+                  [2.0, 1.0, -1.0, 0.0, 0.0, -2.0]])
+    K = ConeProduct([lorentz(3), lorentz(3)])
+    mu = [1.5682177319691677, 2.784108865984584, 2.215891134015416,
+          1.9459060384045517, -0.8906707338596246, -0.6223116935646158]
+    dset = DisjunctiveSet(A, K, RhsFamily(explicit=(A @ K.canonical_interior_point(),)))
+    batches = []
+    real_batch = analysis.solve_batch
+    monkeypatch.setattr(analysis, "solve_batch",
+                        lambda p, rhs, opts=None: batches.append(len(rhs)) or real_batch(p, rhs, opts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rays, gaps = tight_extreme_ray_search(SupportHandle(dset, mu))
+    assert len(batches) <= 2
+    assert math.inf in gaps and rays
+    for r in rays:
+        assert r.gap <= 1e-6
+        assert K.contains(r.z, 1e-12) and K.interior_margin(r.z) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tight_rays_cmir_all_five():

@@ -141,6 +141,17 @@ def test_invalid_tol_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+    ("--feas-tol", "-1"), ("--feas-tol", "nan"), ("--gap-tol", "0"), ("--gap-tol", "inf"),
+    ("--max-iters", "0"), ("--max-iters", "-3"),
+])
+def test_invalid_numeric_options_rejected(capsys, flag, value):
+    code, out, err = run(capsys, "report", str(DATA / "ex4_1.json"), flag, value)
+    assert code == 2
+    assert flag in err and not out
+
+
 def test_solver_breakdown_exit_code(capsys, monkeypatch):
     # np.linalg.LinAlgError subclasses ValueError, yet it is a solver
     # breakdown, not a format error

@@ -92,6 +92,42 @@ def test_load_rejects_bad_documents():
         load_problem(json.dumps(bad))
 
 
+@pytest.mark.parametrize("path, value, field", [
+    (("inequalities", 0, "eta0"), float("nan"), "inequalities[0].eta0"),
+    (("inequalities", 0, "eta0"), float("-inf"), "inequalities[0].eta0"),
+    (("inequalities", 0, "mu", 1), float("nan"), "inequalities[0].mu"),
+    (("rhs", "explicit", 1, 0), float("nan"), "rhs.explicit[1]"),
+    (("rhs", "explicit", 0, 0), float("inf"), "rhs.explicit[0]"),
+    (("A", "entries", 0), float("nan"), "A.entries"),
+    (("cone", 0, "dim"), 3.7, "cone[0].dim"),
+    (("cone", 0, "dim"), "3", "cone[0].dim"),
+    (("A", "shape"), [3], "A"),
+    (("A", "entries"), 5, "A"),
+    (("cone",), 5, "cone"),
+])
+def test_load_rejects_malformed_values(path, value, field):
+    doc = json.loads(save_problem(builtin("ex4_1").to_problem()))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(json.dumps(doc))
+    assert str(exc.value).startswith(field + ":")
+
+
+def test_load_accepts_integral_float_dim():
+    doc = json.loads(save_problem(builtin("cmir").to_problem()))
+    doc["cone"][0]["dim"] = float(doc["cone"][0]["dim"])
+    doc["rhs"]["lattice"]["kmin"] = float(doc["rhs"]["lattice"]["kmin"])
+    problem = load_problem(json.dumps(doc))
+    assert problem.dset.K.blocks == builtin("cmir").dset.K.blocks
+    assert problem.dset.B.lattice.k_min == builtin("cmir").dset.B.lattice.k_min
+    doc["rhs"]["lattice"]["step"][0] = float("nan")
+    with pytest.raises(ProblemFormatError, match=r"^rhs\.lattice\.step:"):
+        load_problem(json.dumps(doc))
+
+
 def test_assumption2_interior_witness():
     fx = builtin("ex2_1")
     status, witness, margin = assumption2_check(fx.dset)
