@@ -306,6 +306,8 @@ def _parse_vector(text: str, n: int, flag: str) -> np.ndarray:
         raise ProblemFormatError(f"{flag}: {exc}") from exc
     if v.size != n:
         raise ProblemFormatError(f"{flag}: expected {n} numbers, got {v.size}")
+    if not np.all(np.isfinite(v)):
+        raise ProblemFormatError(f"{flag}: every coordinate must be finite, got {text!r}")
     return v
 
 

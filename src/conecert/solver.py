@@ -9,9 +9,9 @@ come out as Farkas-type certificates rather than failures.
 `solve_batch` runs a stack of right-hand sides for one (c, A, K) in
 lockstep: every iterate is a (B, .) array with one row per problem, and a
 row leaves the batch as soon as it terminates or breaks down. Every
-operation acts row by row (`np.matvec`, `np.vecdot`, one LU per row), so a
-row's result does not depend on the rest of the batch, and `solve` is a
-batch of one.
+operation acts row by row (`np.matvec`, `np.vecdot`, matmul on a stack of
+rows, one LU per row), so a row's result does not depend on the rest of the
+batch, and `solve` is a batch of one.
 """
 
 from __future__ import annotations
@@ -213,121 +213,225 @@ class _Scaling:
 
 
 class _Embedding:
-    """Reduction of a ConicProgram to the homogeneous self-dual form. The
-    slacks are s = x[cidx]: the Lorentz blocks radius-first, grouped by
-    dimension in order of first appearance, then the Nonneg coordinates.
-    The embedding cone `work` has one more Nonneg coordinate, last, for the
-    pair (kappa, tau) of the embedding: s carries kappa there and z tau."""
+    """Reduction of a ConicProgram to the homogeneous self-dual form, on the
+    program's columns reordered as [one-row Nonneg | other Nonneg | the
+    rest], each part in program order: a Nonneg column is one-row when it
+    has exactly one nonzero in Ahat. There are n1 one-row and nN Nonneg
+    columns in all, and x[pos] puts an embedding x back in program order.
+    The slacks are s = x[cidx]: the Lorentz blocks radius-first, grouped by
+    dimension in order of first appearance, then the Nonneg coordinates in
+    column order, so that s's Nonneg part is x[:nN]. The embedding cone
+    `work` has one more Nonneg coordinate, last, for the pair (kappa, tau)
+    of the embedding: s carries kappa there and z tau."""
 
     def __init__(self, p: ConicProgram):
         n = p.cone.dim
-        zero_idx, lp_idx = [], []
+        zero_idx, lp_idx, rest = [], [], []
         soc_blocks: dict[int, list[list[int]]] = {}
         for blk, off in p.cone.offsets():
             idx = list(range(off, off + blk.dim))
+            if blk.kind is BlockKind.NONNEG:
+                lp_idx += idx
+                continue
+            rest += idx
             if blk.kind is BlockKind.ZERO:
-                zero_idx.extend(idx)
-            elif blk.kind is BlockKind.NONNEG:
-                lp_idx.extend(idx)
+                zero_idx += idx
             elif blk.kind is BlockKind.LORENTZ:
                 soc_blocks.setdefault(blk.dim, []).append([idx[-1]] + idx[:-1])
-        self.cidx = np.array(
-            [i for blks in soc_blocks.values() for blk in blks for i in blk] + lp_idx, dtype=int
-        )
-        self.work = _EmbeddingCone([(d, len(b)) for d, b in soc_blocks.items()], len(lp_idx) + 1)
+        nnz = (p.A != 0).sum(axis=0).tolist()  # the Zero rows miss Nonneg columns
+        one = [j for j in lp_idx if nnz[j] == 1]
+        lp = one + [j for j in lp_idx if nnz[j] != 1]
+        perm = np.array(lp + rest, dtype=int)
+        self.pos = np.argsort(perm)
+        self.n1, self.nN = len(one), len(lp)
+        soc = [i for blks in soc_blocks.values() for blk in blks for i in blk]
+        self.cidx = self.pos[soc + lp]
+        self.work = _EmbeddingCone([(d, len(b)) for d, b in soc_blocks.items()], self.nN + 1)
         Zrows = np.zeros((len(zero_idx), n))
         Zrows[np.arange(len(zero_idx)), zero_idx] = 1.0
-        self.Ahat = np.vstack([p.A, Zrows])
+        self.Ahat = np.vstack([p.A, Zrows])[:, perm]
         self.AhatT = np.ascontiguousarray(self.Ahat.T)
+        self.c = p.c[perm]
         self.n = n
         self.mh = self.Ahat.shape[0]
 
 
+@dataclass
+class _Factors:
+    """What `_KKT.solve` needs of each row's factorization: the LU of its
+    reduced matrix (None where it failed) and the eliminated terms at the
+    row's regularization r, -1/(w2 + r) per Nonneg slack and 1/h per one-row
+    column, as (B, 1, nN) and (B, 1, n1) stacks."""
+
+    lu: list
+    ng: np.ndarray
+    ih: np.ndarray
+
+
 class _KKT:
     """The embedding's KKT matrix [[rI, A', G'], [A, -rI, 0], [G, 0, -(W^2 + rI)]]
-    for one (A, K), whose last block has a row per slack (the (kappa, tau)
-    pair has none). Its static part is built once per regularization r;
-    each iteration writes the W^2 blocks of every row into a copy and
-    factors each row once with LAPACK getrf. A C-ordered K[i] is handed to
-    LAPACK as the Fortran-ordered K[i]', factored in place and solved with
-    trans=1."""
+    for one (A, K), with unknowns [x, y, z] and a z row per slack (the
+    (kappa, tau) pair has none), G = -E for the selector E of the slacks.
+
+    Each row factors a reduced matrix. A Nonneg slack's z row gives
+    dz = -(rz + dx_c) g with g = 1/(w2 + r), which leaves g on the diagonal
+    of its column c and rx_c - g rz on the right. A one-row Nonneg column,
+    whose only nonzero a is in row i, then gives dx_c = (rx_c - a dy_i) / h
+    with h = r + g, which subtracts a^2/h from row i's diagonal and
+    a (rx_c - g rz) / h from ry_i. The embedding puts these columns first and
+    the Nonneg slacks last, so the unknowns left, [other Nonneg x, the rest
+    of x, y, Lorentz z], are the one slice `red`; both eliminated blocks are
+    diagonal, so the reduced matrix keeps the quasi-definite form for which
+    any symmetric pivot order is stable. The Lorentz slacks stay in it:
+    eliminating one needs the inverse of its W^2 + rI, whose eigenvalues
+    spread without bound as the iterate nears the boundary of the cone. On
+    min x1 - x3 : x3 - x1 = 0, x in L3 they reach 0 and 3.7e14 (r is lost
+    to rounding), the explicit inverse is singular, and the solve ends
+    NumericalLimit instead of Optimal in 5 iterations; the LU pivots on the
+    block as it is.
+
+    The static part of the reduced matrix is built once per regularization
+    r. Each iteration writes the Lorentz W^2 blocks and the eliminated
+    diagonal terms of every row into a copy and factors each row once with
+    LAPACK. The matrix is symmetric, so a C-ordered K[i] is handed to LAPACK
+    as the Fortran-ordered K[i]' = K[i] and factored in place."""
 
     def __init__(self, emb: _Embedding):
         self.emb = emb
-        pc = emb.work.dim - 1
-        self.size = emb.n + emb.mh + pc
-        off = emb.n + emb.mh
-        rows, cols = [], []
+        n, mh, n1, nN = emb.n, emb.mh, emb.n1, emb.nN
+        pl = emb.work.lp.start
+        self.size = n + mh + pl + nN
+        self.red = slice(n1, n + mh + pl)
+        self.rsize = n - n1 + mh + pl
+        self.y = slice(n - n1, n - n1 + mh)  # y in the reduced unknowns
+        self.ys = slice(n, n + mh)  # y in the unknowns
+        self.zN = slice(n + mh + pl, self.size)
+        self.n1, self.nN = n1, nN
+        self.A1 = np.ascontiguousarray(emb.Ahat[:, :n1])
+        self.A1T = emb.AhatT[:n1]
+        self.A1sqT = self.A1T * self.A1T
+        rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
         for o, nb, d, *_ in emb.work.groups:
-            idx = off + o + np.arange(nb * d).reshape(nb, d)
+            idx = n - n1 + mh + o + np.arange(nb * d).reshape(nb, d)
             rows.append(np.repeat(idx[:, :, None], d, axis=2).ravel())
             cols.append(np.repeat(idx[:, None, :], d, axis=1).ravel())
-        lp = off + np.arange(emb.work.lp.start, pc)
-        self.rows, self.cols = np.concatenate(rows + [lp]), np.concatenate(cols + [lp])
+        self.rows, self.cols = np.concatenate(rows), np.concatenate(cols)
         self._static: dict[float, np.ndarray] = {}
 
     def static(self, bump: float) -> np.ndarray:
         if bump not in self._static:
             emb = self.emb
-            n, mh = emb.n, emb.mh
+            n1, mh, size = emb.n1, emb.mh, self.rsize
+            nx = emb.n - n1
             rr = _STATIC_REG * bump
-            T = np.zeros((self.size, self.size))
-            T[:n, n : n + mh] = emb.AhatT
-            T[n : n + mh, :n] = emb.Ahat
-            slots = np.arange(n + mh, self.size)
-            T[emb.cidx, slots] = -1.0
-            T[slots, emb.cidx] = -1.0
-            T[np.diag_indices(self.size)] = np.concatenate(
-                [np.full(n, rr), np.full(self.size - n, -rr)]
-            )
+            T = np.zeros((size, size))
+            T[:nx, nx : nx + mh] = emb.AhatT[n1:]
+            T[nx : nx + mh, :nx] = emb.Ahat[:, n1:]
+            slots = np.arange(nx + mh, size)
+            T[emb.cidx[: slots.size] - n1, slots] = -1.0
+            T[slots, emb.cidx[: slots.size] - n1] = -1.0
+            T[np.diag_indices(size)] = np.concatenate([np.full(nx, rr), np.full(size - nx, -rr)])
             self._static[bump] = T
         return self._static[bump]
 
-    def factor_solve(self, w2: np.ndarray, R: np.ndarray, U: np.ndarray) -> list:
+    def _assemble(self, wL: np.ndarray, wN: np.ndarray, bump: float):
+        """The reduced matrices of a batch at one bump, given the entries wL
+        of its Lorentz W^2 blocks and the Nonneg diagonal wN of W^2, and the
+        eliminated terms -g and 1/h of its rows."""
+        K = np.repeat(self.static(bump)[None], len(wL), axis=0)
+        if self.rows.size:
+            K[:, self.rows, self.cols] -= wL
+        if not self.nN:
+            return K, wN[:, None], wN[:, None]  # nothing eliminated: (B, 1, 0) each
+        r = _STATIC_REG * bump
+        n1 = self.n1
+        ng = np.divide(-1.0, (wN + r)[:, None])
+        ih = np.divide(1.0, r - ng[..., :n1])
+        diag = K.reshape(len(wL), -1)[:, :: self.rsize + 1]
+        diag[:, : self.nN - n1] -= ng[:, 0, n1:]
+        diag[:, self.y] -= (ih @ self.A1sqT)[:, 0]
+        return K, ng, ih
+
+    def _reduce(self, R: np.ndarray, ng: np.ndarray, ih: np.ndarray):
+        """The reduced right-hand sides of R (..., size), and v = (rx - g rz)/h
+        of the one-row columns; ng and ih broadcast against R's rows."""
+        if not self.nN:
+            return R.copy(), R[..., :0]
+        rx = ng * R[..., self.zN]
+        rx += R[..., : self.nN]
+        v = rx[..., : self.n1] * ih
+        Rr = np.concatenate((rx[..., self.n1 :], R[..., self.nN : self.red.stop]), axis=-1)
+        Rr[..., self.y] -= v @ self.A1T
+        return Rr, v
+
+    def _recover(self, R: np.ndarray, U: np.ndarray, ng: np.ndarray, ih: np.ndarray,
+                 v: np.ndarray) -> None:
+        """Write dx of the one-row columns and dz of the Nonneg slacks into U
+        (..., size), whose slice `red` holds the reduced solution."""
+        if not self.nN:
+            return
+        w = U[..., self.ys] @ self.A1
+        w *= ih
+        np.subtract(v, w, out=U[..., : self.n1])
+        dz = np.add(R[..., self.zN], U[..., : self.nN], out=U[..., self.zN])
+        dz *= ng
+
+    def factor_solve(self, w2: np.ndarray, R: np.ndarray, U: np.ndarray) -> _Factors:
         """Factor each row's matrix, given its W^2 entries w2[i] (in the order
         of `_Scaling.sq_entries`; extra trailing entries are ignored), and
         solve it for the right-hand sides R[i] (k, size) into U[i, :, :size].
         A row whose factorization is singular or whose first solution is not
-        finite is refactored with the regularization bumped by 1e2, 1e4 and
-        1e6 in turn. Returns the per-row factors: None, with NaN solutions,
-        for a row with non-finite W^2 or no rescuing bump."""
-        B, size = len(w2), self.size
-        w2 = w2[:, : len(self.rows)]
-        K = np.repeat(self.static(1.0)[None], B, axis=0)
-        K[:, self.rows, self.cols] -= w2
-        factors: list = [None] * B
+        finite is refactored with the regularization, and the eliminated
+        terms with it, bumped by 1e2, 1e4 and 1e6 in turn. A row with
+        non-finite W^2 or no rescuing bump gets no factor and NaN solutions."""
+        B, nL = len(w2), len(self.rows)
+        w2 = w2[:, : nL + self.nN]
+        wL, wN = w2[:, :nL], w2[:, nL:]
+        K, ng, ih = self._assemble(wL, wN, _BUMPS[0])
+        Rr, v = self._reduce(R, ng, ih)
         finite = _all_finite(w2)
-        for i in range(B):
-            if finite[i]:
-                factors[i] = self._factor(K[i], R[i], U[i, :, :size])
-            else:
-                U[i, :, :size] = np.nan
-        for i in np.flatnonzero(finite & ~_all_finite(U[:, 0, :size])):
-            factors[i] = None
-            for bump in _BUMPS[1:]:
-                K[i] = self.static(bump)
-                K[i][self.rows, self.cols] -= w2[i]
-                f = self._factor(K[i], R[i], U[i, :, :size])
-                if f is not None and np.all(np.isfinite(U[i, 0, :size])):
-                    factors[i] = f
-                    break
-        return factors
+        lu = [self._factor(Ki, Ri, Ri) if ok else None for ok, Ki, Ri in zip(finite, K, Rr)]
+        if not (finite.all() and np.isfinite(Rr[:, 0]).all()):
+            Rr[~finite] = np.nan
+            for i in np.flatnonzero(finite & ~_all_finite(Rr[:, 0])):
+                lu[i] = None
+                row = slice(i, i + 1)
+                for bump in _BUMPS[1:]:
+                    K[row], ng[row], ih[row] = self._assemble(wL[row], wN[row], bump)
+                    Rr[row], v[row] = self._reduce(R[row], ng[row], ih[row])
+                    f = self._factor(K[i], Rr[i], Rr[i])
+                    if f is not None and np.isfinite(Rr[i, 0]).all():
+                        lu[i] = f
+                        break
+        U[..., self.red] = Rr
+        self._recover(R, U, ng, ih, v)
+        return _Factors(lu, ng, ih)
 
     @staticmethod
     def _factor(Ki: np.ndarray, Ri: np.ndarray, Ui: np.ndarray):
-        lu, piv, info = lapack.dgetrf(Ki.T, overwrite_a=True)
+        """Factor Ki in place and solve it for the rows of Ri into Ui, in one
+        LAPACK gesv call. Ui may be Ri itself: LAPACK then overwrites Ri and
+        the copy is skipped."""
+        lu, piv, x, info = lapack.dgesv(Ki.T, Ri.T, overwrite_a=True, overwrite_b=True)
         if info != 0:
             Ui[...] = np.nan
             return None
-        Ui[...] = lapack.dgetrs(lu, piv, Ri.T, trans=1)[0].T
+        Ui[...] = x.T
         return lu, piv
 
-    def solve(self, factors: list, R: np.ndarray, U: np.ndarray) -> None:
+    def solve(self, factors: _Factors, R: np.ndarray, U: np.ndarray) -> None:
         """Solve each factored row for R[i] into U[i, :size]; NaN where there
         is no factor."""
-        size = self.size
-        for i, f in enumerate(factors):
-            U[i, :size] = np.nan if f is None else lapack.dgetrs(f[0], f[1], R[i], trans=1)[0]
+        R, U = R[:, None], U[:, None]  # stacks of one row keep each product per row
+        ng, ih = factors.ng, factors.ih
+        Rr, v = self._reduce(R, ng, ih)
+        for f, Ri in zip(factors.lu, Rr):
+            if f is None:
+                Ri[...] = np.nan
+            else:
+                lapack.dgetrs(f[0], f[1], Ri[0], overwrite_b=True)
+        U[..., self.red] = Rr
+        self._recover(R, U, ng, ih, v)
 
 
 @dataclass
@@ -369,7 +473,7 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None) -> list
     emb = _Embedding(p)
     work, n, mh = emb.work, emb.n, emb.mh
     nm = n + mh
-    Ah, AhT, cidx, c = emb.Ahat, emb.AhatT, emb.cidx, p.c
+    Ah, AhT, cidx, c = emb.Ahat, emb.AhatT, emb.cidx, emb.c
     ftol, gtol = opts.feas_tol, opts.gap_tol
     ftol_c = ftol * (1.0 + np.abs(c).max(initial=0.0))
     ftol_A = ftol * (1.0 + np.abs(Ah).max(initial=0.0))
@@ -430,14 +534,14 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None) -> list
         """Record the Solution of every row of `it`: a terminated row by its
         code, any other row as NUMERICAL_LIMIT with its scaled iterate."""
         for r, i in enumerate(it.ids):
-            x, yh, tau = it.xz[r, :n], it.xz[r, n:nm], it.xz[r, -1]
+            x, yh, tau = it.xz[r, emb.pos], it.xz[r, n:nm], it.xz[r, -1]
             if code[r] == 1:
                 sol = _iterate_solution(p, SolveStatus.OPTIMAL, x, yh, tau, m, iters)
             elif code[r] == 2:
                 sol = Solution(SolveStatus.PRIMAL_INFEASIBLE,
                                certificate=yh[:m] / (rhs[i] @ yh[:m]), iterations=iters)
             elif code[r] == 3:
-                sol = Solution(SolveStatus.DUAL_INFEASIBLE, certificate=x / -(c @ x),
+                sol = Solution(SolveStatus.DUAL_INFEASIBLE, certificate=x / -(p.c @ x),
                                iterations=iters)
             elif tau > 1e-12:
                 sol = _iterate_solution(p, SolveStatus.NUMERICAL_LIMIT, x, yh, tau, m, iters)

@@ -136,6 +136,18 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert doc[0]["config"]["seed"] == 17
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--point", ("separate", str(DATA / "cmir.json"), "--point", "nan,0,0,0,0")),
+    ("--point", ("separate", str(DATA / "ex2_4.json"), "--point", "0,inf")),
+    ("--z", ("support", str(DATA / "cmir.json"), "--z", "nan,1")),
+    ("--z", ("support", str(DATA / "ex4_1.json"), "--inequality", "nu", "--z=-inf")),
+])
+def test_non_finite_vectors_rejected(capsys, flag, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert flag in err and "finite" in err and not out
+
+
 def test_invalid_tol_rejected(capsys):
     code, _, err = run(capsys, "report", str(DATA / "ex2_1.json"), "--tol", "-1")
     assert code == 2

@@ -100,6 +100,17 @@ def test_normalizations_agree_on_fixture_suite():
         assert found["trivial_box"] == found["alpha_norm"], (name, xhat)
 
 
+def test_cut_skips_an_infeasible_branch():
+    # ex4_2: x2 + x3 = -1 has no point in L3, so only the branch b = 1 is
+    # kept; the box normalization then gives the cut x2 + x3 >= 1 at the origin
+    res = generate_cut(branches_from_set(builtin("ex4_2").dset), [0.0, 0.0, 0.0])
+    assert res.found and res.verified
+    assert res.multipliers[0] is None and res.multipliers[1] is not None
+    mu, eta0 = res.inequality.mu, res.inequality.eta0
+    assert mu == pytest.approx([0.0, 1.0, 1.0], abs=1e-6)
+    assert eta0 == pytest.approx(1.0, abs=1e-6)
+
+
 def test_all_branches_infeasible_is_an_error():
     dset = DisjunctiveSet(
         np.array([[0.0, 0.0, 1.0]]),

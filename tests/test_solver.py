@@ -439,3 +439,95 @@ def test_failed_factorization_is_retried_with_a_bump(monkeypatch):
             assert got.objective == pytest.approx(single.objective, rel=1e-8, abs=1e-8)
     assert batch[1].status is SolveStatus.OPTIMAL
     assert batch[1].objective == pytest.approx(singles[1].objective, rel=1e-6, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the reduced KKT solve against the full matrix
+
+
+def _mixed_program(rng):
+    """Free, Zero, Nonneg and L2/L3/L4 columns. Nonneg columns 2 and 3 hold
+    their only nonzero in row 0 and column 12 in row 2 (one-row columns);
+    Nonneg columns 4 and 11 are dense (multi-row)."""
+    K = ConeProduct([free(2), nonneg(3), lorentz(3), zero(1), lorentz(2), nonneg(2),
+                     lorentz(4)])
+    A = rng.normal(size=(4, K.dim))
+    A[1:, 2:4] = 0.0
+    A[[0, 1, 3], 12] = 0.0
+    return ConicProgram(rng.normal(size=K.dim), A, np.zeros(4), K)
+
+
+def _dense_program(rng):
+    K = ConeProduct([nonneg(3), lorentz(3)])
+    return ConicProgram(rng.normal(size=K.dim), rng.normal(size=(2, K.dim)), np.zeros(2), K)
+
+
+def _lorentz_program(rng):
+    K = ConeProduct([lorentz(3), lorentz(2)])
+    return ConicProgram(rng.normal(size=K.dim), rng.normal(size=(2, K.dim)), np.zeros(2), K)
+
+
+def _full_kkt(emb, W, row, r):
+    """The unreduced KKT matrix [[rI, A', G'], [A, -rI, 0], [G, 0, -(W^2 + rI)]]
+    of one batch row, with G x = -x[cidx], built densely."""
+    n, mh, pc = emb.n, emb.mh, emb.work.dim - 1
+    size = n + mh + pc
+    M = np.zeros((size, size))
+    M[:n, n : n + mh] = emb.Ahat.T
+    M[n : n + mh, :n] = emb.Ahat
+    M[n + mh + np.arange(pc), emb.cidx] = -1.0
+    M[emb.cidx, n + mh + np.arange(pc)] = -1.0
+    eye = np.eye(emb.work.dim)
+    W2 = np.stack([W.sq(np.tile(eye[j], (len(W.w), 1)))[row] for j in range(pc)], axis=1)
+    M[n + mh :, n + mh :] = -W2[:pc]
+    M[np.diag_indices(size)] += np.concatenate([np.full(n, r), np.full(mh + pc, -r)])
+    return M
+
+
+@pytest.mark.parametrize("make, n1, nN", [
+    (_mixed_program, 3, 5), (_dense_program, 0, 3), (_lorentz_program, 0, 0)])
+@pytest.mark.parametrize("bump", [1.0, 1e4])
+def test_reduced_kkt_solve_matches_full_matrix(monkeypatch, make, n1, nN, bump):
+    rng = np.random.default_rng(11)
+    emb = solver._Embedding(make(rng))
+    assert (emb.n1, emb.nN) == (n1, nN)
+    kkt = solver._KKT(emb)
+    if nN == 0:
+        assert kkt.rsize == kkt.size  # nothing to eliminate
+    B = 3
+    W = solver._Scaling(emb.work, _interior(emb.work, rng, B), _interior(emb.work, rng, B))
+    if bump > 1.0:
+        # every factorization below the bump fails: B at 1, then per row one
+        # at 1e2 before the one at 1e4
+        factor, calls = solver._KKT._factor, []
+
+        def below_bump_fails(Ki, Ri, Ui):
+            calls.append(1)
+            if len(calls) <= B or (len(calls) - B) % 2:
+                Ui[...] = np.nan
+                return None
+            return factor(Ki, Ri, Ui)
+
+        monkeypatch.setattr(solver._KKT, "_factor", staticmethod(below_bump_fails))
+    R = rng.normal(size=(B, 2, kkt.size))
+    U = np.zeros((B, 2, kkt.size + 1))
+    factors = kkt.factor_solve(W.sq_entries(), R.copy(), U)
+    R3 = rng.normal(size=(B, kkt.size))
+    u3 = np.zeros((B, kkt.size + 1))
+    kkt.solve(factors, R3.copy(), u3)
+    for i in range(B):
+        M = _full_kkt(emb, W, i, solver._STATIC_REG * bump)
+        want = np.linalg.solve(M, np.vstack([R[i], R3[i]]).T).T
+        got = np.vstack([U[i, :, : kkt.size], u3[i, : kkt.size]])
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), i
+
+
+def test_lorentz_slack_stays_in_the_factored_matrix():
+    # min x1 - x3 : x3 - x1 = 0, x in L3 (ex2_1's branch b = 0): every
+    # feasible point (t, 0, t) is optimal. Eliminating the Lorentz slack by
+    # the inverse of its W^2 + rI ends this solve NumericalLimit.
+    p = ConicProgram([1.0, 0.0, -1.0], [[-1.0, 0.0, 1.0]], [0.0], ConeProduct([lorentz(3)]))
+    sol = solve(p)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.iterations == 5
+    assert sol.x == pytest.approx([0.5, 0.0, 0.5], abs=1e-6)
