@@ -654,13 +654,9 @@ def valid_equation_check(
     return Status.FAILS, {"lambda": lam, "residual": residual}
 
 
-def enumerate_valid_equations(
-    dset: DisjunctiveSet,
-    opts: AnalysisOptions | None = None,
-) -> list[Inequality]:
+def enumerate_valid_equations(dset: DisjunctiveSet) -> list[Inequality]:
     """All valid-equation directions: kernel of the stacked rhs differences
     mapped through the adjoint."""
-    opts = opts or AnalysisOptions()
     bs = dset.B.expand()
     if len(bs) > 1:
         D = np.vstack([(b - bs[0]).reshape(1, -1) for b in bs[1:]])
@@ -812,15 +808,15 @@ def full_report(
 def dmu_vertices_2d(
     dset: DisjunctiveSet,
     mu,
-    directions: int = 16,
     opts: AnalysisOptions | None = None,
 ) -> list[np.ndarray]:
     """Reconstruct the vertices of a bounded 2-D D_mu from support values in
-    equally spaced directions."""
+    16 equally spaced directions."""
     if dset.m != 2:
         raise ValueError("vertex reconstruction needs a 2-D multiplier space")
     opts = opts or AnalysisOptions()
     handle = SupportHandle(dset, mu, opts)
+    directions = 16
     angles = 2.0 * np.pi * np.arange(directions) / directions
     ds = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     vals = handle.eval(ds)

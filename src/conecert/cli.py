@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -43,22 +42,19 @@ EXIT_SOLVER = 3
 
 
 def _options(args) -> AnalysisOptions:
-    """The analysis options of the common flags; --seed falls back to
-    CCLAB_SEED, then 0."""
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("CCLAB_SEED", "0"))
-    for flag, v in (("--tol", args.tol), ("--feas-tol", args.feas_tol), ("--gap-tol", args.gap_tol)):
-        if not (math.isfinite(v) and v > 0):
+    """The analysis options of the subcommand's flags; a flag that the
+    subcommand does not take keeps its AnalysisOptions default."""
+    flags = vars(args)
+    for flag, v in (("--tol", flags.get("tol")), ("--feas-tol", args.feas_tol),
+                    ("--gap-tol", args.gap_tol)):
+        if v is not None and not (math.isfinite(v) and v > 0):
             raise ProblemFormatError(f"{flag} must be finite and positive, got {v}")
-    if args.samples < 1:
+    if flags.get("samples", 1) < 1:
         raise ProblemFormatError("--samples must be at least 1")
     if args.max_iters < 1:
         raise ProblemFormatError("--max-iters must be at least 1")
     return AnalysisOptions(
-        tol=args.tol,
-        samples=args.samples,
-        seed=seed,
+        **{k: flags[k] for k in ("tol", "samples", "seed") if k in flags},
         solver=SolverOptions(
             feas_tol=args.feas_tol,
             gap_tol=args.gap_tol,
@@ -200,9 +196,8 @@ def cmd_support(args) -> int:
 
 
 def cmd_equations(args) -> int:
-    opts = _options(args)
     problem = _load(args.problem)
-    eqs = enumerate_valid_equations(problem.dset, opts)
+    eqs = enumerate_valid_equations(problem.dset)
     _emit([{"name": q.name, "mu": q.mu, "eta0": q.eta0} for q in eqs], args.json)
     return EXIT_OK
 
@@ -214,7 +209,6 @@ def cmd_separate(args) -> int:
     res = generate_cut(
         branches_from_set(problem.dset),
         xhat,
-        normalization=args.normalization,
         tol=opts.tol,
         solver=opts.solver,
     )
@@ -273,7 +267,7 @@ def cmd_demo(args) -> int:
                     f"got {_fmt(got)}",
                 )
     if fx.notes.get("dmu_vertices"):
-        verts = dmu_vertices_2d(fx.dset, fx.inequalities[0].inequality.mu, 16, opts)
+        verts = dmu_vertices_2d(fx.dset, fx.inequalities[0].inequality.mu, opts)
         want = sorted(tuple(v) for v in fx.notes["dmu_vertices"])
         got = sorted(tuple(np.round(v, 6)) for v in verts)
         ok = len(want) == len(got) and all(
@@ -315,15 +309,17 @@ def _parse_vector(text: str, n: int, flag: str) -> np.ndarray:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (falls back to CCLAB_SEED, then 0)")
-    p.add_argument("--samples", type=int, default=256)
+def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--feas-tol", type=float, default=1e-8)
     p.add_argument("--gap-tol", type=float, default=1e-8)
+
+
+def _add_ladder_flags(p: argparse.ArgumentParser):
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled extreme rays")
+    p.add_argument("--samples", type=int, default=256)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,47 +333,57 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run the full certificate ladder")
     p.add_argument("problem")
     p.add_argument("--inequality", default=None, help="restrict to one named inequality")
-    _add_common(p)
+    _add_solver_flags(p)
+    _add_ladder_flags(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("theta", help="best right-hand side per inequality")
     p.add_argument("problem")
     p.add_argument("--inequality", default=None)
-    _add_common(p)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("support", help="support-function values over the rhs family")
     p.add_argument("problem")
     p.add_argument("--inequality", default=None)
     p.add_argument("--z", default=None, help="evaluate at this direction instead")
-    _add_common(p)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_support)
 
     p = sub.add_parser("equations", help="enumerate valid equations")
     p.add_argument("problem")
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_equations)
 
     p = sub.add_parser("separate", help="generate a violated inequality for a point")
     p.add_argument("problem")
     p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.add_argument("--normalization", choices=("trivial_box", "alpha_norm"),
-                   default="trivial_box")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-6)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("demo", help="run a built-in example against its known facts")
     p.add_argument("name", choices=fixtures.names())
     p.add_argument("--f", type=float, default=0.25)
     p.add_argument("--M", type=int, default=None)
-    _add_common(p)
+    _add_solver_flags(p)
+    _add_ladder_flags(p)
     p.set_defaults(func=cmd_demo)
 
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse takes a vector value such as -1,0 for an option, so join it to
+    # its flag as --point=-1,0; a following --option stays an option
+    joined = []
+    for a in sys.argv[1:] if argv is None else argv:
+        if (joined and joined[-1] in ("--point", "--z") and a.startswith("-")
+                and not a.startswith("--")):
+            joined[-1] += "=" + a
+        else:
+            joined.append(a)
+    args = build_parser().parse_args(joined)
     if getattr(args, "command", None) == "demo" and args.M is None:
         args.M = 10 if args.name == "cmir" else 5
     try:

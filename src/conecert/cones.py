@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class ConeProduct:
     def __init__(self, blocks):
         object.__setattr__(self, "blocks", tuple(blocks))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 
@@ -81,52 +82,66 @@ class ConeProduct:
             b.kind in (BlockKind.NONNEG, BlockKind.LORENTZ) for b in self.blocks
         )
 
-    def _check_len(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.dim:
-            raise ValueError(f"vector length {x.size} != cone dim {self.dim}")
-        return x
-
     def contains(self, x, tol: float = 0.0) -> bool:
         if tol < 0:
             raise ValueError("tol must be nonnegative")
-        x = self._check_len(x)
+        return bool(self.interior_margin(x) >= -tol)  # false for nan
+
+    @cached_property
+    def _margin_index(self):
+        """The coordinates that bound the margin linearly, with their signs
+        (a Nonneg coordinate v bounds it by v, a Zero coordinate by v and by
+        -v, so by -|v|), and per Lorentz dimension the (nb, d-1) bar and
+        (nb,) radius indices of its blocks (radius last). None for an empty
+        part, and for the signs when they are all +1."""
+        nonneg, zero, lorentz = [], [], {}
         for b, off in self.offsets():
-            v = x[off:off + b.dim]
-            if b.kind is BlockKind.FREE:
-                continue
-            # each test passes only on a true comparison, so nan fails it
-            if b.kind is BlockKind.ZERO:
-                if not np.max(np.abs(v)) <= tol:
-                    return False
-            elif b.kind is BlockKind.NONNEG:
-                if not np.min(v) >= -tol:
-                    return False
-            elif not v[-1] >= np.linalg.norm(v[:-1]) - tol:
-                return False
-        return True
+            idx = list(range(off, off + b.dim))
+            if b.kind is BlockKind.NONNEG:
+                nonneg += idx
+            elif b.kind is BlockKind.ZERO:
+                zero += idx
+            elif b.kind is BlockKind.LORENTZ:
+                lorentz.setdefault(b.dim, []).append(idx)
+        linear = nonneg + zero + zero
+        signs = [1.0] * (len(nonneg) + len(zero)) + [-1.0] * len(zero)
+        return (
+            np.array(linear) if linear else None,
+            np.array(signs) if zero else None,
+            [(np.array(g)[:, :-1], np.array(g)[:, -1]) for g in lorentz.values()],
+        )
 
     def interior_margin(self, x) -> float | np.ndarray:
         """Smallest block margin of x: the least coordinate of a Nonneg block,
-        radius minus norm of a Lorentz block. For a (k, dim) array, the k
-        margins of its rows as an array."""
-        if not self.is_regular():
-            raise ValueError("interior_margin requires a regular cone")
+        radius minus norm of a Lorentz block, minus the largest |v| of a Zero
+        block; Free blocks impose nothing, so a cone of Free blocks alone
+        gives +inf. x lies in the cone iff its margin is >= 0; a vector with
+        a nan has margin nan. For a (k, dim) array, the k margins of its rows
+        as an array."""
         X = np.asarray(x, dtype=float)
-        single = X.ndim < 2
-        X = self._check_len(X)[None, :] if single else X
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"array shape {X.shape} does not have {self.dim} columns")
-        margin = np.full(X.shape[0], math.inf)
-        for b, off in self.offsets():
-            V = X[:, off:off + b.dim]
-            if b.kind is BlockKind.NONNEG:
-                margin = np.minimum(margin, V.min(axis=1))
-            else:
-                margin = np.minimum(margin, V[:, -1] - np.linalg.norm(V[:, :-1], axis=1))
-        return float(margin[0]) if single else margin
+        if X.ndim not in (1, 2) or X.shape[-1] != self.dim:
+            raise ValueError(f"array shape {X.shape} does not match cone dim {self.dim}")
+        linear, signs, lorentz = self._margin_index
+        # take(.., axis=-1) indexes one vector and a stack alike, and fast
+        parts = []
+        if linear is not None:
+            V = X.take(linear, axis=-1)
+            parts.append(V if signs is None else V * signs)
+        for bar, radius in lorentz:
+            V = X.take(bar, axis=-1)
+            parts.append(X.take(radius, axis=-1) - np.sqrt(np.vecdot(V, V)))
+        if not parts:
+            return np.full(X.shape[:-1], math.inf) if X.ndim == 2 else math.inf
+        V = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        margin = np.minimum.reduce(V, axis=-1)
+        return margin if X.ndim == 2 else float(margin)
 
     def dual(self) -> "ConeProduct":
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "ConeProduct":
+        # one object per cone, so that its margin index is built once
         return ConeProduct(ConeBlock(_DUAL_KIND[b.kind], b.dim) for b in self.blocks)
 
     def canonical_interior_point(self) -> np.ndarray:

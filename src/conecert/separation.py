@@ -94,15 +94,12 @@ class CutResult:
 def generate_cut(
     branches: list[Branch],
     xhat,
-    normalization: str = "trivial_box",
     tol: float = 1e-6,
     solver: SolverOptions | None = None,
 ) -> CutResult:
     """Search for (mu; eta0) valid on every feasible branch (in the shared
     variables, the first len(xhat) of every branch) with
-    <mu, xhat> < eta0 - tol."""
-    if normalization not in ("trivial_box", "alpha_norm"):
-        raise ValueError(f"unknown normalization {normalization!r}")
+    <mu, xhat> < eta0 - tol, normalized by the box |mu_i| <= 1, |eta0| <= 1."""
     solver = solver or SolverOptions()
     xhat = np.asarray(xhat, dtype=float).ravel()
     ns = xhat.size
@@ -122,7 +119,7 @@ def generate_cut(
         raise ValueError("every branch of the disjunction is infeasible")
 
     # variables: mu (free ns), eta0 (free 1), per branch (lambda free m_k,
-    # gamma in K_k*, w_k Nonneg 1), then normalization slacks
+    # gamma in K_k*, w_k Nonneg 1), then the box slacks
     blocks = [ConeBlock(BlockKind.FREE, ns), ConeBlock(BlockKind.FREE, 1)]
     offs = []
     off = ns + 1
@@ -135,21 +132,11 @@ def generate_cut(
             ConeBlock(BlockKind.NONNEG, 1),
         ]
         off += mk + nk + 1
-    norm_off = off
-    if normalization == "trivial_box":
-        blocks.append(ConeBlock(BlockKind.NONNEG, 2 * ns + 2))
-        nv = norm_off + 2 * ns + 2
-        nrows_norm = 2 * ns + 2
-    else:
-        # abs vars a (free ns), h (free 1), slacks (Nonneg 2ns+2), s0 (Nonneg 1)
-        blocks += [
-            ConeBlock(BlockKind.FREE, ns + 1),
-            ConeBlock(BlockKind.NONNEG, 2 * ns + 3),
-        ]
-        nv = norm_off + ns + 1 + 2 * ns + 3
-        nrows_norm = 2 * ns + 3
+    box_off = off
+    blocks.append(ConeBlock(BlockKind.NONNEG, 2 * ns + 2))
+    nv = box_off + 2 * ns + 2
 
-    rows = sum(br.K.dim + 1 for br in feasible) + nrows_norm
+    rows = sum(br.K.dim + 1 for br in feasible) + 2 * ns + 2
     Amat = np.zeros((rows, nv))
     bvec = np.zeros(rows)
     r = 0
@@ -166,32 +153,15 @@ def generate_cut(
         Amat[r, ns] = -1.0
         Amat[r, o + mk + nk] = -1.0
         r += 1
-    if normalization == "trivial_box":
-        # |mu_i| <= 1 and |eta0| <= 1
-        for i in range(ns + 1):
-            Amat[r, i] = 1.0
-            Amat[r, norm_off + 2 * i] = 1.0
-            bvec[r] = 1.0
-            Amat[r + 1, i] = -1.0
-            Amat[r + 1, norm_off + 2 * i + 1] = 1.0
-            bvec[r + 1] = 1.0
-            r += 2
-    else:
-        a0, s0 = norm_off, norm_off + ns + 1
-        for i in range(ns + 1):
-            Amat[r, a0 + i] = 1.0
-            Amat[r, i] = -1.0
-            Amat[r, s0 + 2 * i] = -1.0
-            r += 1
-            Amat[r, a0 + i] = 1.0
-            Amat[r, i] = 1.0
-            Amat[r, s0 + 2 * i + 1] = -1.0
-            r += 1
-        # sum a + h + slack = 1
-        Amat[r, a0 : a0 + ns + 1] = 1.0
-        Amat[r, s0 + 2 * ns + 2] = 1.0
+    # |mu_i| <= 1 and |eta0| <= 1
+    for i in range(ns + 1):
+        Amat[r, i] = 1.0
+        Amat[r, box_off + 2 * i] = 1.0
         bvec[r] = 1.0
-        r += 1
+        Amat[r + 1, i] = -1.0
+        Amat[r + 1, box_off + 2 * i + 1] = 1.0
+        bvec[r + 1] = 1.0
+        r += 2
 
     c = np.zeros(nv)
     c[:ns] = xhat

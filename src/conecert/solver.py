@@ -673,8 +673,7 @@ class _Verifier:
         self.loose = 100.0 * max(opts.feas_tol, opts.gap_tol)
         self.scale_c = 1.0 + np.abs(p.c).max(initial=0.0)
         self.scale_A = 1.0 + np.abs(p.A).max(initial=0.0)
-        self.outside_K = _Violation(p.cone)
-        self.outside_Kd = _Violation(p.cone.dual())
+        self.cone, self.dual_cone = p.cone, p.cone.dual()
 
     def __call__(self, b: np.ndarray, sol: Solution) -> Solution:
         """The solution, or NUMERICAL_LIMIT if it fails its check."""
@@ -694,8 +693,8 @@ class _Verifier:
             "primal_residual": float(np.abs(p.A @ x - b).max(initial=0.0)),
             "dual_residual": float(np.abs(p.A.T @ y + s - p.c).max(initial=0.0)),
             "gap": float(abs(p.c @ x - b @ y)),
-            "cone_violation": self.outside_K(x),
-            "dual_cone_violation": self.outside_Kd(s),
+            "cone_violation": _violation(self.cone, x),
+            "dual_cone_violation": _violation(self.dual_cone, s),
         }
 
     def optimal(self, b: np.ndarray, sol: Solution) -> bool:
@@ -717,46 +716,21 @@ class _Verifier:
         p, r, tol_A = self.p, sol.certificate, self.loose * self.scale_A
         if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
             by = float(b @ r)
-            return bool(by > 0.0 and self.outside_Kd(-(p.A.T @ r) / by)
+            return bool(by > 0.0 and _violation(self.dual_cone, -(p.A.T @ r) / by)
                         * np.abs(b).max() <= tol_A)
         cx = float(p.c @ r)
         if not cx < 0.0:
             return False
         x, size_c = r / -cx, np.abs(p.c).max()
         return bool(np.abs(p.A @ x).max(initial=0.0) * size_c <= tol_A
-                    and self.outside_K(x) * size_c <= self.loose)
+                    and _violation(self.cone, x) * size_c <= self.loose)
 
 
-class _Violation:
-    """How far a vector lies outside a ConeProduct: the largest of -v on the
-    Nonneg coordinates, |v| on the Zero coordinates and |vbar| - radius on
-    the Lorentz blocks; 0 inside, and nan for a vector with a nan."""
-
-    def __init__(self, cone: ConeProduct):
-        nonneg, zero, lorentz = [], [], {}
-        for blk, off in cone.offsets():
-            idx = list(range(off, off + blk.dim))
-            if blk.kind is BlockKind.NONNEG:
-                nonneg += idx
-            elif blk.kind is BlockKind.ZERO:
-                zero += idx
-            elif blk.kind is BlockKind.LORENTZ:
-                lorentz.setdefault(blk.dim, []).append(idx)
-        self.nonneg = np.array(nonneg, dtype=int) if nonneg else None
-        self.zero = np.array(zero, dtype=int) if zero else None
-        # per dimension, the (nb, d-1) bar and (nb,) radius indices (radius last)
-        self.lorentz = [(np.array(b)[:, :-1], np.array(b)[:, -1]) for b in lorentz.values()]
-
-    def __call__(self, v: np.ndarray) -> float:
-        parts = [np.zeros(1)]
-        if self.nonneg is not None:
-            parts.append(-v[self.nonneg])
-        if self.zero is not None:
-            parts.append(np.abs(v[self.zero]))
-        for bar, radius in self.lorentz:
-            vb = v[bar]
-            parts.append(np.sqrt(np.vecdot(vb, vb)) - v[radius])
-        return float(np.maximum.reduce(np.concatenate(parts)))
+def _violation(cone: ConeProduct, v: np.ndarray) -> float:
+    """How far v lies outside the cone: 0 inside, -margin outside, and nan
+    for a vector with a nan (max(0.0, nan) would return 0.0)."""
+    margin = cone.interior_margin(v)
+    return 0.0 if margin >= 0.0 else -margin
 
 
 def check_kkt(p: ConicProgram, sol: Solution, tol: float) -> dict:

@@ -132,7 +132,7 @@ def test_acceptance_5_mixed_cone_lattice_cut():
     cut = fx.inequalities[0].inequality
     ok = True
 
-    verts = dmu_vertices_2d(fx.dset, cut.mu, directions=16)
+    verts = dmu_vertices_2d(fx.dset, cut.mu)
     expected = [(-0.5, 1.0), (1.5, 1.0), (0.5, 0.0)]
     ok &= len(verts) == 3
     for ev in expected:

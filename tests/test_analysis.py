@@ -491,7 +491,7 @@ def test_enumerate_valid_equations():
 
 def test_dmu_vertices_triangle():
     fx = builtin("cmir")
-    verts = dmu_vertices_2d(fx.dset, fx.inequalities[0].inequality.mu, 16)
+    verts = dmu_vertices_2d(fx.dset, fx.inequalities[0].inequality.mu)
     got = sorted(tuple(np.round(v, 6)) for v in verts)
     assert len(got) == 3
     want = sorted([(-0.5, 1.0), (0.5, 0.0), (1.5, 1.0)])

@@ -126,14 +126,57 @@ def test_demo_cmir_vertices(capsys):
     assert "np.float64" not in out
 
 
-def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
+def test_seed_defaults_to_zero(tmp_path, capsys, monkeypatch):
+    # --seed is the only source of the seed; the environment is not read
     monkeypatch.setenv("CCLAB_SEED", "17")
     path = tmp_path / "p.json"
     path.write_text(save_problem(builtin("ex2_4").to_problem()))
     code, out, _ = run(capsys, "report", str(path), "--json")
     assert code == 0
-    doc = json.loads(out)
-    assert doc[0]["config"]["seed"] == 17
+    assert json.loads(out)[0]["config"]["seed"] == 0
+
+
+def test_negative_vectors_parse(capsys):
+    code, out, _ = run(capsys, "separate", str(DATA / "ex2_4.json"), "--point", "-1,0", "--json")
+    assert code == 0
+    code, joined, _ = run(capsys, "separate", str(DATA / "ex2_4.json"), "--point=-1,0", "--json")
+    assert code == 0 and joined == out
+    assert json.loads(out)["found"]
+    code, out, _ = run(capsys, "support", str(DATA / "cmir.json"), "--inequality", "cmir_cut",
+                       "--z", "-1,2", "--json")
+    assert code == 0
+    assert json.loads(out)[0]["z"] == [-1.0, 2.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--point", "-x,0"),
+    ("--point", "-1,0,0"),
+    ("--point", "--json"),
+    ("--point",),
+])
+def test_malformed_point_names_the_flag(capsys, argv):
+    try:
+        code, out, err = run(capsys, "separate", str(DATA / "ex2_4.json"), *argv)
+    except SystemExit as exc:  # argparse's own errors
+        code, err = exc.code, capsys.readouterr().err
+    assert code == 2
+    assert "--point" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (cmd, flag) for cmd in ("theta", "support") for flag in ("--tol", "--seed", "--samples")
+] + [("separate", "--seed"), ("separate", "--samples"), ("separate", "--normalization")] + [
+    ("equations", flag)
+    for flag in ("--tol", "--seed", "--samples", "--max-iters", "--feas-tol", "--gap-tol")
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, command, flag):
+    argv = [command, str(DATA / "ex2_4.json"), flag, "1"]
+    if command == "separate":
+        argv += ["--point", "0,0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, argv", [

@@ -94,9 +94,32 @@ def test_canonical_interior_point():
         ConeProduct([free(1)]).canonical_interior_point()
 
 
-def test_irregular_cone_rejects_margin():
-    with pytest.raises(ValueError):
-        ConeProduct([zero(1), nonneg(1)]).interior_margin([0.0, 1.0])
+def test_interior_margin_every_block_kind():
+    K = ConeProduct([zero(2), free(1), nonneg(1), lorentz(3)])
+    # a Zero block gives minus its largest |v|, a Free block nothing
+    assert K.interior_margin([0.5, -2.0, -100.0, 3.0, 0.0, 0.0, 5.0]) == -2.0
+    assert K.interior_margin([0.0, 0.0, -100.0, 3.0, 3.0, 4.0, 6.0]) == 0.0
+    assert K.contains([0.0, 0.0, -100.0, 3.0, 3.0, 4.0, 6.0])
+    assert ConeProduct([free(2)]).interior_margin([-1.0, 5.0]) == math.inf
+    assert ConeProduct([free(2)]).interior_margin(np.ones((3, 2))).tolist() == [math.inf] * 3
+    # a nan in any constrained block gives nan, which contains rejects
+    for i in (1, 3, 4, 6):
+        x = np.array([0.0, 0.0, 0.0, 3.0, 3.0, 4.0, 6.0])
+        x[i] = math.nan
+        assert math.isnan(K.interior_margin(x))
+        assert not K.contains(x, tol=1.0)
+    # a (k, dim) stack gives the margins of its rows, each as for one vector
+    X = np.random.default_rng(5).normal(size=(6, K.dim))
+    X[2, 0] = math.nan
+    margins = K.interior_margin(X)
+    assert margins.shape == (6,)
+    for x, got in zip(X, margins):
+        want = K.interior_margin(x)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        if not math.isnan(want):
+            assert want == pytest.approx(
+                min(-abs(x[0]), -abs(x[1]), x[3], x[6] - math.hypot(x[4], x[5])), abs=1e-14)
+    assert math.isnan(margins[2])
 
 
 def test_extreme_rays_orthant():

@@ -11,10 +11,8 @@ from conecert.linalg import (
 
 
 def test_as_matrix_shapes():
-    A = as_matrix([[1.0, 2.0]], rows=1, cols=2)
-    assert A.shape == (1, 2)
-    with pytest.raises(ValueError):
-        as_matrix([[1.0, 2.0]], rows=2)
+    assert as_matrix([[1.0, 2.0]]).shape == (1, 2)
+    assert as_matrix([1.0, 2.0]).shape == (1, 2)
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0.0]])
 

@@ -53,16 +53,15 @@ def test_branches_from_set():
 
 def test_cut_separates_origin():
     branches = branches_from_set(builtin("ex2_4").dset)
-    for norm in ("trivial_box", "alpha_norm"):
-        res = generate_cut(branches, [0.0, 0.0], norm)
-        assert res.found
-        assert res.violation > 1e-6
-        assert res.verified
-        mu, eta0 = res.inequality.mu, res.inequality.eta0
-        # hull vertices satisfy the cut, the origin does not
-        for v in ([2.0, 0.0], [0.0, 1.0]):
-            assert mu @ np.array(v) >= eta0 - 1e-6
-        assert mu @ np.zeros(2) < eta0 - 1e-6
+    res = generate_cut(branches, [0.0, 0.0])
+    assert res.found
+    assert res.violation > 1e-6
+    assert res.verified
+    mu, eta0 = res.inequality.mu, res.inequality.eta0
+    # hull vertices satisfy the cut, the origin does not
+    for v in ([2.0, 0.0], [0.0, 1.0]):
+        assert mu @ np.array(v) >= eta0 - 1e-6
+    assert mu @ np.zeros(2) < eta0 - 1e-6
 
 
 def test_cut_separates_lorentz_point():
@@ -78,26 +77,7 @@ def test_cut_separates_lorentz_point():
 def test_no_cut_for_feasible_points():
     branches = branches_from_set(builtin("ex2_4").dset)
     for xhat in ([2.0, 0.0], [0.0, 1.0], [1.0, 2.0]):
-        for norm in ("trivial_box", "alpha_norm"):
-            res = generate_cut(branches, xhat, norm)
-            assert not res.found
-
-
-def test_normalizations_agree_on_fixture_suite():
-    cases = [
-        ("ex2_4", [0.0, 0.0]),
-        ("ex2_4", [2.0, 0.0]),
-        ("ex4_1", [0.0, 0.0, 0.5]),
-        ("ex4_1", [1.0, 0.0, 2.0]),
-        ("ex2_1", [0.5, 0.0, 0.2]),
-    ]
-    for name, xhat in cases:
-        branches = branches_from_set(builtin(name).dset)
-        found = {
-            norm: generate_cut(branches, xhat, norm).found
-            for norm in ("trivial_box", "alpha_norm")
-        }
-        assert found["trivial_box"] == found["alpha_norm"], (name, xhat)
+        assert not generate_cut(branches, xhat).found
 
 
 def test_cut_skips_an_infeasible_branch():

@@ -226,6 +226,34 @@ def test_failed_ray_check_downgrades_to_numerical_limit(monkeypatch):
         assert sol.certificate is None and sol.iterations > 0
 
 
+def test_verifier_cone_checks_read_the_margin():
+    # x in Free x Zero x Nonneg, so s in Zero x Free x Nonneg
+    p = ConicProgram(c=[1.0, 0.0, 1.0], A=[[1.0, 1.0, 1.0]], b=[1.0],
+                     cone=ConeProduct([free(1), zero(1), nonneg(1)]))
+    check = solver._Verifier(p, SolverOptions())
+
+    def violations(x, s):
+        rec = check.residuals(p.b, Solution(SolveStatus.OPTIMAL, x=np.array(x), y=np.zeros(1),
+                                            s=np.array(s), objective=0.0))
+        return rec["cone_violation"], rec["dual_cone_violation"]
+
+    # Free blocks are ignored, Zero blocks are checked by |v|
+    assert violations([-5.0, 0.0, 1.0], [0.0, -7.0, 2.0]) == (0.0, 0.0)
+    assert violations([-5.0, -0.25, 1.0], [0.5, -7.0, 2.0]) == (0.25, 0.5)
+    assert violations([-5.0, 0.25, 1.0], [-0.5, -7.0, -2.0]) == (0.25, 2.0)
+    # a nan stays nan, and a candidate optimum with a nan ends NumericalLimit
+    assert math.isnan(violations([0.0, 0.0, math.nan], [0.0, 0.0, 1.0])[0])
+    sol = solve(p)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert check(p.b, sol).status is SolveStatus.OPTIMAL
+    for i in range(3):
+        x = sol.x.copy()
+        x[i] = math.nan
+        doctored = Solution(SolveStatus.OPTIMAL, x=x, y=sol.y, s=sol.s,
+                            objective=sol.objective, iterations=sol.iterations)
+        assert check(p.b, doctored).status is SolveStatus.NUMERICAL_LIMIT
+
+
 # ---------------------------------------------------------------------------
 # lockstep batches
 
