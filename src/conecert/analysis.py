@@ -78,15 +78,22 @@ class ThetaResult:
     monotone_ok: bool = True
 
 
-def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> ThetaResult:
+def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None,
+          handle: SupportHandle | None = None, sweep=None) -> ThetaResult:
     """Best possible right-hand side: min over feasible b of
     inf{<mu,x> : Ax = b, x in K}, with the branch table of that one solve
-    per branch and inf_b sigma(b) read from the table."""
+    per branch and inf_b sigma(b) read from the table.
+
+    The rows are solved by `handle` (a SupportHandle of (dset, mu), built
+    here when None). The (k, m) directions of `sweep`, when given, ride in
+    the same batch: the handle files their values for its later `eval`."""
     opts = opts or AnalysisOptions()
     mu = _vec(mu, dset.n)
     if not np.any(mu):
         raise ValueError("mu must be nonzero")
-    table = _branch_rows(dset, mu, dset.B.expand_labeled(), opts.solver)
+    if handle is None:
+        handle = SupportHandle(dset, mu, opts)
+    table = handle.branch_table(dset.B.expand_labeled(), sweep)
     value, argmin = _column_min(table, "value")
     had_limit = any(r.status == "limit" for r in table)
     if value == math.inf:  # no optimal or unbounded row
@@ -103,7 +110,8 @@ def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> Thet
 def _branch_rows(dset: DisjunctiveSet, mu: np.ndarray, labeled: list,
                  opts: SolverOptions) -> list[BranchValue]:
     """One batched solve of the branch program min <mu,x> : Ax = b, x in K
-    for every (label, b) of `labeled`, as branch table rows."""
+    for every (label, b) of `labeled`, as branch table rows. Called only by
+    `SupportHandle.branch_table`."""
     rhs = np.array([b for _, b in labeled])
     sols = solve_batch(ConicProgram(mu, dset.A, rhs[0], dset.K), rhs, opts)
     table = []
@@ -151,30 +159,33 @@ def _lattice_monotone(dset: DisjunctiveSet, table: list) -> bool:
 
 
 class SupportHandle:
-    """Evaluator for the support function of D_mu = {lambda : mu - A* lambda in K*}.
+    """Evaluator for the support function of D_mu = {lambda : mu - A* lambda in K*},
+    and the one owner of the branch program min <mu,x> : Ax = z, x in K,
+    whose dual is max z.lambda over D_mu.
 
     With one row (m = 1), D_mu is an interval [lo, hi] computed once without
     a solve, and sigma(z) is z*hi for z > 0 and z*lo for z < 0, so `eval`
     makes no solve, unless the interval fails its check in K* (see
-    `_one_row_dmu`). Otherwise `eval` solves the branch program
-    min <mu,x> : Ax = z, x in K, whose dual is max z.lambda over D_mu, for
-    all uncached directions of a call in one batch, as `theta` does for the
-    rhs family: a verified optimum gives sigma(z) = y.z, a verified
-    infeasibility +inf (its Farkas ray is a recession direction of D_mu
-    with a positive z-value), and an unbounded row shows D_mu empty. A +inf
-    reads the handle's one (A.0) decision (`decide_A0`): it stands when
-    D_mu holds a point, raises when D_mu is empty, and reads as nan while a
-    solver limit leaves (A.0) inconclusive."""
+    `_one_row_dmu`). Otherwise `branch_table` solves the branch program for
+    theta's right-hand sides and every uncached direction in one batch, and
+    `eval` asks it for its uncached directions alone: a verified optimum
+    gives sigma(z) = y.z, a verified infeasibility +inf (its Farkas ray is a
+    recession direction of D_mu with a positive z-value), and an unbounded
+    row shows D_mu empty, which `eval` raises. A +inf reads the handle's one
+    (A.0) decision (`decide_A0`): it stands when D_mu holds a point, raises
+    when D_mu is empty, and reads as nan while a solver limit leaves (A.0)
+    inconclusive."""
 
     def __init__(self, dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None):
         self.dset = dset
         self.opts = opts or AnalysisOptions()
         self.mu = _vec(mu, dset.n)
         self._m = dset.m
-        self._cache: dict[tuple, float] = {}  # sigma, +inf for an infeasible row
+        # sigma per direction: +inf for an infeasible row, -inf for an unbounded one
+        self._cache: dict[tuple, float] = {}
         self._a0: tuple | None = None  # (Status, witness) once (A.0) is settled
         # the points of D_mu the handle holds: the interval's finite ends,
-        # or the dual y of every optimal row `eval` has solved
+        # or the dual y of every optimal direction row it has solved
         self.points: list[np.ndarray] = []
         self._interval = None
         if self._m == 1:
@@ -215,6 +226,27 @@ class SupportHandle:
             self.opts.solver,
         )
 
+    def branch_table(self, labeled: list, directions=None) -> list[BranchValue]:
+        """One batch of the branch program: a row per (label, b) of
+        `labeled`, then a row per uncached direction of the (k, m) stack
+        `directions` (none for the one-row interval). The direction rows
+        file their sigma in the cache and their optimal duals in `points`;
+        the labelled rows are returned as branch table rows and join
+        neither."""
+        todo = {}
+        if directions is not None and self._interval is None:
+            todo = {k: z for k, z in zip(_keys(directions), directions) if k not in self._cache}
+        if not labeled and not todo:
+            return []
+        rows = _branch_rows(self.dset, self.mu, list(labeled) + [("", z) for z in todo.values()],
+                            self.opts.solver)
+        swept = rows[len(labeled):]
+        self.points += [r.y for r in swept if r.status == "optimal"]
+        if self.points and (self._a0 is None or self._a0[0] is Status.INCONCLUSIVE):
+            self._a0 = Status.HOLDS, self._witness(self.points[0])
+        self._cache.update(zip(todo, (r.sigma for r in swept)))
+        return rows[:len(labeled)]
+
     def eval(self, z):
         """sigma_{D_mu}(z) for one direction z of length m (a float), or for
         each row of a (k, m) stack (an array of k values); +inf when D_mu is
@@ -235,18 +267,10 @@ class SupportHandle:
             out[pos] = t[pos] * hi
             out[neg] = t[neg] * lo
             return out
-        keys = [tuple(np.round(z, 12)) for z in Z]
-        todo = {k: z for k, z in zip(keys, Z) if k not in self._cache}
-        if todo:
-            rows = _branch_rows(self.dset, self.mu, [("", z) for z in todo.values()],
-                                self.opts.solver)
-            if any(r.status == "unbounded" for r in rows):
-                raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
-            self.points += [r.y for r in rows if r.status == "optimal"]
-            if self.points and (self._a0 is None or self._a0[0] is Status.INCONCLUSIVE):
-                self._a0 = Status.HOLDS, self._witness(self.points[0])
-            self._cache.update(zip(todo, (r.sigma for r in rows)))
-        out = np.array([self._cache[k] for k in keys])
+        self.branch_table([], Z)
+        out = np.array([self._cache[k] for k in _keys(Z)])
+        if (out == -math.inf).any():
+            raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
         inf = out == math.inf
         if inf.any():
             a0 = self.decide_A0()[0]
@@ -255,6 +279,11 @@ class SupportHandle:
             if a0 is Status.INCONCLUSIVE:
                 out[inf] = math.nan
         return out
+
+
+def _keys(Z: np.ndarray) -> list[tuple]:
+    """The cache keys of the directions of a (k, m) stack."""
+    return [tuple(z) for z in np.round(Z, 12)]
 
 
 def _one_row_dmu(K: ConeProduct, mu: np.ndarray, a: np.ndarray, tol: float):
@@ -360,30 +389,42 @@ class TightRay:
     gap: float
 
 
-def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int = 0):
+def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int = 0,
+                             rays: np.ndarray | None = None):
     """Extreme rays z of K whose support gap <mu,z> - sigma(Az) is at most
     tol. Returns (tight rays, all sampled gaps).
 
-    One call of `handle.eval` evaluates the samples of `sample_extreme_rays`.
-    On Nonneg blocks and dim-2 Lorentz blocks these are all the extreme
-    rays, so there the search is exact. On larger Lorentz blocks the tight
-    rays come from the points of D_mu the handle holds: each such lam
-    bounds the gap by <gamma, z> with gamma = mu - A^T lam in K*, so where
-    gamma = (gbar, g0) lies on the boundary of a block (margin g0 - |gbar|
-    within tol, gbar nonzero), the reflected ray (-gbar/|gbar|, 1)/sqrt(2)
-    on that block has gap at most margin/sqrt(2). One more call evaluates
-    all of these rays. Where gamma is zero on a block no reflection is
+    The samples are `rays`, or those of `sample_extreme_rays(K, budget,
+    seed)` when None, and one call of `handle.eval` evaluates them: no solve
+    when `theta` swept them in its batch already. On Nonneg blocks and dim-2
+    Lorentz blocks these are all the extreme rays, so there the search is
+    exact. On larger Lorentz blocks the tight rays come from the points of
+    D_mu the handle holds: each such lam bounds the gap by <gamma, z> with
+    gamma = mu - A^T lam in K*, so where gamma = (gbar, g0) lies on the
+    boundary of a block (margin g0 - |gbar| within tol, gbar nonzero), the
+    reflected ray (-gbar/|gbar|, 1)/sqrt(2) on that block has gap at most
+    margin/sqrt(2) <= tol. That bound, at least 0, is recorded as its gap,
+    and no solve is made. Where gamma is zero on a block no reflection is
     defined, and the tight samples stand."""
-    dset, mu, tol = handle.dset, handle.mu, handle.opts.tol
+    dset, mu = handle.dset, handle.mu
+    if rays is None:
+        rays = sample_extreme_rays(dset.K, budget, seed)
+    s = handle.eval(rays @ dset.A.T)
+    gaps = np.where(np.isfinite(s), rays @ mu - s, math.inf)
+    reflected, bounds = _reflected_rays(handle)
+    tight = _distinct_tight_rays(np.vstack([rays, reflected]), np.concatenate([gaps, bounds]),
+                                 handle.opts.tol)
+    return tight, gaps.tolist()
 
-    def gaps_of(Z: np.ndarray) -> np.ndarray:
-        s = handle.eval(Z @ dset.A.T)
-        return np.where(np.isfinite(s), Z @ mu - s, math.inf)
 
-    rays = np.array(sample_extreme_rays(dset.K, budget, seed))
-    gaps = gaps_of(rays)
-    reflected = []
-    gamma = mu - np.reshape(handle.points, (-1, dset.m)) @ dset.A
+def _reflected_rays(handle: SupportHandle) -> tuple[np.ndarray, np.ndarray]:
+    """The rays (-gbar/|gbar|, 1)/sqrt(2) reflected from gamma = mu - A^T lam
+    of every point lam the handle holds, on each Lorentz block of dim >= 3
+    where gamma lies within tol of the boundary with |gbar| > tol, as the
+    rows of a (k, n) array, and their gap bounds max(margin, 0)/sqrt(2)."""
+    dset, tol = handle.dset, handle.opts.tol
+    gamma = handle.mu - np.reshape(handle.points, (-1, dset.m)) @ dset.A
+    rays, bounds = [np.empty((0, dset.n))], [np.empty(0)]
     for blk, off in dset.K.offsets():
         if blk.kind is BlockKind.LORENTZ and blk.dim > 2:
             gbar, g0 = gamma[:, off:off + blk.dim - 1], gamma[:, off + blk.dim - 1]
@@ -393,22 +434,24 @@ def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int
                 Z = np.zeros((on.sum(), dset.n))
                 Z[:, off:off + blk.dim - 1] = -gbar[on] / r[on, None]
                 Z[:, off + blk.dim - 1] = 1.0
-                reflected.append(Z / math.sqrt(2.0))
-    candidates, cand_gaps = rays, gaps
-    if reflected:
-        Z = np.vstack(reflected)
-        candidates, cand_gaps = np.vstack([rays, Z]), np.concatenate([gaps, gaps_of(Z)])
+                rays.append(Z / math.sqrt(2.0))
+                bounds.append(np.maximum(g0[on] - r[on], 0.0) / math.sqrt(2.0))
+    return np.vstack(rays), np.concatenate(bounds)
 
-    tight = [(z, float(g)) for z, g in zip(candidates, cand_gaps) if g <= tol]
+
+def _distinct_tight_rays(rays: np.ndarray, gaps: np.ndarray, tol: float) -> list[TightRay]:
+    """The rays with gap <= tol in order of gap, each dropped when it lies
+    within 1e-6 (max norm) of a ray kept before it."""
+    tight = [(z, float(g)) for z, g in zip(rays, gaps) if g <= tol]
     tight.sort(key=lambda t: t[1])
     dedup: list[TightRay] = []
-    kept = np.empty((len(tight), dset.n))
+    kept = np.empty((len(tight), rays.shape[1]))
     for z, g in tight:
         k = len(dedup)
         if k == 0 or np.min(np.max(np.abs(kept[:k] - z), axis=1)) > 1e-6:
             kept[k] = z
             dedup.append(TightRay(z, g))
-    return dedup, gaps.tolist()
+    return dedup
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +752,11 @@ def full_report(
         "inequality": ineq.name,
     })
 
-    th = theta(dset, mu, opts)
+    # one batch of the branch program: theta's rows and the tight-ray
+    # search's samples, whose values the handle keeps for the search
+    handle = SupportHandle(dset, mu, opts)
+    samples = sample_extreme_rays(dset.K, opts.samples, opts.seed)
+    th = theta(dset, mu, opts, handle, samples @ dset.A.T)
     theta_vals = {
         "theta": th.value,
         "argmin": th.argmin,
@@ -732,7 +779,6 @@ def full_report(
     # theta is finite here, so the table has an optimal row, whose y is the
     # (A.0) witness, and no row ended by a solver limit: every sigma is
     # finite or +inf
-    handle = SupportHandle(dset, mu, opts)
     a0_status, a0_payload = check_A0(handle, th)
     rep.add("A0", a0_status, witness=a0_payload)
     rep.add(
@@ -753,7 +799,7 @@ def full_report(
     rep.add("assumption2", a2_status, {"margin": a2_margin},
             {"witness": a2_witness} if a2_witness is not None else {})
 
-    rays, sampled_gaps = tight_extreme_ray_search(handle, opts.samples, opts.seed)
+    rays, sampled_gaps = tight_extreme_ray_search(handle, rays=samples)
     rep.add(
         "tight_rays",
         Status.HOLDS if rays else Status.INCONCLUSIVE,

@@ -156,8 +156,9 @@ class ConeProduct:
         return e
 
 
-def sample_extreme_rays(cone: ConeProduct, count: int, seed: int = 0) -> list[np.ndarray]:
-    """Unit-norm extreme rays of the product cone, zero outside their block.
+def sample_extreme_rays(cone: ConeProduct, count: int, seed: int = 0) -> np.ndarray:
+    """Unit-norm extreme rays of the product cone, zero outside their block,
+    as the rows of a (k, dim) array, block by block.
 
     Nonneg blocks contribute every coordinate ray. A Lorentz block of
     dimension d contributes boundary rays (xbar, ||xbar||)/sqrt(2) with xbar
@@ -169,32 +170,32 @@ def sample_extreme_rays(cone: ConeProduct, count: int, seed: int = 0) -> list[np
         raise ValueError("sample_extreme_rays requires a regular cone")
     if count < 1:
         raise ValueError("count must be positive")
-    rays = []
+    parts = []
     n = cone.dim
     for b, off in cone.offsets():
         if b.kind is BlockKind.NONNEG:
-            for i in range(b.dim):
-                r = np.zeros(n)
-                r[off + i] = 1.0
-                rays.append(r)
+            parts.append(np.eye(b.dim, n, off))
             continue
         d = b.dim
         if d == 2:
-            bars = [np.array([1.0]), np.array([-1.0])]
+            bars = np.array([[1.0], [-1.0]])
         elif d == 3:
             angles = 2.0 * np.pi * np.arange(count) / count
-            bars = [np.array([math.cos(a), math.sin(a)]) for a in angles]
+            # math's cos and sin, not numpy's, whose SIMD paths may round
+            # differently on some machines
+            bars = np.array([(math.cos(a), math.sin(a)) for a in angles])
         else:
+            # rows of one draw follow the stream of one draw per row; a
+            # near-zero row is skipped and replaced from the same stream
             rng = np.random.default_rng(seed)
-            bars = []
+            bars = np.empty((0, d - 1))
             while len(bars) < count:
-                g = rng.standard_normal(d - 1)
-                nrm = np.linalg.norm(g)
-                if nrm > 1e-12:
-                    bars.append(g / nrm)
-        for bar in bars:
-            r = np.zeros(n)
-            r[off:off + d - 1] = bar
-            r[off + d - 1] = 1.0
-            rays.append(r / math.sqrt(2.0))
-    return rays
+                g = rng.standard_normal((count - len(bars), d - 1))
+                nrm = np.sqrt(np.vecdot(g, g))
+                keep = nrm > 1e-12
+                bars = np.vstack([bars, g[keep] / nrm[keep, None]])
+        rays = np.zeros((len(bars), n))
+        rays[:, off:off + d - 1] = bars
+        rays[:, off + d - 1] = 1.0
+        parts.append(rays / math.sqrt(2.0))
+    return np.vstack(parts)

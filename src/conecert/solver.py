@@ -731,10 +731,3 @@ def _violation(cone: ConeProduct, v: np.ndarray) -> float:
     for a vector with a nan (max(0.0, nan) would return 0.0)."""
     margin = cone.interior_margin(v)
     return 0.0 if margin >= 0.0 else -margin
-
-
-def check_kkt(p: ConicProgram, sol: Solution, tol: float) -> dict:
-    """Residual diagnostics for a claimed optimal solution."""
-    rec = _Verifier(p, SolverOptions()).residuals(p.b, sol)
-    rec["passed"] = max(rec.values()) <= tol
-    return rec

@@ -23,8 +23,8 @@ from conecert.analysis import (
     tight_extreme_ray_search,
     valid_equation_check,
 )
-from conecert.cones import ConeProduct, lorentz, nonneg
-from conecert.fixtures import builtin
+from conecert.cones import ConeProduct, lorentz, nonneg, sample_extreme_rays
+from conecert.fixtures import builtin, names
 from conecert.model import DisjunctiveSet, Inequality, RhsFamily, Status
 
 from oracles import oracle_lp
@@ -249,6 +249,30 @@ def test_one_row_orthant_report_solves_no_column_program(monkeypatch):
     assert not any(r.shape == cols.shape and np.array_equal(r, cols) for r in rhs_seen)
 
 
+def test_report_solves_one_branch_batch_per_mu(monkeypatch):
+    """full_report solves theta's rows and the tight-ray samples in one
+    batch of the branch program of mu. On one-row sets that batch holds B's
+    rows alone: the interval answers the samples. (The witness check of
+    decide_minimal_exact solves the program of mu - delta, another
+    objective.)"""
+    batches = []
+    real_batch = analysis.solve_batch
+    monkeypatch.setattr(analysis, "solve_batch",
+                        lambda p, rhs, opts=None: batches.append((p.c, len(rhs)))
+                        or real_batch(p, rhs, opts))
+    swept = 0
+    for fx in map(builtin, names()):
+        dset, n_b = fx.dset, len(fx.dset.B.expand())
+        samples = {tuple(np.round(dset.A @ z, 12)) for z in sample_extreme_rays(dset.K, 256, 0)}
+        for fi in fx.inequalities:
+            batches.clear()
+            full_report(dset, fi.inequality)
+            mine = [k for c, k in batches if np.array_equal(c, fi.inequality.mu)]
+            assert mine == [n_b if dset.m == 1 else n_b + len(samples)], (fx.name, mine)
+            swept += dset.m > 1
+    assert swept == 3  # cmir's two inequalities and ex4_3's one
+
+
 # ---------------------------------------------------------------------------
 # tight rays and sublinearity
 
@@ -300,8 +324,8 @@ def test_tight_rays_one_row_lorentz4():
 
 def test_tight_rays_three_row_search_raises_no_warning(monkeypatch):
     """Many sampled directions of this set have sigma = +inf; the search
-    must neither compute with those values nor solve more than one batch
-    beyond its sample sweep."""
+    must neither compute with those values nor solve any batch beyond its
+    sample sweep."""
     A = np.array([[-2.0, -1.0, 1.0, 0.0, 2.0, 2.0],
                   [0.0, 0.0, 0.0, 1.0, 0.0, 1.0],
                   [2.0, 1.0, -1.0, 0.0, 0.0, -2.0]])
@@ -316,7 +340,7 @@ def test_tight_rays_three_row_search_raises_no_warning(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rays, gaps = tight_extreme_ray_search(SupportHandle(dset, mu))
-    assert len(batches) <= 2
+    assert len(batches) == 1
     assert math.inf in gaps and rays
     for r in rays:
         assert r.gap <= 1e-6

@@ -165,3 +165,48 @@ def test_extreme_rays_product_blocks_zero_elsewhere():
         assert K.contains(r, tol=1e-9)
         # supported on exactly one block
         assert (np.any(r[:2] != 0)) != (np.any(r[2:] != 0))
+
+
+def _sample_extreme_rays_loop(cone, count, seed=0):
+    """The ray sampler as one Python loop per ray, the reference that the
+    array version must reproduce bit for bit."""
+    rays = []
+    n = cone.dim
+    for b, off in cone.offsets():
+        if b.kind is BlockKind.NONNEG:
+            for i in range(b.dim):
+                r = np.zeros(n)
+                r[off + i] = 1.0
+                rays.append(r)
+            continue
+        d = b.dim
+        if d == 2:
+            bars = [np.array([1.0]), np.array([-1.0])]
+        elif d == 3:
+            angles = 2.0 * np.pi * np.arange(count) / count
+            bars = [np.array([math.cos(a), math.sin(a)]) for a in angles]
+        else:
+            rng = np.random.default_rng(seed)
+            bars = []
+            while len(bars) < count:
+                g = rng.standard_normal(d - 1)
+                nrm = np.linalg.norm(g)
+                if nrm > 1e-12:
+                    bars.append(g / nrm)
+        for bar in bars:
+            r = np.zeros(n)
+            r[off:off + d - 1] = bar
+            r[off + d - 1] = 1.0
+            rays.append(r / math.sqrt(2.0))
+    return rays
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_extreme_rays_match_the_per_ray_loop(d):
+    for blocks in ([lorentz(d)], [nonneg(2), lorentz(d), lorentz(3)]):
+        K = ConeProduct(blocks)
+        for count, seed in ((1, 0), (7, 3), (256, 0)):
+            got = sample_extreme_rays(K, count, seed)
+            want = _sample_extreme_rays_loop(K, count, seed)
+            assert got.shape == (len(want), K.dim)
+            assert np.array_equal(got, np.array(want))

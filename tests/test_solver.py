@@ -11,7 +11,7 @@ from conecert.solver import (
     Solution,
     SolveStatus,
     SolverOptions,
-    check_kkt,
+    _Verifier,
     solve,
     solve_batch,
 )
@@ -30,7 +30,7 @@ def test_small_lp_optimal():
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-7)
     assert np.allclose(sol.x, [1.0, 0.0], atol=1e-6)
-    assert check_kkt(p, sol, 1e-6)["passed"]
+    assert _Verifier(p, SolverOptions()).optimal(p.b, sol)
 
 
 def test_lorentz_optimal():
