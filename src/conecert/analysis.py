@@ -76,24 +76,26 @@ class ThetaResult:
     inf_sigma: float = math.nan  # min of the rows' sigma; may be +inf/nan
     sigma_argmin: str | None = None
     monotone_ok: bool = True
+    handle: SupportHandle | None = None  # the SupportHandle that solved the table
 
 
 def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None,
-          handle: SupportHandle | None = None, sweep=None) -> ThetaResult:
+          sweep=None) -> ThetaResult:
     """Best possible right-hand side: min over feasible b of
     inf{<mu,x> : Ax = b, x in K}, with the branch table of that one solve
     per branch and inf_b sigma(b) read from the table.
 
-    The rows are solved by `handle` (a SupportHandle of (dset, mu), built
-    here when None). The (k, m) directions of `sweep`, when given, ride in
-    the same batch: the handle files their values for its later `eval`."""
+    The rows are solved by a new SupportHandle of (dset, mu), returned as
+    the result's `handle`. The (k, m) directions of `sweep`, when given,
+    ride in the same batch: the handle files their values for its later
+    `eval`."""
     opts = opts or AnalysisOptions()
     mu = _vec(mu, dset.n)
     if not np.any(mu):
         raise ValueError("mu must be nonzero")
-    if handle is None:
-        handle = SupportHandle(dset, mu, opts)
-    table = handle.branch_table(dset.B.expand_labeled(), sweep)
+    handle = SupportHandle(dset, mu, opts)
+    table = handle.branch_table(dset.B.expand_labeled(),
+                                np.reshape([] if sweep is None else sweep, (-1, dset.m)))
     value, argmin = _column_min(table, "value")
     had_limit = any(r.status == "limit" for r in table)
     if value == math.inf:  # no optimal or unbounded row
@@ -104,7 +106,7 @@ def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None,
     if not math.isfinite(inf_sigma) and had_limit:
         inf_sigma, sigma_argmin = math.nan, None
     return ThetaResult(value, argmin, table, had_limit, inf_sigma, sigma_argmin,
-                       _lattice_monotone(dset, table))
+                       _lattice_monotone(dset, table), handle)
 
 
 def _branch_rows(dset: DisjunctiveSet, mu: np.ndarray, labeled: list,
@@ -226,7 +228,7 @@ class SupportHandle:
             self.opts.solver,
         )
 
-    def branch_table(self, labeled: list, directions=None) -> list[BranchValue]:
+    def branch_table(self, labeled: list, directions: np.ndarray) -> list[BranchValue]:
         """One batch of the branch program: a row per (label, b) of
         `labeled`, then a row per uncached direction of the (k, m) stack
         `directions` (none for the one-row interval). The direction rows
@@ -234,7 +236,7 @@ class SupportHandle:
         the labelled rows are returned as branch table rows and join
         neither."""
         todo = {}
-        if directions is not None and self._interval is None:
+        if self._interval is None:
             todo = {k: z for k, z in zip(_keys(directions), directions) if k not in self._cache}
         if not labeled and not todo:
             return []
@@ -389,26 +391,24 @@ class TightRay:
     gap: float
 
 
-def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int = 0,
-                             rays: np.ndarray | None = None):
+def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int = 0):
     """Extreme rays z of K whose support gap <mu,z> - sigma(Az) is at most
     tol. Returns (tight rays, all sampled gaps).
 
-    The samples are `rays`, or those of `sample_extreme_rays(K, budget,
-    seed)` when None, and one call of `handle.eval` evaluates them: no solve
-    when `theta` swept them in its batch already. On Nonneg blocks and dim-2
-    Lorentz blocks these are all the extreme rays, so there the search is
-    exact. On larger Lorentz blocks the tight rays come from the points of
-    D_mu the handle holds: each such lam bounds the gap by <gamma, z> with
-    gamma = mu - A^T lam in K*, so where gamma = (gbar, g0) lies on the
-    boundary of a block (margin g0 - |gbar| within tol, gbar nonzero), the
+    One call of `handle.eval` evaluates the samples of
+    `sample_extreme_rays(K, budget, seed)`: no solve when `theta` swept
+    them in its batch already. On Nonneg blocks and dim-2 Lorentz blocks
+    these are all the extreme rays, so there the search is exact. On larger
+    Lorentz blocks the tight rays come from the points of D_mu the handle
+    holds: each such lam bounds the gap by <gamma, z> with gamma =
+    mu - A^T lam in K*, so where gamma = (gbar, g0) lies on the boundary of
+    a block (margin g0 - |gbar| within tol, gbar nonzero), the
     reflected ray (-gbar/|gbar|, 1)/sqrt(2) on that block has gap at most
     margin/sqrt(2) <= tol. That bound, at least 0, is recorded as its gap,
     and no solve is made. Where gamma is zero on a block no reflection is
     defined, and the tight samples stand."""
     dset, mu = handle.dset, handle.mu
-    if rays is None:
-        rays = sample_extreme_rays(dset.K, budget, seed)
+    rays = sample_extreme_rays(dset.K, budget, seed)
     s = handle.eval(rays @ dset.A.T)
     gaps = np.where(np.isfinite(s), rays @ mu - s, math.inf)
     reflected, bounds = _reflected_rays(handle)
@@ -752,11 +752,16 @@ def full_report(
         "inequality": ineq.name,
     })
 
-    # one batch of the branch program: theta's rows and the tight-ray
-    # search's samples, whose values the handle keeps for the search
-    handle = SupportHandle(dset, mu, opts)
-    samples = sample_extreme_rays(dset.K, opts.samples, opts.seed)
-    th = theta(dset, mu, opts, handle, samples @ dset.A.T)
+    # When the tight-ray samples are all of K's extreme rays (no Lorentz
+    # block of dim >= 3), they are few, and theta's batch of the branch
+    # program solves them too; its handle keeps their values for the search.
+    # Otherwise they are `samples` per block, which an invalid inequality
+    # would solve for nothing, so the search solves them after validity.
+    sweep = None
+    if not any(b.kind is BlockKind.LORENTZ and b.dim > 2 for b in dset.K.blocks):
+        sweep = sample_extreme_rays(dset.K, opts.samples, opts.seed) @ dset.A.T
+    th = theta(dset, mu, opts, sweep)
+    handle = th.handle
     theta_vals = {
         "theta": th.value,
         "argmin": th.argmin,
@@ -799,7 +804,7 @@ def full_report(
     rep.add("assumption2", a2_status, {"margin": a2_margin},
             {"witness": a2_witness} if a2_witness is not None else {})
 
-    rays, sampled_gaps = tight_extreme_ray_search(handle, rays=samples)
+    rays, sampled_gaps = tight_extreme_ray_search(handle, opts.samples, opts.seed)
     rep.add(
         "tight_rays",
         Status.HOLDS if rays else Status.INCONCLUSIVE,

@@ -251,7 +251,8 @@ def test_one_row_orthant_report_solves_no_column_program(monkeypatch):
 
 def test_report_solves_one_branch_batch_per_mu(monkeypatch):
     """full_report solves theta's rows and the tight-ray samples in one
-    batch of the branch program of mu. On one-row sets that batch holds B's
+    batch of the branch program of mu where the samples are K's extreme
+    rays, as on every built-in fixture. On one-row sets that batch holds B's
     rows alone: the interval answers the samples. (The witness check of
     decide_minimal_exact solves the program of mu - delta, another
     objective.)"""
@@ -271,6 +272,29 @@ def test_report_solves_one_branch_batch_per_mu(monkeypatch):
             assert mine == [n_b if dset.m == 1 else n_b + len(samples)], (fx.name, mine)
             swept += dset.m > 1
     assert swept == 3  # cmir's two inequalities and ex4_3's one
+
+
+def test_report_on_sampled_cone_solves_samples_after_validity(monkeypatch):
+    """With a Lorentz block of dim >= 3 the tight-ray samples are 256 per
+    block, so theta's batch holds B's rows alone: an invalid inequality
+    solves nothing more, and a valid one solves the samples in a batch of
+    their own."""
+    A = np.array([[-2.0, -1.0, 1.0, 0.0, 2.0, 2.0],
+                  [0.0, 0.0, 0.0, 1.0, 0.0, 1.0]])
+    K = ConeProduct([lorentz(3), lorentz(3)])
+    mu = np.array([1.5, 2.8, 2.2, 1.9, -0.9, -0.6]) + A.T @ [0.3, -0.2]
+    dset = DisjunctiveSet(A, K, RhsFamily(explicit=(A @ K.canonical_interior_point(),)))
+    batches = []
+    real_batch = analysis.solve_batch
+    monkeypatch.setattr(analysis, "solve_batch",
+                        lambda p, rhs, opts=None: batches.append((p.c, len(rhs)))
+                        or real_batch(p, rhs, opts))
+    value = theta(dset, mu).value
+    samples = {tuple(np.round(A @ z, 12)) for z in sample_extreme_rays(K, 256, 0)}
+    for eta0, expected in ((value + 1.0, [1]), (value, [1, len(samples)])):
+        batches.clear()
+        full_report(dset, Inequality(mu, eta0))
+        assert [k for c, k in batches if np.array_equal(c, mu)] == expected
 
 
 # ---------------------------------------------------------------------------
