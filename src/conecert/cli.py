@@ -8,6 +8,7 @@ breakdown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -173,14 +174,14 @@ def cmd_support(args) -> int:
     problem = _load(args.problem)
     out = []
     for q in _select_inequalities(problem, args.inequality):
-        handle = SupportHandle(problem.dset, q.mu, opts)
         if args.z is not None:
             z = _parse_vector(args.z, problem.dset.m, "--z")
-            out.append({"inequality": q.name, "z": z, "sigma": handle.eval(z)})
+            sigma = SupportHandle(problem.dset, q.mu, opts).eval(z)
+            out.append({"inequality": q.name, "z": z, "sigma": sigma})
         else:
             # sigma(b) >= y.b from each branch's dual, +inf on infeasible ones
             th = theta(problem.dset, q.mu, opts)
-            if check_A0(handle, th)[0] is Status.FAILS:
+            if check_A0(th.handle, th)[0] is Status.FAILS:
                 raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
             out.append(
                 {
@@ -308,21 +309,26 @@ def _parse_vector(text: str, n: int, flag: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # parser
 
+_DEFAULTS = AnalysisOptions()
+
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--feas-tol", type=float, default=1e-8)
-    p.add_argument("--gap-tol", type=float, default=1e-8)
+    p.add_argument("--max-iters", type=int, default=_DEFAULTS.solver.max_iters)
+    p.add_argument("--feas-tol", type=float, default=_DEFAULTS.solver.feas_tol)
+    p.add_argument("--gap-tol", type=float, default=_DEFAULTS.solver.gap_tol)
 
 
 def _add_ladder_flags(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0, help="seed of the sampled extreme rays")
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--tol", type=float, default=_DEFAULTS.tol)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed,
+                   help="seed of the sampled extreme rays")
+    p.add_argument("--samples", type=int, default=_DEFAULTS.samples)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="conecert",
         description="Certify validity, tightness, sublinearity and minimality "
@@ -358,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separate", help="generate a violated inequality for a point")
     p.add_argument("problem")
     p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=_DEFAULTS.tol)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_separate)
 

@@ -2,7 +2,10 @@
 
 Branches are plain (A, K, b) triples sharing a common prefix of variables;
 `generate_cut` searches the multiplier description of the valid inequalities
-for one that separates a given point.
+for one that separates a given point. `multiplier_program` is that
+description, for the cut program and for the exact minimality program of
+`analysis.decide_minimal_exact`, and `_verify_cut` checks both by their
+multipliers.
 """
 
 from __future__ import annotations
@@ -118,55 +121,16 @@ def generate_cut(
     if not feasible:
         raise ValueError("every branch of the disjunction is infeasible")
 
-    # variables: mu (free ns), eta0 (free 1), per branch (lambda free m_k,
-    # gamma in K_k*, w_k Nonneg 1), then the box slacks
-    blocks = [ConeBlock(BlockKind.FREE, ns), ConeBlock(BlockKind.FREE, 1)]
-    offs = []
-    off = ns + 1
-    for br in feasible:
-        mk, nk = br.A.shape
-        offs.append(off)
-        blocks += [
-            ConeBlock(BlockKind.FREE, mk),
-            *br.K.dual().blocks,
-            ConeBlock(BlockKind.NONNEG, 1),
-        ]
-        off += mk + nk + 1
-    box_off = off
-    blocks.append(ConeBlock(BlockKind.NONNEG, 2 * ns + 2))
-    nv = box_off + 2 * ns + 2
-
-    rows = sum(br.K.dim + 1 for br in feasible) + 2 * ns + 2
-    Amat = np.zeros((rows, nv))
-    bvec = np.zeros(rows)
-    r = 0
-    for br, o in zip(feasible, offs):
-        mk, nk = br.A.shape
-        # A_k^T lambda_k + gamma_k agrees with mu on the shared prefix and
-        # vanishes on the branch-local slacks
-        Amat[r : r + nk, o : o + mk] = br.A.T
-        Amat[r : r + nk, o + mk : o + mk + nk] = np.eye(nk)
-        Amat[r : r + ns, :ns] -= np.eye(ns)
-        r += nk
-        # b_k . lambda_k - eta0 - w_k = 0
-        Amat[r, o : o + mk] = br.b
-        Amat[r, ns] = -1.0
-        Amat[r, o + mk + nk] = -1.0
-        r += 1
-    # |mu_i| <= 1 and |eta0| <= 1
-    for i in range(ns + 1):
-        Amat[r, i] = 1.0
-        Amat[r, box_off + 2 * i] = 1.0
-        bvec[r] = 1.0
-        Amat[r + 1, i] = -1.0
-        Amat[r + 1, box_off + 2 * i + 1] = 1.0
-        bvec[r + 1] = 1.0
-        r += 2
-
-    c = np.zeros(nv)
-    c[:ns] = xhat
-    c[ns] = -1.0
-    sol = solve(ConicProgram(c, Amat, bvec, ConeProduct(blocks)), solver)
+    # head (mu, eta0) free, rho = mu, rho0 = eta0, in the box |mu_i| <= 1, |eta0| <= 1
+    head = [ConeBlock(BlockKind.FREE, ns), ConeBlock(BlockKind.FREE, 1)]
+    j = np.arange(ns + 1)
+    box = np.zeros((2 * ns + 2, ns + 1))
+    box[2 * j, j], box[2 * j + 1, j] = 1.0, -1.0
+    prog, lam_at = multiplier_program(
+        feasible, head, np.concatenate([xhat, [-1.0]]),
+        (np.zeros(ns), np.eye(ns, ns + 1)), (0.0, np.eye(ns + 1)[ns]),
+        (box, np.ones(2 * ns + 2)))
+    sol = solve(prog, solver)
     if sol.status is not SolveStatus.OPTIMAL:
         return CutResult(False, diagnostic=f"cut program {sol.status.value}")
     if sol.objective >= -tol:
@@ -174,11 +138,60 @@ def generate_cut(
     mu = sol.x[:ns]
     eta0 = float(sol.x[ns])
     violation = eta0 - float(mu @ xhat)
-    lams = iter(sol.x[o : o + br.A.shape[0]] for br, o in zip(feasible, offs))
+    lams = iter(sol.x[at] for at in lam_at)
     multipliers = [next(lams) if ok else None for ok in is_feasible]
     verified = _verify_cut(branches, multipliers, mu, eta0, tol, solver)
     return CutResult(True, Inequality(mu, eta0, "cut"), violation, verified,
                      multipliers=multipliers)
+
+
+def multiplier_program(branches, head, c_head, rho, rho0, bound):
+    """The conic program that makes (rho; rho0) valid on every branch, with
+    rho = r + R h and rho0 = r0 + q.h affine in the head variables h (cone
+    blocks `head`, cost c_head; rho = (r, R), rho0 = (r0, q)).
+
+    Its variables are h, then per branch (lambda_k free, gamma_k in K_k*,
+    w_k >= 0), then, unless bound is None, the slacks s >= 0 of
+    T h + s = t for bound = (T, t).
+    Per branch, its K_k.dim rows say that A_k^T lambda_k + gamma_k agrees
+    with rho on the shared prefix and vanishes on the branch-local
+    variables, and one more row says b_k . lambda_k - w_k = rho0; with
+    weak duality these give <rho, x> >= rho0 on the branch, as `_verify_cut`
+    checks. Returns the program and the slice of each branch's lambda_k."""
+    (r, R), (r0, q) = rho, rho0
+    ns, nh = R.shape
+    blocks, lam_at, off = list(head), [], nh
+    for br in branches:
+        mk, nk = br.A.shape
+        lam_at.append(slice(off, off + mk))
+        blocks += [ConeBlock(BlockKind.FREE, mk), *br.K.dual().blocks, ConeBlock(BlockKind.NONNEG, 1)]
+        off += mk + nk + 1
+    nt = 0 if bound is None else bound[0].shape[0]
+    rows = sum(br.K.dim + 1 for br in branches) + nt
+    Amat = np.zeros((rows, off + nt))
+    bvec = np.zeros(rows)
+    i = 0
+    for br, at in zip(branches, lam_at):
+        o, (mk, nk) = at.start, br.A.shape
+        Amat[i : i + nk, o : o + mk] = br.A.T
+        Amat[i : i + nk, o + mk : o + mk + nk] = np.eye(nk)
+        Amat[i : i + ns, :nh] -= R
+        bvec[i : i + ns] = r
+        i += nk
+        Amat[i, o : o + mk] = br.b
+        Amat[i, :nh] -= q
+        Amat[i, o + mk + nk] = -1.0
+        bvec[i] = r0
+        i += 1
+    if bound is not None:
+        T, t = bound
+        Amat[i:, :nh] = T
+        Amat[i:, off:] = np.eye(nt)
+        bvec[i:] = t
+        blocks.append(ConeBlock(BlockKind.NONNEG, nt))
+    c = np.zeros(off + nt)
+    c[:nh] = c_head
+    return ConicProgram(c, Amat, bvec, ConeProduct(blocks)), lam_at
 
 
 def _verify_cut(branches, multipliers, mu, eta0, tol, solver) -> bool:

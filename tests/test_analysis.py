@@ -16,7 +16,6 @@ from conecert.analysis import (
     check_sublinear_sufficient,
     decide_minimal_exact,
     dmu_vertices_2d,
-    dominance_repair,
     enumerate_valid_equations,
     full_report,
     theta,
@@ -253,9 +252,8 @@ def test_report_solves_one_branch_batch_per_mu(monkeypatch):
     """full_report solves theta's rows and the tight-ray samples in one
     batch of the branch program of mu where the samples are K's extreme
     rays, as on every built-in fixture. On one-row sets that batch holds B's
-    rows alone: the interval answers the samples. (The witness check of
-    decide_minimal_exact solves the program of mu - delta, another
-    objective.)"""
+    rows alone: the interval answers the samples. No other batch is solved:
+    decide_minimal_exact checks its witness by its own multipliers."""
     batches = []
     real_batch = analysis.solve_batch
     monkeypatch.setattr(analysis, "solve_batch",
@@ -268,7 +266,8 @@ def test_report_solves_one_branch_batch_per_mu(monkeypatch):
         for fi in fx.inequalities:
             batches.clear()
             full_report(dset, fi.inequality)
-            mine = [k for c, k in batches if np.array_equal(c, fi.inequality.mu)]
+            assert all(np.array_equal(c, fi.inequality.mu) for c, _ in batches), fx.name
+            mine = [k for _, k in batches]
             assert mine == [n_b if dset.m == 1 else n_b + len(samples)], (fx.name, mine)
             swept += dset.m > 1
     assert swept == 3  # cmir's two inequalities and ex4_3's one
@@ -476,12 +475,35 @@ def test_decide_minimal_exact_unbounded_improvement():
     assert status is Status.FAILS
     assert payload["optimum"] > 0.5
     assert payload["witness_verified"]
+    # the branch program agrees: (mu - delta; eta0) is valid and dominates
+    assert theta(fx.dset, np.array([-1.0, 1.0]) - payload["delta"]).value >= 1.0 - 1e-6
+
+
+def test_unverified_exact_witness_is_no_verdict(monkeypatch):
+    fx = builtin("ex2_4")
+    ineq = next(fi.inequality for fi in fx.inequalities if fi.inequality.name == "x1>=0")
+    assert full_report(fx.dset, ineq).final_verdict == "CertifiedNotMinimal"
+    monkeypatch.setattr(analysis, "_verify_cut", lambda *args: False)
+    rep = full_report(fx.dset, ineq)
+    assert rep.entry("minimality_exact").status is Status.FAILS
+    assert rep.entry("minimality_exact").values["witness_verified"] is False
+    assert rep.final_verdict != "CertifiedNotMinimal"
 
 
 def test_decide_minimal_exact_requires_validity():
     fx = builtin("ex2_4")
     with pytest.raises(ValueError):
         _decide_minimal_exact(fx.dset, [1.0, -1.0], 5.0)
+
+
+def test_decide_minimal_exact_abstains_on_a_limit_row():
+    # the program holds the optimal rows alone, so its multipliers say
+    # nothing about a branch that ended at a solver limit
+    fx = builtin("ex2_4")
+    th = theta(fx.dset, [1.0, 0.0])
+    th.table[0].status, th.had_limit = "limit", True
+    status, _ = decide_minimal_exact(fx.dset, [1.0, 0.0], 0.0, th)
+    assert status is Status.INCONCLUSIVE
 
 
 def test_decide_minimal_exact_not_applicable_off_orthant():
@@ -491,25 +513,7 @@ def test_decide_minimal_exact_not_applicable_off_orthant():
 
 
 # ---------------------------------------------------------------------------
-# dominance repair and valid equations
-
-
-def test_dominance_repair_fixed_point():
-    fx = builtin("ex4_3")
-    status, repaired = dominance_repair(fx.dset, [-1.0, 1.0])
-    assert status is Status.HOLDS
-    assert np.allclose(repaired.mu, [-1.0, 1.0], atol=1e-6)
-    assert repaired.eta0 == pytest.approx(1.0, abs=1e-6)
-
-
-def test_dominance_repair_tightens():
-    fx = builtin("ex2_4")
-    status, repaired = dominance_repair(fx.dset, [1.0, 0.0])
-    assert status is Status.HOLDS
-    # the repaired inequality dominates coordinatewise
-    assert np.all(repaired.mu <= np.array([1.0, 0.0]) + 1e-7)
-    th = theta(fx.dset, repaired.mu)
-    assert repaired.eta0 <= th.value + 1e-6
+# valid equations
 
 
 def test_valid_equation_check():

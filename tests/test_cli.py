@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conecert import cli
+from conecert.analysis import AnalysisOptions
 from conecert.cli import main
 from conecert.fixtures import builtin, names
 from conecert.model import save_problem
@@ -217,3 +218,19 @@ def test_solver_breakdown_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "report", str(DATA / "ex2_4.json"))
     assert code == 3
     assert "solver breakdown" in err
+
+
+def test_repeated_calls_share_one_parser(capsys):
+    argv = ("report", str(DATA / "ex2_4.json"), "--json")
+    first = run(capsys, *argv)
+    assert run(capsys, *argv, "--tol", "1e-3", "--samples", "8")[0] == 0
+    assert run(capsys, *argv) == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "p.json"), ("demo", "ex2_4"), ("theta", "p.json"),
+    ("support", "p.json"), ("separate", "p.json", "--point", "0"),
+])
+def test_flag_defaults_are_the_option_defaults(argv):
+    assert cli._options(cli.build_parser().parse_args(argv)) == AnalysisOptions()
