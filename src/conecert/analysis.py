@@ -9,6 +9,8 @@ detection, and the full verdict ladder.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -89,14 +91,26 @@ def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None,
     The rows are solved by a new SupportHandle of (dset, mu), returned as
     the result's `handle`. The (k, m) directions of `sweep`, when given,
     ride in the same batch: the handle files their values for its later
-    `eval`."""
+    `eval`. The one-mu case of `thetas`."""
+    return thetas(dset, [mu], opts, sweep)[0]
+
+
+def thetas(dset: DisjunctiveSet, mus, opts: AnalysisOptions | None = None,
+           sweep=None) -> list[ThetaResult]:
+    """`theta` of every mu of `mus` over one set, with the branch tables of
+    all of them, and the directions of `sweep` for each, solved in one
+    batch of the branch program (`branch_tables`)."""
     opts = opts or AnalysisOptions()
-    mu = _vec(mu, dset.n)
-    if not np.any(mu):
+    mus = [_vec(mu, dset.n) for mu in mus]
+    if not all(np.any(mu) for mu in mus):
         raise ValueError("mu must be nonzero")
-    handle = SupportHandle(dset, mu, opts)
-    table = handle.branch_table(dset.B.expand_labeled(),
-                                np.reshape([] if sweep is None else sweep, (-1, dset.m)))
+    handles = [SupportHandle(dset, mu, opts) for mu in mus]
+    tables = branch_tables(handles, dset.B.expand_labeled(),
+                           np.reshape([] if sweep is None else sweep, (-1, dset.m)))
+    return [_theta_result(dset, h, table) for h, table in zip(handles, tables)]
+
+
+def _theta_result(dset: DisjunctiveSet, handle: SupportHandle, table: list) -> ThetaResult:
     value, argmin = _column_min(table, "value")
     had_limit = any(r.status == "limit" for r in table)
     if value == math.inf:  # no optimal or unbounded row
@@ -110,13 +124,17 @@ def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None,
                        _lattice_monotone(dset, table), handle)
 
 
-def _branch_rows(dset: DisjunctiveSet, mu: np.ndarray, labeled: list,
-                 opts: SolverOptions) -> list[BranchValue]:
+def _branch_rows(dset: DisjunctiveSet, groups: list, opts: SolverOptions) -> list[list]:
     """One batched solve of the branch program min <mu,x> : Ax = b, x in K
-    for every (label, b) of `labeled`, as branch table rows. Called only by
-    `SupportHandle.branch_table`."""
+    for every (label, b) of each group (mu, labeled), as one list of branch
+    table rows per group, each row with its group's mu as its objective.
+    Called only by `branch_tables`."""
+    labeled = [row for _, rows in groups for row in rows]
+    if not labeled:
+        return [[] for _ in groups]
     rhs = np.array([b for _, b in labeled])
-    sols = solve_batch(ConicProgram(mu, dset.A, rhs[0], dset.K), rhs, opts)
+    costs = np.repeat([mu for mu, _ in groups], [len(rows) for _, rows in groups], axis=0)
+    sols = solve_batch(ConicProgram(costs[0], dset.A, rhs[0], dset.K), rhs, opts, costs)
     table = []
     for (label, b), sol in zip(labeled, sols):
         if sol.status is SolveStatus.OPTIMAL:
@@ -129,7 +147,8 @@ def _branch_rows(dset: DisjunctiveSet, mu: np.ndarray, labeled: list,
             table.append(BranchValue(label, b, "unbounded", -math.inf, sigma=-math.inf))
         else:
             table.append(BranchValue(label, b, "limit"))
-    return table
+    rows = iter(table)
+    return [list(itertools.islice(rows, len(group))) for _, group in groups]
 
 
 def _column_min(table: list, column: str) -> tuple[float, str | None]:
@@ -169,9 +188,9 @@ class SupportHandle:
     With one row (m = 1), D_mu is an interval [lo, hi] computed once without
     a solve, and sigma(z) is z*hi for z > 0 and z*lo for z < 0, so `eval`
     makes no solve, unless the interval fails its check in K* (see
-    `_one_row_dmu`). Otherwise `branch_table` solves the branch program for
-    theta's right-hand sides and every uncached direction in one batch, and
-    `eval` asks it for its uncached directions alone: a verified optimum
+    `_one_row_dmu`). Otherwise `branch_tables` solves the branch program
+    for theta's right-hand sides and every uncached direction in one batch,
+    and `eval` asks it for its uncached directions alone: a verified optimum
     gives sigma(z) = y.z, a verified infeasibility +inf (its Farkas ray is a
     recession direction of D_mu with a positive z-value), and an unbounded
     row shows D_mu empty, which `eval` raises. A +inf reads the handle's one
@@ -229,26 +248,20 @@ class SupportHandle:
             self.opts.solver,
         )
 
-    def branch_table(self, labeled: list, directions: np.ndarray) -> list[BranchValue]:
-        """One batch of the branch program: a row per (label, b) of
-        `labeled`, then a row per uncached direction of the (k, m) stack
-        `directions` (none for the one-row interval). The direction rows
-        file their sigma in the cache and their optimal duals in `points`;
-        the labelled rows are returned as branch table rows and join
-        neither."""
-        todo = {}
-        if self._interval is None:
-            todo = {k: z for k, z in zip(_keys(directions), directions) if k not in self._cache}
-        if not labeled and not todo:
-            return []
-        rows = _branch_rows(self.dset, self.mu, list(labeled) + [("", z) for z in todo.values()],
-                            self.opts.solver)
-        swept = rows[len(labeled):]
-        self.points += [r.y for r in swept if r.status == "optimal"]
+    def _uncached(self, keys: list, directions: np.ndarray) -> dict:
+        """The directions whose sigma the handle has not filed, by key; none
+        for the one-row interval."""
+        if self._interval is not None:
+            return {}
+        return {k: z for k, z in zip(keys, directions) if k not in self._cache}
+
+    def _file(self, todo: dict, rows: list[BranchValue]) -> None:
+        """File the solved rows of the directions `todo`: their sigma in the
+        cache and their optimal duals in `points`."""
+        self.points += [r.y for r in rows if r.status == "optimal"]
         if self.points and (self._a0 is None or self._a0[0] is Status.INCONCLUSIVE):
             self._a0 = Status.HOLDS, self._witness(self.points[0])
-        self._cache.update(zip(todo, (r.sigma for r in swept)))
-        return rows[:len(labeled)]
+        self._cache.update(zip(todo, (r.sigma for r in rows)))
 
     def eval(self, z):
         """sigma_{D_mu}(z) for one direction z of length m (a float), or for
@@ -270,7 +283,7 @@ class SupportHandle:
             out[pos] = t[pos] * hi
             out[neg] = t[neg] * lo
             return out
-        self.branch_table([], Z)
+        branch_tables([self], [], Z)
         out = np.array([self._cache[k] for k in _keys(Z)])
         if (out == -math.inf).any():
             raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
@@ -287,6 +300,29 @@ class SupportHandle:
 def _keys(Z: np.ndarray) -> list[tuple]:
     """The cache keys of the directions of a (k, m) stack."""
     return [tuple(z) for z in np.round(Z, 12)]
+
+
+def branch_tables(handles: list[SupportHandle], labeled: list,
+                  directions: np.ndarray) -> list[list[BranchValue]]:
+    """One batch of the branch program min <mu,x> : Ax = z, x in K for
+    handles of one set, each row with its handle's mu as the objective: per
+    handle a row per (label, b) of `labeled`, then a row per direction of
+    the (k, m) stack `directions` that it has not filed. The direction rows
+    file their sigma in their handle's cache and their optimal duals in its
+    `points`; the labelled rows come back as each handle's branch table and
+    join neither. The one place the branch program is solved."""
+    if not handles:
+        return []
+    keys = _keys(directions)
+    todos = [h._uncached(keys, directions) for h in handles]
+    groups = [(h.mu, list(labeled) + [("", z) for z in todo.values()])
+              for h, todo in zip(handles, todos)]
+    tables = []
+    rows = _branch_rows(handles[0].dset, groups, handles[0].opts.solver)
+    for h, todo, solved in zip(handles, todos, rows):
+        h._file(todo, solved[len(labeled):])
+        tables.append(solved[:len(labeled)])
+    return tables
 
 
 def _one_row_dmu(K: ConeProduct, mu: np.ndarray, a: np.ndarray, tol: float):
@@ -680,17 +716,42 @@ def full_report(
     dset: DisjunctiveSet,
     ineq: Inequality,
     opts: AnalysisOptions | None = None,
-    assumption2: tuple | None = None,
 ) -> CertificateReport:
-    """Run the verdict ladder on one inequality. `assumption2` is the result
-    of assumption2_check(dset, opts.solver, opts.margin_tol); callers that
-    report several inequalities over one set pass it in so it is solved
-    once, otherwise it is computed here."""
+    """Run the verdict ladder on one inequality: the one-inequality case of
+    `full_reports`."""
+    return full_reports(dset, [ineq], opts)[0]
+
+
+def full_reports(
+    dset: DisjunctiveSet,
+    ineqs: list[Inequality],
+    opts: AnalysisOptions | None = None,
+) -> list[CertificateReport]:
+    """Run the verdict ladder on every inequality of `ineqs` over one set.
+    The branch programs of all of them are solved in one batch (`thetas`),
+    and assumption2_check, a property of the set, runs at most once: when
+    the first inequality passes the validity rung."""
     opts = opts or AnalysisOptions()
-    mu = _vec(ineq.mu, dset.n)
-    eta0 = float(ineq.eta0)
-    if not np.any(mu):
-        raise ValueError("mu must be nonzero")
+    # When the tight-ray samples are all of K's extreme rays (no Lorentz
+    # block of dim >= 3), they are few, and theta's batch of the branch
+    # program solves them too; each handle keeps their values for the
+    # search. Otherwise they are `samples` per block, which an invalid
+    # inequality would solve for nothing, so the search solves them after
+    # validity.
+    sweep = None
+    if not any(b.kind is BlockKind.LORENTZ and b.dim > 2 for b in dset.K.blocks):
+        sweep = sample_extreme_rays(dset.K, opts.samples, opts.seed) @ dset.A.T
+    ths = thetas(dset, [q.mu for q in ineqs], opts, sweep)
+    assumption2 = functools.cache(lambda: assumption2_check(dset, opts.solver, opts.margin_tol))
+    return [_ladder(dset, q, th, assumption2, opts) for q, th in zip(ineqs, ths)]
+
+
+def _ladder(dset: DisjunctiveSet, ineq: Inequality, th: ThetaResult, assumption2,
+            opts: AnalysisOptions) -> CertificateReport:
+    """The verdict ladder of one inequality, given th = theta(dset, mu) and
+    a function that returns assumption2_check's result for the set."""
+    handle = th.handle
+    mu, eta0 = handle.mu, float(ineq.eta0)
     rep = CertificateReport(config={
         "tol": opts.tol,
         "margin_tol": opts.margin_tol,
@@ -701,17 +762,6 @@ def full_report(
         "max_iters": opts.solver.max_iters,
         "inequality": ineq.name,
     })
-
-    # When the tight-ray samples are all of K's extreme rays (no Lorentz
-    # block of dim >= 3), they are few, and theta's batch of the branch
-    # program solves them too; its handle keeps their values for the search.
-    # Otherwise they are `samples` per block, which an invalid inequality
-    # would solve for nothing, so the search solves them after validity.
-    sweep = None
-    if not any(b.kind is BlockKind.LORENTZ and b.dim > 2 for b in dset.K.blocks):
-        sweep = sample_extreme_rays(dset.K, opts.samples, opts.seed) @ dset.A.T
-    th = theta(dset, mu, opts, sweep)
-    handle = th.handle
     theta_vals = {
         "theta": th.value,
         "argmin": th.argmin,
@@ -748,9 +798,7 @@ def full_report(
     )
     mono_ok = th.monotone_ok
 
-    if assumption2 is None:
-        assumption2 = assumption2_check(dset, opts.solver, opts.margin_tol)
-    a2_status, a2_witness, a2_margin = assumption2
+    a2_status, a2_witness, a2_margin = assumption2()
     rep.add("assumption2", a2_status, {"margin": a2_margin},
             {"witness": a2_witness} if a2_witness is not None else {})
 

@@ -23,8 +23,8 @@ from .analysis import (
     check_A0,
     dmu_vertices_2d,
     enumerate_valid_equations,
-    full_report,
-    theta,
+    full_reports,
+    thetas,
 )
 from .model import (
     Problem,
@@ -129,10 +129,8 @@ def cmd_report(args) -> int:
     opts = _options(args)
     problem = _load(args.problem)
     ineqs = _select_inequalities(problem, args.inequality)
-    a2 = assumption2_check(problem.dset, opts.solver, opts.margin_tol)
     out = []
-    for q in ineqs:
-        rep = full_report(problem.dset, q, opts, a2)
+    for q, rep in zip(ineqs, full_reports(problem.dset, ineqs, opts)):
         out.append({"inequality": q.name, **rep.to_dict()})
         if not args.json:
             print(f"== {q.name or '(unnamed)'} ==")
@@ -151,20 +149,18 @@ def cmd_report(args) -> int:
 def cmd_theta(args) -> int:
     opts = _options(args)
     problem = _load(args.problem)
-    out = []
-    for q in _select_inequalities(problem, args.inequality):
-        th = theta(problem.dset, q.mu, opts)
-        out.append(
-            {
-                "inequality": q.name,
-                "theta": th.value,
-                "argmin": th.argmin,
-                "branches": {
-                    r.label: (r.value if r.value is not None else r.status)
-                    for r in th.table
-                },
-            }
-        )
+    ineqs = _select_inequalities(problem, args.inequality)
+    out = [
+        {
+            "inequality": q.name,
+            "theta": th.value,
+            "argmin": th.argmin,
+            "branches": {
+                r.label: (r.value if r.value is not None else r.status) for r in th.table
+            },
+        }
+        for q, th in zip(ineqs, thetas(problem.dset, [q.mu for q in ineqs], opts))
+    ]
     _emit(out, args.json)
     return EXIT_OK
 
@@ -172,15 +168,16 @@ def cmd_theta(args) -> int:
 def cmd_support(args) -> int:
     opts = _options(args)
     problem = _load(args.problem)
+    ineqs = _select_inequalities(problem, args.inequality)
     out = []
-    for q in _select_inequalities(problem, args.inequality):
-        if args.z is not None:
-            z = _parse_vector(args.z, problem.dset.m, "--z")
+    if args.z is not None:
+        z = _parse_vector(args.z, problem.dset.m, "--z")
+        for q in ineqs:
             sigma = SupportHandle(problem.dset, q.mu, opts).eval(z)
             out.append({"inequality": q.name, "z": z, "sigma": sigma})
-        else:
-            # sigma(b) >= y.b from each branch's dual, +inf on infeasible ones
-            th = theta(problem.dset, q.mu, opts)
+    else:
+        # sigma(b) >= y.b from each branch's dual, +inf on infeasible ones
+        for q, th in zip(ineqs, thetas(problem.dset, [q.mu for q in ineqs], opts)):
             if check_A0(th.handle, th)[0] is Status.FAILS:
                 raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
             out.append(
@@ -240,19 +237,21 @@ def cmd_demo(args) -> int:
     def check(label, ok, detail=""):
         checks.append({"check": label, "pass": bool(ok), "detail": detail})
 
-    a2 = assumption2_check(fx.dset, opts.solver, opts.margin_tol)
-    a2_status, _, a2_margin = a2
+    reps = full_reports(fx.dset, [fi.inequality for fi in fx.inequalities], opts)
     expected_a2 = fx.notes.get("assumption2")
     if expected_a2 is not None:
+        a2_status, _, a2_margin = assumption2_check(fx.dset, opts.solver, opts.margin_tol)
         check(f"assumption2 {expected_a2}", a2_status.value == expected_a2,
               f"margin={_fmt(a2_margin)}")
     if "infeasible_rhs" in fx.notes:
-        th = theta(fx.dset, fx.inequalities[0].inequality.mu, opts)
-        bad = [float(r.b[0]) for r in th.table if r.status == "infeasible"]
+        # the branch table of the first report, whose validity rung lists
+        # every branch by label
+        rhs = dict(fx.dset.B.expand_labeled())
+        branches = reps[0].entry("validity").values["branches"]
+        bad = [float(rhs[label][0]) for label, v in branches.items() if v == "infeasible"]
         check("infeasible rhs detected", bad == fx.notes["infeasible_rhs"],
               f"found {bad}")
-    for fi in fx.inequalities:
-        rep = full_report(fx.dset, fi.inequality, opts, a2)
+    for fi, rep in zip(fx.inequalities, reps):
         if fi.expected_verdict is not None:
             check(
                 f"{fi.inequality.name} verdict {fi.expected_verdict}",

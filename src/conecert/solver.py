@@ -6,12 +6,12 @@ algorithm is a homogeneous self-dual embedding with Nesterov-Todd scaling
 and a Mehrotra predictor-corrector step, so infeasibility and unboundedness
 come out as Farkas-type certificates rather than failures.
 
-`solve_batch` runs a stack of right-hand sides for one (c, A, K) in
-lockstep: every iterate is a (B, .) array with one row per problem, and a
-row leaves the batch as soon as it terminates or breaks down. Every
-operation acts row by row (`np.matvec`, `np.vecdot`, matmul on a stack of
-rows, one LU per row), so a row's result does not depend on the rest of the
-batch, and `solve` is a batch of one.
+`solve_batch` runs a stack of right-hand sides for one (A, K) in lockstep,
+with one objective c for all rows or one per row: every iterate is a (B, .)
+array with one row per problem, and a row leaves the batch as soon as it
+terminates or breaks down. Every operation acts row by row (`np.matvec`,
+`np.vecdot`, matmul on a stack of rows, one LU per row), so a row's result
+does not depend on the rest of the batch, and `solve` is a batch of one.
 """
 
 from __future__ import annotations
@@ -241,17 +241,16 @@ class _Embedding:
         nnz = (p.A != 0).sum(axis=0).tolist()  # the Zero rows miss Nonneg columns
         one = [j for j in lp_idx if nnz[j] == 1]
         lp = one + [j for j in lp_idx if nnz[j] != 1]
-        perm = np.array(lp + rest, dtype=int)
-        self.pos = np.argsort(perm)
+        self.perm = np.array(lp + rest, dtype=int)
+        self.pos = np.argsort(self.perm)
         self.n1, self.nN = len(one), len(lp)
         soc = [i for blks in soc_blocks.values() for blk in blks for i in blk]
         self.cidx = self.pos[soc + lp]
         self.work = _EmbeddingCone([(d, len(b)) for d, b in soc_blocks.items()], self.nN + 1)
         Zrows = np.zeros((len(zero_idx), n))
         Zrows[np.arange(len(zero_idx)), zero_idx] = 1.0
-        self.Ahat = np.vstack([p.A, Zrows])[:, perm]
+        self.Ahat = np.vstack([p.A, Zrows])[:, self.perm]
         self.AhatT = np.ascontiguousarray(self.Ahat.T)
-        self.c = p.c[perm]
         self.n = n
         self.mh = self.Ahat.shape[0]
 
@@ -437,13 +436,15 @@ class _KKT:
 @dataclass
 class _Iterates:
     """The rows of a batch still iterating: their index in the batch, their
-    data ([c, bh], the first KKT right-hand side [-c, bh, 0] and
-    feas_tol*(1 + |bh|)) and the embedding's iterates xz = [x, yh, z, tau],
-    laid out like the KKT unknowns followed by tau, and sk = [s, kappa]."""
+    data ([c, bh], the first KKT right-hand side [-c, bh, 0],
+    feas_tol*(1 + |c|) and feas_tol*(1 + |bh|)) and the embedding's iterates
+    xz = [x, yh, z, tau], laid out like the KKT unknowns followed by tau,
+    and sk = [s, kappa]."""
 
     ids: np.ndarray
     cb: np.ndarray
     rhs1: np.ndarray
+    ftol_c: np.ndarray
     ftol_b: np.ndarray
     xz: np.ndarray
     sk: np.ndarray
@@ -456,40 +457,46 @@ def solve(p: ConicProgram, opts: SolverOptions | None = None) -> Solution:
     return solve_batch(p, p.b[None, :], opts)[0]
 
 
-def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None) -> list[Solution]:
-    """Solve min <c,x> : Ax = b, x in K for every row b of rhs, with c, A and
-    K taken from p (p.b is not used). The problems run in lockstep and each
-    row ends on its own iteration; the i-th Solution is what `solve` returns
-    for the program with b = rhs[i]."""
+def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
+                c=None) -> list[Solution]:
+    """Solve min <c,x> : Ax = b, x in K for every row b of rhs, with A and K
+    taken from p (p.b is not used), and c the matching row of the (B, n)
+    stack `c`, or p.c for every row when it is None. The problems run in
+    lockstep and each row ends on its own iteration; the i-th Solution is
+    what `solve` returns for the program with b = rhs[i] and c = c[i]."""
     opts = opts or SolverOptions()
     m = p.A.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 2 or rhs.shape[1] != m:
         raise ValueError(f"rhs must have shape (B, {m}), got {rhs.shape}")
-    if not np.all(np.isfinite(rhs)):
+    B, n = rhs.shape[0], p.cone.dim
+    costs = np.ascontiguousarray(np.repeat(p.c[None], B, axis=0) if c is None else c,
+                                 dtype=float)
+    if costs.shape != (B, n):
+        raise ValueError(f"c must have shape ({B}, {n}), got {costs.shape}")
+    if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(costs))):
         raise ValueError("program data must be finite")
-    if not len(rhs):
+    if not B:
         return []
     emb = _Embedding(p)
-    work, n, mh = emb.work, emb.n, emb.mh
+    work, mh = emb.work, emb.mh
     nm = n + mh
-    Ah, AhT, cidx, c = emb.Ahat, emb.AhatT, emb.cidx, emb.c
+    Ah, AhT, cidx = emb.Ahat, emb.AhatT, emb.cidx
     ftol, gtol = opts.feas_tol, opts.gap_tol
-    ftol_c = ftol * (1.0 + np.abs(c).max(initial=0.0))
     ftol_A = ftol * (1.0 + np.abs(Ah).max(initial=0.0))
     kkt = _KKT(emb)
 
-    B = rhs.shape[0]
     e = work.identity()
     cb = np.zeros((B, nm))
-    cb[:, :n] = c
+    cb[:, :n] = costs[:, emb.perm]
     cb[:, n : n + m] = rhs
     rhs1 = np.zeros((B, kkt.size))
     rhs1[:, :nm] = cb
     rhs1[:, :n] *= -1.0
     xz = np.zeros((B, kkt.size + 1))
     xz[:, nm:] = e
-    it = _Iterates(np.arange(B), cb, rhs1, ftol * (1.0 + _inf_norms(rhs)), xz, np.tile(e, (B, 1)))
+    it = _Iterates(np.arange(B), cb, rhs1, ftol * (1.0 + _inf_norms(costs)),
+                   ftol * (1.0 + _inf_norms(rhs)), xz, np.tile(e, (B, 1)))
     out: list[Solution | None] = [None] * B
     verify = _Verifier(p, opts)
 
@@ -499,7 +506,7 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None) -> list
         hres_z] as one KKT right-hand side, and hres_kappa."""
         x, yh, z, tau = it.xz[:, :n], it.xz[:, n:nm], it.xz[:, nm:-1], it.xz[:, -1]
         s = it.sk[:, :-1]
-        bh = it.cb[:, n:]
+        c, bh = it.cb[:, :n], it.cb[:, n:]
         res = np.empty((len(tau), kkt.size))
         # A'y + G'z, where the slacks are s = -G x = x[cidx]
         r_d = np.matvec(AhT, yh, out=res[:, :n])
@@ -523,7 +530,7 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None) -> list
         # optimality, which takes precedence
         opt = (
             (tau > 1e-12)
-            & (_inf_norms(res[:, :n]) <= ftol_c * tau)
+            & (_inf_norms(res[:, :n]) <= it.ftol_c * tau)
             & (_inf_norms(res[:, n:]) <= it.ftol_b * tau)
             & (np.vecdot(s, z) <= gtol * tau * (tau + np.abs(cx) + np.abs(by)))
         )
@@ -536,18 +543,19 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None) -> list
         for r, i in enumerate(it.ids):
             x, yh, tau = it.xz[r, emb.pos], it.xz[r, n:nm], it.xz[r, -1]
             if code[r] == 1:
-                sol = _iterate_solution(p, SolveStatus.OPTIMAL, x, yh, tau, m, iters)
+                sol = _iterate_solution(costs[i], p.A, SolveStatus.OPTIMAL, x, yh, tau, m, iters)
             elif code[r] == 2:
                 sol = Solution(SolveStatus.PRIMAL_INFEASIBLE,
                                certificate=yh[:m] / (rhs[i] @ yh[:m]), iterations=iters)
             elif code[r] == 3:
-                sol = Solution(SolveStatus.DUAL_INFEASIBLE, certificate=x / -(p.c @ x),
+                sol = Solution(SolveStatus.DUAL_INFEASIBLE, certificate=x / -(costs[i] @ x),
                                iterations=iters)
             elif tau > 1e-12:
-                sol = _iterate_solution(p, SolveStatus.NUMERICAL_LIMIT, x, yh, tau, m, iters)
+                sol = _iterate_solution(costs[i], p.A, SolveStatus.NUMERICAL_LIMIT, x, yh, tau,
+                                        m, iters)
             else:
                 sol = Solution(SolveStatus.NUMERICAL_LIMIT, iterations=iters)
-            out[i] = verify(rhs[i], sol)
+            out[i] = verify(rhs[i], costs[i], sol)
 
     def leave(it: _Iterates, gone: np.ndarray, iters: int) -> _Iterates:
         """Finish the rows in `gone`, which broke down at iteration iters, on
@@ -649,80 +657,81 @@ def _newton_step(it: _Iterates, res: tuple, work: _EmbeddingCone, kkt: _KKT,
     return du, ds, alpha, ~ok
 
 
-def _iterate_solution(p: ConicProgram, status: SolveStatus, x, yh, tau, m: int,
-                      iters: int) -> Solution:
-    """The iterate scaled back to the original program: x/tau, the dual
-    y = -yh/tau and its slack c - A'y."""
+def _iterate_solution(c: np.ndarray, A: np.ndarray, status: SolveStatus, x, yh, tau,
+                      m: int, iters: int) -> Solution:
+    """The iterate scaled back to the original program min <c,x> : Ax = b,
+    x in K: x/tau, the dual y = -yh/tau and its slack c - A'y."""
     xt = x / tau
     y = -yh[:m] / tau
-    return Solution(status, x=xt, y=y, s=p.c - p.A.T @ y, objective=float(p.c @ xt),
+    return Solution(status, x=xt, y=y, s=c - A.T @ y, objective=float(c @ xt),
                     iterations=iters)
 
 
 class _Verifier:
-    """Independent checks, on the original program (c, A, K), of the status a
-    row ends with, at loose = 100*max(feas_tol, gap_tol) scaled by the data.
-    An optimum must meet its KKT conditions. A primal infeasibility ray y,
-    normalized to b.y = 1, needs -A'y in K* within loose*|A|/|b|; a dual
-    infeasibility ray x, normalized to c.x = -1, needs |Ax| <= loose*|A|/|c|
-    and x in K within loose/|c|. Rays are homogeneous, so these bounds scale
-    with the data: multiplying b or c by s leaves each check unchanged."""
+    """Independent checks, on the original program (c, A, K) of a row (b, c),
+    of the status the row ends with, at loose = 100*max(feas_tol, gap_tol)
+    scaled by the data. An optimum must meet its KKT conditions. A primal
+    infeasibility ray y, normalized to b.y = 1, needs -A'y in K* within
+    loose*|A|/|b|; a dual infeasibility ray x, normalized to c.x = -1, needs
+    |Ax| <= loose*|A|/|c| and x in K within loose/|c|. Rays are homogeneous,
+    so these bounds scale with the data: multiplying b or c by s leaves each
+    check unchanged."""
 
     def __init__(self, p: ConicProgram, opts: SolverOptions):
-        self.p = p
+        self.A = p.A
         self.loose = 100.0 * max(opts.feas_tol, opts.gap_tol)
-        self.scale_c = 1.0 + np.abs(p.c).max(initial=0.0)
         self.scale_A = 1.0 + np.abs(p.A).max(initial=0.0)
         self.cone, self.dual_cone = p.cone, p.cone.dual()
 
-    def __call__(self, b: np.ndarray, sol: Solution) -> Solution:
+    def __call__(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> Solution:
         """The solution, or NUMERICAL_LIMIT if it fails its check."""
-        if sol.status is SolveStatus.OPTIMAL and not self.optimal(b, sol):
+        if sol.status is SolveStatus.OPTIMAL and not self.optimal(b, c, sol):
             return Solution(SolveStatus.NUMERICAL_LIMIT, x=sol.x, y=sol.y, s=sol.s,
                             objective=sol.objective, iterations=sol.iterations)
         if (sol.status in (SolveStatus.PRIMAL_INFEASIBLE, SolveStatus.DUAL_INFEASIBLE)
-                and not self.ray(b, sol)):
+                and not self.ray(b, c, sol)):
             return Solution(SolveStatus.NUMERICAL_LIMIT, iterations=sol.iterations)
         return sol
 
-    def residuals(self, b: np.ndarray, sol: Solution) -> dict:
+    def residuals(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> dict:
         if sol.x is None or sol.y is None or sol.s is None:
             raise ValueError("solution carries no iterates to check")
-        p, x, y, s = self.p, sol.x, sol.y, sol.s
+        A, x, y, s = self.A, sol.x, sol.y, sol.s
         return {
-            "primal_residual": float(np.abs(p.A @ x - b).max(initial=0.0)),
-            "dual_residual": float(np.abs(p.A.T @ y + s - p.c).max(initial=0.0)),
-            "gap": float(abs(p.c @ x - b @ y)),
+            "primal_residual": float(np.abs(A @ x - b).max(initial=0.0)),
+            "dual_residual": float(np.abs(A.T @ y + s - c).max(initial=0.0)),
+            "gap": float(abs(c @ x - b @ y)),
             "cone_violation": _violation(self.cone, x),
             "dual_cone_violation": _violation(self.dual_cone, s),
         }
 
-    def optimal(self, b: np.ndarray, sol: Solution) -> bool:
-        rec = self.residuals(b, sol)
+    def optimal(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> bool:
+        rec = self.residuals(b, c, sol)
         scale, loose = 1.0 + np.abs(b).max(initial=0.0), self.loose
+        scale_c = 1.0 + np.abs(c).max(initial=0.0)
         return (
             rec["primal_residual"] <= loose * scale
-            and rec["dual_residual"] <= loose * self.scale_c
+            and rec["dual_residual"] <= loose * scale_c
             and rec["cone_violation"] <= loose * scale
-            and rec["dual_cone_violation"] <= loose * self.scale_c
+            and rec["dual_cone_violation"] <= loose * scale_c
             and rec["gap"] <= loose * (1.0 + abs(sol.objective))
         )
 
-    def ray(self, b: np.ndarray, sol: Solution) -> bool:
+    def ray(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> bool:
         """The ray, normalized to b.y = 1 or c.x = -1, checked at tolerances
         that do not grow with the ray, so that a huge ray with a small
         relative residual does not pass. b.y > 0 makes b nonzero, and
         c.x < 0 makes c nonzero."""
-        p, r, tol_A = self.p, sol.certificate, self.loose * self.scale_A
+        A, r, tol_A = self.A, sol.certificate, self.loose * self.scale_A
         if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
             by = float(b @ r)
-            return bool(by > 0.0 and _violation(self.dual_cone, -(p.A.T @ r) / by)
+            return bool(by > 0.0 and _violation(self.dual_cone, -(A.T @ r) / by)
                         * np.abs(b).max() <= tol_A)
-        cx = float(p.c @ r)
+        cx = float(c @ r)
         if not cx < 0.0:
             return False
-        x, size_c = r / -cx, np.abs(p.c).max()
-        return bool(np.abs(p.A @ x).max(initial=0.0) * size_c <= tol_A
+        x, size_c = r / -cx, np.abs(c).max()
+        return bool(np.abs(A @ x).max(initial=0.0) * size_c <= tol_A
                     and _violation(self.cone, x) * size_c <= self.loose)
 
 

@@ -19,6 +19,7 @@ from conecert.analysis import (
     enumerate_valid_equations,
     full_report,
     theta,
+    thetas,
     tight_extreme_ray_search,
     valid_equation_check,
 )
@@ -236,8 +237,8 @@ def test_one_row_orthant_report_solves_no_column_program(monkeypatch):
     rhs_seen = []
     real_batch = analysis.solve_batch
     monkeypatch.setattr(analysis, "solve_batch",
-                        lambda p, rhs, opts=None: rhs_seen.append(np.asarray(rhs))
-                        or real_batch(p, rhs, opts))
+                        lambda p, rhs, opts=None, c=None: rhs_seen.append(np.asarray(rhs))
+                        or real_batch(p, rhs, opts, c))
     for fi in fx.inequalities:
         rep = full_report(fx.dset, fi.inequality)
         assert rep.final_verdict == fi.expected_verdict
@@ -257,8 +258,8 @@ def test_report_solves_one_branch_batch_per_mu(monkeypatch):
     batches = []
     real_batch = analysis.solve_batch
     monkeypatch.setattr(analysis, "solve_batch",
-                        lambda p, rhs, opts=None: batches.append((p.c, len(rhs)))
-                        or real_batch(p, rhs, opts))
+                        lambda p, rhs, opts=None, c=None: batches.append((c, len(rhs)))
+                        or real_batch(p, rhs, opts, c))
     swept = 0
     for fx in map(builtin, names()):
         dset, n_b = fx.dset, len(fx.dset.B.expand())
@@ -266,11 +267,29 @@ def test_report_solves_one_branch_batch_per_mu(monkeypatch):
         for fi in fx.inequalities:
             batches.clear()
             full_report(dset, fi.inequality)
-            assert all(np.array_equal(c, fi.inequality.mu) for c, _ in batches), fx.name
+            assert all(np.array_equal(row, fi.inequality.mu) for c, _ in batches for row in c), \
+                fx.name
             mine = [k for _, k in batches]
             assert mine == [n_b if dset.m == 1 else n_b + len(samples)], (fx.name, mine)
             swept += dset.m > 1
     assert swept == 3  # cmir's two inequalities and ex4_3's one
+
+
+@pytest.mark.parametrize("name", ["cmir", "ex4_1"])
+def test_thetas_rows_equal_one_mu_theta(name):
+    """The merged batch of `thetas` gives, bit for bit, every row and every
+    swept value that `theta` gives for each mu alone."""
+    fx = builtin(name)
+    dset, mus = fx.dset, [fi.inequality.mu for fi in fx.inequalities]
+    sweep = sample_extreme_rays(dset.K, 16, 0) @ dset.A.T
+    for mu, got in zip(mus, thetas(dset, mus, sweep=sweep)):
+        want = theta(dset, mu, sweep=sweep)
+        assert [r.status for r in got.table] == [r.status for r in want.table]
+        for r, w in zip(got.table, want.table):
+            for f in ("value", "x", "y", "sigma", "certificate"):
+                assert np.array_equal(getattr(r, f), getattr(w, f)), (name, r.label, f)
+        assert got.handle._cache == want.handle._cache
+        assert np.array_equal(got.handle.points, want.handle.points)
 
 
 def test_report_on_sampled_cone_solves_samples_after_validity(monkeypatch):
@@ -286,14 +305,14 @@ def test_report_on_sampled_cone_solves_samples_after_validity(monkeypatch):
     batches = []
     real_batch = analysis.solve_batch
     monkeypatch.setattr(analysis, "solve_batch",
-                        lambda p, rhs, opts=None: batches.append((p.c, len(rhs)))
-                        or real_batch(p, rhs, opts))
+                        lambda p, rhs, opts=None, c=None: batches.append((c, len(rhs)))
+                        or real_batch(p, rhs, opts, c))
     value = theta(dset, mu).value
     samples = {tuple(np.round(A @ z, 12)) for z in sample_extreme_rays(K, 256, 0)}
     for eta0, expected in ((value + 1.0, [1]), (value, [1, len(samples)])):
         batches.clear()
         full_report(dset, Inequality(mu, eta0))
-        assert [k for c, k in batches if np.array_equal(c, mu)] == expected
+        assert [k for c, k in batches if all(np.array_equal(row, mu) for row in c)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +378,8 @@ def test_tight_rays_three_row_search_raises_no_warning(monkeypatch):
     batches = []
     real_batch = analysis.solve_batch
     monkeypatch.setattr(analysis, "solve_batch",
-                        lambda p, rhs, opts=None: batches.append(len(rhs)) or real_batch(p, rhs, opts))
+                        lambda p, rhs, opts=None, c=None: batches.append(len(rhs))
+                        or real_batch(p, rhs, opts, c))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rays, gaps = tight_extreme_ray_search(SupportHandle(dset, mu))

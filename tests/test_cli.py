@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conecert import cli
-from conecert.analysis import AnalysisOptions
+from conecert import analysis, cli
+from conecert.analysis import AnalysisOptions, full_report
 from conecert.cli import main
+from conecert.cones import sample_extreme_rays
 from conecert.fixtures import builtin, names
-from conecert.model import save_problem
+from conecert.model import _plain, load_problem, save_problem
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "conecert" / "data"
 
@@ -76,6 +77,63 @@ def test_support_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc[0]["sigma"] == pytest.approx(3.0 ** 0.5, abs=1e-6)
+
+
+def _count_branch_batches(monkeypatch) -> list:
+    """Record the row count of every batch of the branch program."""
+    batches = []
+    real_batch = analysis.solve_batch
+    monkeypatch.setattr(analysis, "solve_batch",
+                        lambda p, rhs, opts=None, c=None: batches.append(len(rhs))
+                        or real_batch(p, rhs, opts, c))
+    return batches
+
+
+@pytest.mark.parametrize("name", ["cmir", "ex2_4"])
+def test_report_solves_one_branch_batch_per_file(capsys, monkeypatch, name):
+    """`report` solves the branch programs of every inequality of a file in
+    one batch: per inequality a row per branch and, with two or more rows
+    in A, a row per distinct image of the tight-ray samples (K has no
+    Lorentz block of dim >= 3). Its JSON is that of full_report, inequality
+    by inequality."""
+    path = DATA / f"{name}.json"
+    problem = load_problem(path.read_text())
+    dset, ineqs = problem.dset, problem.inequalities
+    assert len(ineqs) == 2
+    want = json.dumps(_plain([{"inequality": q.name, **full_report(dset, q).to_dict()}
+                              for q in ineqs]), indent=2) + "\n"
+    batches = _count_branch_batches(monkeypatch)
+    code, out, _ = run(capsys, "report", str(path), "--json")
+    assert code == 0 and out == want
+    samples = len({tuple(np.round(dset.A @ z, 12)) for z in sample_extreme_rays(dset.K, 256, 0)})
+    assert batches == [len(ineqs) * (len(dset.B.expand()) + (samples if dset.m > 1 else 0))]
+
+
+@pytest.mark.parametrize("command", ["theta", "support"])
+@pytest.mark.parametrize("name", ["cmir", "ex2_4"])
+def test_theta_and_support_solve_one_branch_batch_per_file(capsys, monkeypatch, command, name):
+    path = DATA / f"{name}.json"
+    problem = load_problem(path.read_text())
+    singles = []
+    for q in problem.inequalities:
+        code, out, _ = run(capsys, command, str(path), "--inequality", q.name, "--json")
+        assert code == 0
+        singles += json.loads(out)
+    batches = _count_branch_batches(monkeypatch)
+    code, out, _ = run(capsys, command, str(path), "--json")
+    assert code == 0 and json.loads(out) == singles
+    assert batches == [len(problem.inequalities) * len(problem.dset.B.expand())]
+
+
+@pytest.mark.parametrize("command", ["report", "theta", "support"])
+def test_zero_mu_in_a_file_is_rejected(tmp_path, capsys, command):
+    doc = json.loads((DATA / "cmir.json").read_text())
+    doc["inequalities"].append({"name": "zero", "mu": [0.0] * 5, "eta0": 0.0})
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path), "--json")
+    assert code == 2 and not out
+    assert err == "error: mu must be nonzero\n"
 
 
 def test_equations_command(capsys):
@@ -214,7 +272,7 @@ def test_solver_breakdown_exit_code(capsys, monkeypatch):
     def breakdown(*args, **kwargs):
         raise np.linalg.LinAlgError("singular KKT system")
 
-    monkeypatch.setattr(cli, "full_report", breakdown)
+    monkeypatch.setattr(cli, "full_reports", breakdown)
     code, _, err = run(capsys, "report", str(DATA / "ex2_4.json"))
     assert code == 3
     assert "solver breakdown" in err

@@ -379,7 +379,8 @@ def test_stacked_support_matches_single_and_support_program(monkeypatch):
     batches = []
     real_batch = analysis.solve_batch
     monkeypatch.setattr(analysis, "solve_batch",
-                        lambda p, rhs, opts=None: batches.append(len(rhs)) or real_batch(p, rhs, opts))
+                        lambda p, rhs, opts=None, c=None: batches.append(len(rhs))
+                        or real_batch(p, rhs, opts, c))
     rng = np.random.default_rng(17)
     rows = Counter()
     for rep in range(4):

@@ -30,7 +30,7 @@ def test_small_lp_optimal():
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-7)
     assert np.allclose(sol.x, [1.0, 0.0], atol=1e-6)
-    assert _Verifier(p, SolverOptions()).optimal(p.b, sol)
+    assert _Verifier(p, SolverOptions()).optimal(p.b, p.c, sol)
 
 
 def test_lorentz_optimal():
@@ -166,7 +166,7 @@ def test_agrees_with_basic_solution_oracle():
 
 
 def _ray_ok(p, sol):
-    return solver._Verifier(p, SolverOptions()).ray(p.b, sol)
+    return solver._Verifier(p, SolverOptions()).ray(p.b, p.c, sol)
 
 
 def test_primal_ray_check_rejects_doctored_certificates():
@@ -219,7 +219,7 @@ def test_failed_ray_check_downgrades_to_numerical_limit(monkeypatch):
     infeasible = ConicProgram(c=[0.0], A=[[1.0]], b=[-1.0], cone=ConeProduct([nonneg(1)]))
     unbounded = ConicProgram(c=[-1.0, -1.0], A=[[1.0, -1.0]], b=[0.0],
                              cone=ConeProduct([nonneg(2)]))
-    monkeypatch.setattr(solver._Verifier, "ray", lambda self, b, sol: False)
+    monkeypatch.setattr(solver._Verifier, "ray", lambda self, b, c, sol: False)
     for p in (infeasible, unbounded):
         sol = solve(p)
         assert sol.status is SolveStatus.NUMERICAL_LIMIT
@@ -233,8 +233,8 @@ def test_verifier_cone_checks_read_the_margin():
     check = solver._Verifier(p, SolverOptions())
 
     def violations(x, s):
-        rec = check.residuals(p.b, Solution(SolveStatus.OPTIMAL, x=np.array(x), y=np.zeros(1),
-                                            s=np.array(s), objective=0.0))
+        rec = check.residuals(p.b, p.c, Solution(SolveStatus.OPTIMAL, x=np.array(x),
+                                                 y=np.zeros(1), s=np.array(s), objective=0.0))
         return rec["cone_violation"], rec["dual_cone_violation"]
 
     # Free blocks are ignored, Zero blocks are checked by |v|
@@ -245,13 +245,13 @@ def test_verifier_cone_checks_read_the_margin():
     assert math.isnan(violations([0.0, 0.0, math.nan], [0.0, 0.0, 1.0])[0])
     sol = solve(p)
     assert sol.status is SolveStatus.OPTIMAL
-    assert check(p.b, sol).status is SolveStatus.OPTIMAL
+    assert check(p.b, p.c, sol).status is SolveStatus.OPTIMAL
     for i in range(3):
         x = sol.x.copy()
         x[i] = math.nan
         doctored = Solution(SolveStatus.OPTIMAL, x=x, y=sol.y, s=sol.s,
                             objective=sol.objective, iterations=sol.iterations)
-        assert check(p.b, doctored).status is SolveStatus.NUMERICAL_LIMIT
+        assert check(p.b, p.c, doctored).status is SolveStatus.NUMERICAL_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +351,47 @@ def test_batch_validates_rhs():
         solve_batch(p, [[1.0, 2.0]])
     with pytest.raises(ValueError):
         solve_batch(p, [[np.inf]])
+
+
+def test_batch_validates_objectives():
+    p = ConicProgram(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0], cone=ConeProduct([nonneg(2)]))
+    assert solve_batch(p, np.zeros((0, 1)), c=np.zeros((0, 2))) == []
+    for c in ([1.0, 2.0], [[1.0, 2.0]] * 3, [[1.0, 2.0, 3.0]] * 2, [[1.0, np.nan]] * 2,
+              [[1.0, -np.inf]] * 2):
+        with pytest.raises(ValueError):
+            solve_batch(p, [[1.0], [2.0]], c=c)
+
+
+def test_batch_rows_with_own_objectives_match_single_solves():
+    """Each row of a batch with one objective per row is, bit for bit, the
+    one-row solve of its own program. Column j of A is 0, so the rows with
+    c_j = -1 are unbounded where they are feasible, and the rows with
+    c_j = +1 are bounded."""
+    rng = np.random.default_rng(77)
+    seen, mixed = set(), 0
+    for trial in range(8):
+        c, A, K, rhs = _batch_family(rng, unbounded=True)
+        j = next(off for blk, off in K.offsets() if blk.kind is BlockKind.NONNEG)
+        C = c + rng.normal(size=(len(rhs), A.shape[0])) @ A  # keeps c - A'y in K* for some y
+        C[:, j] = rng.choice([-1.0, 1.0], len(rhs))
+        p = ConicProgram(c, A, rhs[0], K)
+        order = rng.permutation(len(rhs))
+        batch, permuted = solve_batch(p, rhs, c=C), solve_batch(p, rhs[order], c=C[order])
+        statuses = set()
+        for i, b in enumerate(rhs):
+            single = solve(ConicProgram(C[i], A, b, K))
+            for got in (batch[i], permuted[int(np.flatnonzero(order == i)[0])]):
+                assert got.status is single.status, (trial, i)
+                assert got.iterations == single.iterations, (trial, i)
+                for f in ("x", "y", "s", "certificate", "objective"):
+                    assert np.array_equal(getattr(got, f), getattr(single, f)), (trial, i, f)
+            statuses.add(single.status)
+        seen |= statuses
+        mixed += {SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE,
+                  SolveStatus.DUAL_INFEASIBLE} <= statuses
+    assert {SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE,
+            SolveStatus.DUAL_INFEASIBLE} <= seen
+    assert mixed >= 4
 
 
 # ---------------------------------------------------------------------------
