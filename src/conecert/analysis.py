@@ -19,6 +19,7 @@ import numpy as np
 from .cones import BlockKind, ConeBlock, ConeProduct, sample_extreme_rays
 from .linalg import least_squares_solve, null_space_basis
 from .model import (
+    MARGIN_TOL,
     CertificateReport,
     DisjunctiveSet,
     Inequality,
@@ -32,9 +33,7 @@ from .solver import ConicProgram, SolveStatus, SolverOptions, solve, solve_batch
 @dataclass(frozen=True)
 class AnalysisOptions:
     tol: float = 1e-6
-    margin_tol: float = 1e-7
     samples: int = 256
-    seed: int = 0
     solver: SolverOptions = field(default_factory=SolverOptions)
 
 
@@ -82,31 +81,31 @@ class ThetaResult:
     handle: SupportHandle | None = None  # the SupportHandle that solved the table
 
 
-def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None,
-          sweep=None) -> ThetaResult:
+def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> ThetaResult:
     """Best possible right-hand side: min over feasible b of
     inf{<mu,x> : Ax = b, x in K}, with the branch table of that one solve
     per branch and inf_b sigma(b) read from the table.
 
     The rows are solved by a new SupportHandle of (dset, mu), returned as
-    the result's `handle`. The (k, m) directions of `sweep`, when given,
-    ride in the same batch: the handle files their values for its later
-    `eval`. The one-mu case of `thetas`."""
-    return thetas(dset, [mu], opts, sweep)[0]
+    the result's `handle`. The one-mu case of `thetas`."""
+    return thetas(dset, [mu], opts)[0]
 
 
-def thetas(dset: DisjunctiveSet, mus, opts: AnalysisOptions | None = None,
-           sweep=None) -> list[ThetaResult]:
+def thetas(dset: DisjunctiveSet, mus, opts: AnalysisOptions | None = None) -> list[ThetaResult]:
     """`theta` of every mu of `mus` over one set, with the branch tables of
-    all of them, and the directions of `sweep` for each, solved in one
-    batch of the branch program (`branch_tables`)."""
-    opts = opts or AnalysisOptions()
+    all of them solved in one batch of the branch program (`branch_tables`)."""
+    return _thetas(dset, mus, opts or AnalysisOptions(), np.empty((0, dset.m)))
+
+
+def _thetas(dset: DisjunctiveSet, mus, opts: AnalysisOptions,
+            directions: np.ndarray) -> list[ThetaResult]:
+    """`thetas`, with the (k, m) stack `directions` in the same batch: each
+    handle files their values for its later `eval`."""
     mus = [_vec(mu, dset.n) for mu in mus]
     if not all(np.any(mu) for mu in mus):
         raise ValueError("mu must be nonzero")
     handles = [SupportHandle(dset, mu, opts) for mu in mus]
-    tables = branch_tables(handles, dset.B.expand_labeled(),
-                           np.reshape([] if sweep is None else sweep, (-1, dset.m)))
+    tables = branch_tables(handles, dset.B.expand_labeled(), directions)
     return [_theta_result(dset, h, table) for h, table in zip(handles, tables)]
 
 
@@ -122,33 +121,6 @@ def _theta_result(dset: DisjunctiveSet, handle: SupportHandle, table: list) -> T
         inf_sigma, sigma_argmin = math.nan, None
     return ThetaResult(value, argmin, table, had_limit, inf_sigma, sigma_argmin,
                        _lattice_monotone(dset, table), handle)
-
-
-def _branch_rows(dset: DisjunctiveSet, groups: list, opts: SolverOptions) -> list[list]:
-    """One batched solve of the branch program min <mu,x> : Ax = b, x in K
-    for every (label, b) of each group (mu, labeled), as one list of branch
-    table rows per group, each row with its group's mu as its objective.
-    Called only by `branch_tables`."""
-    labeled = [row for _, rows in groups for row in rows]
-    if not labeled:
-        return [[] for _ in groups]
-    rhs = np.array([b for _, b in labeled])
-    costs = np.repeat([mu for mu, _ in groups], [len(rows) for _, rows in groups], axis=0)
-    sols = solve_batch(ConicProgram(costs[0], dset.A, rhs[0], dset.K), rhs, opts, costs)
-    table = []
-    for (label, b), sol in zip(labeled, sols):
-        if sol.status is SolveStatus.OPTIMAL:
-            table.append(BranchValue(label, b, "optimal", sol.objective, sol.x, sol.y,
-                                     float(sol.y @ b)))
-        elif sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-            table.append(BranchValue(label, b, "infeasible", sigma=math.inf,
-                                     certificate=sol.certificate))
-        elif sol.status is SolveStatus.DUAL_INFEASIBLE:
-            table.append(BranchValue(label, b, "unbounded", -math.inf, sigma=-math.inf))
-        else:
-            table.append(BranchValue(label, b, "limit"))
-    rows = iter(table)
-    return [list(itertools.islice(rows, len(group))) for _, group in groups]
 
 
 def _column_min(table: list, column: str) -> tuple[float, str | None]:
@@ -224,29 +196,24 @@ class SupportHandle:
         """(A.0), i.e. D_mu nonempty, as (Status, witness), settled once per
         handle: Holds with a known point of D_mu (the one-row interval, or
         the dual y of an optimal row some `eval` has solved), else the
-        result of one `feasibility` solve, Holds with its point, Fails with
-        its Farkas ray, or Inconclusive at a solver limit, which an optimal
-        row seen later upgrades to Holds."""
+        result of one `feasibility` solve: Holds with its dual y, Fails with
+        its ray x (Ax = 0, x in K, <mu,x> < 0), or Inconclusive at a solver
+        limit, which an optimal row seen later upgrades to Holds."""
         if self._a0 is None:
             sol = self.feasibility()
             if sol.status is SolveStatus.OPTIMAL:
-                self._a0 = Status.HOLDS, {"lambda": sol.x[:self._m], "gamma": sol.x[self._m:]}
-            elif sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-                self._a0 = Status.FAILS, {"ray": -sol.certificate}
+                self._a0 = Status.HOLDS, self._witness(sol.y)
+            elif sol.status is SolveStatus.DUAL_INFEASIBLE:
+                self._a0 = Status.FAILS, {"ray": sol.certificate}
             else:
                 self._a0 = Status.INCONCLUSIVE, {}
         return self._a0
 
     def feasibility(self):
-        """Solve the (A.0) feasibility problem over (lambda free, gamma in K*)
-        with A^T lambda + gamma = mu; returns the raw Solution."""
+        """Solve the branch program at z = 0, min <mu,x> : Ax = 0, x in K,
+        whose dual asks for a point of D_mu; returns the raw Solution."""
         dset = self.dset
-        cone = ConeProduct([ConeBlock(BlockKind.FREE, self._m)] + list(dset.K.dual().blocks))
-        return solve(
-            ConicProgram(np.zeros(self._m + dset.n), np.hstack([dset.A.T, np.eye(dset.n)]),
-                         self.mu, cone),
-            self.opts.solver,
-        )
+        return solve(ConicProgram(self.mu, dset.A, np.zeros(self._m), dset.K), self.opts.solver)
 
     def _uncached(self, keys: list, directions: np.ndarray) -> dict:
         """The directions whose sigma the handle has not filed, by key; none
@@ -311,17 +278,34 @@ def branch_tables(handles: list[SupportHandle], labeled: list,
     file their sigma in their handle's cache and their optimal duals in its
     `points`; the labelled rows come back as each handle's branch table and
     join neither. The one place the branch program is solved."""
-    if not handles:
-        return []
     keys = _keys(directions)
     todos = [h._uncached(keys, directions) for h in handles]
-    groups = [(h.mu, list(labeled) + [("", z) for z in todo.values()])
-              for h, todo in zip(handles, todos)]
-    tables = []
-    rows = _branch_rows(handles[0].dset, groups, handles[0].opts.solver)
-    for h, todo, solved in zip(handles, todos, rows):
-        h._file(todo, solved[len(labeled):])
-        tables.append(solved[:len(labeled)])
+    groups = [list(labeled) + [("", z) for z in todo.values()] for todo in todos]
+    rows = [row for group in groups for row in group]
+    if not rows:
+        return [[] for _ in handles]
+    dset = handles[0].dset
+    rhs = np.array([b for _, b in rows])
+    costs = np.repeat([h.mu for h in handles], [len(g) for g in groups], axis=0)
+    sols = solve_batch(ConicProgram(costs[0], dset.A, rhs[0], dset.K), rhs,
+                       handles[0].opts.solver, costs)
+    solved = []
+    for (label, b), sol in zip(rows, sols):
+        if sol.status is SolveStatus.OPTIMAL:
+            solved.append(BranchValue(label, b, "optimal", sol.objective, sol.x, sol.y,
+                                      float(sol.y @ b)))
+        elif sol.status is SolveStatus.PRIMAL_INFEASIBLE:
+            solved.append(BranchValue(label, b, "infeasible", sigma=math.inf,
+                                      certificate=sol.certificate))
+        elif sol.status is SolveStatus.DUAL_INFEASIBLE:
+            solved.append(BranchValue(label, b, "unbounded", -math.inf, sigma=-math.inf))
+        else:
+            solved.append(BranchValue(label, b, "limit"))
+    tables, it = [], iter(solved)
+    for h, todo, group in zip(handles, todos, groups):
+        table = list(itertools.islice(it, len(group)))
+        h._file(todo, table[len(labeled):])
+        tables.append(table[:len(labeled)])
     return tables
 
 
@@ -428,13 +412,13 @@ class TightRay:
     gap: float
 
 
-def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int = 0):
+def tight_extreme_ray_search(handle: SupportHandle):
     """Extreme rays z of K whose support gap <mu,z> - sigma(Az) is at most
     tol. Returns (tight rays, all sampled gaps).
 
-    One call of `handle.eval` evaluates the samples of
-    `sample_extreme_rays(K, budget, seed)`: no solve when `theta` swept
-    them in its batch already. On Nonneg blocks and dim-2 Lorentz blocks
+    One call of `handle.eval` evaluates `sample_extreme_rays(K, samples)`
+    of the handle's options: no solve when `full_reports` has filed them
+    already. On Nonneg blocks and dim-2 Lorentz blocks
     these are all the extreme rays, so there the search is exact. On larger
     Lorentz blocks the tight rays come from the points of D_mu the handle
     holds: each such lam bounds the gap by <gamma, z> with gamma =
@@ -445,7 +429,7 @@ def tight_extreme_ray_search(handle: SupportHandle, budget: int = 256, seed: int
     and no solve is made. Where gamma is zero on a block no reflection is
     defined, and the tight samples stand."""
     dset, mu = handle.dset, handle.mu
-    rays = sample_extreme_rays(dset.K, budget, seed)
+    rays = sample_extreme_rays(dset.K, handle.opts.samples)
     s = handle.eval(rays @ dset.A.T)
     gaps = np.where(np.isfinite(s), rays @ mu - s, math.inf)
     reflected, bounds = _reflected_rays(handle)
@@ -527,7 +511,7 @@ def check_sublinear_sufficient(
     rays = [t.z for t in tight_rays]
     total = np.sum(rays, axis=0)
     margin = dset.K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
-    if margin > opts.margin_tol:
+    if margin > MARGIN_TOL:
         return Status.HOLDS, {
             "rays": rays,
             "sum": total,
@@ -567,7 +551,7 @@ def _verify_point_sum(handle: SupportHandle, eta0: float, inf_sigma: float,
                       tight: list[BranchValue], xs: list):
     """Polish each x^i onto the affine constraints {Ax = b^i, <mu,x> = eta0}
     of its tight row and certify when the points' sum is interior: its
-    normalized margin must exceed margin_tol and ten times the points'
+    normalized margin must exceed MARGIN_TOL and ten times the points'
     largest violation of K."""
     dset, opts = handle.dset, handle.opts
     M = np.vstack([dset.A, handle.mu.reshape(1, -1)])
@@ -578,7 +562,7 @@ def _verify_point_sum(handle: SupportHandle, eta0: float, inf_sigma: float,
     total = np.sum(points, axis=0)
     cone_viol = max(0.0, -float(np.min(dset.K.interior_margin(np.array(points)))))
     margin = dset.K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
-    if margin > opts.margin_tol and margin > 10.0 * cone_viol:
+    if margin > MARGIN_TOL and margin > 10.0 * cone_viol:
         return Status.HOLDS, {
             "points": points,
             "branches": [row.label for row in tight],
@@ -601,7 +585,7 @@ def check_minimal_necessary_interior(
     opts = opts or AnalysisOptions()
     mu = _vec(mu, dset.n)
     dual_margin = dset.K.dual().interior_margin(mu)
-    if dual_margin <= opts.margin_tol:
+    if dual_margin <= MARGIN_TOL:
         return Status.NOT_APPLICABLE, {"dual_margin": dual_margin}
     vals = {"dual_margin": dual_margin, "theta": theta_value, "inf_sigma": inf_sigma}
     if math.isnan(inf_sigma) or math.isnan(theta_value):
@@ -621,7 +605,10 @@ def decide_minimal_exact(
     """Exact minimality decision on the orthant: maximize sum(delta) over
     delta >= 0 such that (mu - delta; eta0) stays valid, encoded through one
     multiplier per feasible branch. Minimal iff the optimum is ~0. `th` is
-    theta(dset, mu); its optimal rows are the feasible branches."""
+    theta(dset, mu); its optimal rows are the feasible branches. A program
+    that ends unbounded or at a solver limit is solved again with delta
+    capped: (mu; eta0) is valid and the valid (rho; rho0) form a convex
+    set, so every feasible delta scales into the cap."""
     opts = opts or AnalysisOptions()
     mu = _vec(mu, dset.n)
     if not dset.is_orthant():
@@ -641,7 +628,7 @@ def decide_minimal_exact(
 
     prog, lam_at = build(None)
     sol = solve(prog, opts.solver)
-    if sol.status is SolveStatus.DUAL_INFEASIBLE:
+    if sol.status in (SolveStatus.DUAL_INFEASIBLE, SolveStatus.NUMERICAL_LIMIT):
         prog, lam_at = build(1.0 + 2.0 * float(np.max(np.abs(mu))))
         sol = solve(prog, opts.solver)
     if sol.status is not SolveStatus.OPTIMAL:
@@ -728,22 +715,36 @@ def full_reports(
     opts: AnalysisOptions | None = None,
 ) -> list[CertificateReport]:
     """Run the verdict ladder on every inequality of `ineqs` over one set.
-    The branch programs of all of them are solved in one batch (`thetas`),
-    and assumption2_check, a property of the set, runs at most once: when
-    the first inequality passes the validity rung."""
+    The branch programs of all of them are solved in one batch, and
+    assumption2_check, a property of the set, runs at most once: when the
+    first inequality passes the validity rung."""
     opts = opts or AnalysisOptions()
     # When the tight-ray samples are all of K's extreme rays (no Lorentz
     # block of dim >= 3), they are few, and theta's batch of the branch
     # program solves them too; each handle keeps their values for the
     # search. Otherwise they are `samples` per block, which an invalid
-    # inequality would solve for nothing, so the search solves them after
-    # validity.
-    sweep = None
+    # inequality would solve for nothing, so one batch after validity
+    # solves them for the valid inequalities whose handle has no one-row
+    # interval to answer them.
+    mus = [q.mu for q in ineqs]
     if not any(b.kind is BlockKind.LORENTZ and b.dim > 2 for b in dset.K.blocks):
-        sweep = sample_extreme_rays(dset.K, opts.samples, opts.seed) @ dset.A.T
-    ths = thetas(dset, [q.mu for q in ineqs], opts, sweep)
-    assumption2 = functools.cache(lambda: assumption2_check(dset, opts.solver, opts.margin_tol))
+        ths = _thetas(dset, mus, opts, sample_extreme_rays(dset.K, opts.samples) @ dset.A.T)
+    else:
+        ths = thetas(dset, mus, opts)
+        valid = [th.handle for q, th in zip(ineqs, ths) if th.handle._interval is None
+                 and _validity(th, q.eta0, opts.tol) is Status.HOLDS]
+        if valid:
+            branch_tables(valid, [], sample_extreme_rays(dset.K, opts.samples) @ dset.A.T)
+    assumption2 = functools.cache(lambda: assumption2_check(dset, opts.solver))
     return [_ladder(dset, q, th, assumption2, opts) for q, th in zip(ineqs, ths)]
+
+
+def _validity(th: ThetaResult, eta0: float, tol: float) -> Status:
+    """The validity rung: Inconclusive when theta is unknown or a branch
+    ended at a solver limit, else Holds iff eta0 <= theta + tol."""
+    if math.isnan(th.value) or th.had_limit:
+        return Status.INCONCLUSIVE
+    return Status.HOLDS if eta0 <= th.value + tol else Status.FAILS
 
 
 def _ladder(dset: DisjunctiveSet, ineq: Inequality, th: ThetaResult, assumption2,
@@ -754,9 +755,8 @@ def _ladder(dset: DisjunctiveSet, ineq: Inequality, th: ThetaResult, assumption2
     mu, eta0 = handle.mu, float(ineq.eta0)
     rep = CertificateReport(config={
         "tol": opts.tol,
-        "margin_tol": opts.margin_tol,
+        "margin_tol": MARGIN_TOL,
         "samples": opts.samples,
-        "seed": opts.seed,
         "feas_tol": opts.solver.feas_tol,
         "gap_tol": opts.solver.gap_tol,
         "max_iters": opts.solver.max_iters,
@@ -769,14 +769,11 @@ def _ladder(dset: DisjunctiveSet, ineq: Inequality, th: ThetaResult, assumption2
             r.label: (r.value if r.value is not None else r.status) for r in th.table
         },
     }
-    if math.isnan(th.value) or th.had_limit:
-        rep.add("validity", Status.INCONCLUSIVE, theta_vals)
-        rep.final_verdict = VERDICT_INCONCLUSIVE
-        return rep
-    valid = eta0 <= th.value + opts.tol
-    rep.add("validity", Status.HOLDS if valid else Status.FAILS, theta_vals)
-    if not valid:
-        rep.final_verdict = VERDICT_INVALID
+    validity = _validity(th, eta0, opts.tol)
+    rep.add("validity", validity, theta_vals)
+    if validity is not Status.HOLDS:
+        rep.final_verdict = (VERDICT_INCONCLUSIVE if validity is Status.INCONCLUSIVE
+                             else VERDICT_INVALID)
         return rep
     tight = abs(eta0 - th.value) <= opts.tol if math.isfinite(th.value) else False
     rep.add("tightness", Status.HOLDS if tight else Status.FAILS, {"theta": th.value})
@@ -802,7 +799,7 @@ def _ladder(dset: DisjunctiveSet, ineq: Inequality, th: ThetaResult, assumption2
     rep.add("assumption2", a2_status, {"margin": a2_margin},
             {"witness": a2_witness} if a2_witness is not None else {})
 
-    rays, sampled_gaps = tight_extreme_ray_search(handle, opts.samples, opts.seed)
+    rays, sampled_gaps = tight_extreme_ray_search(handle)
     rep.add(
         "tight_rays",
         Status.HOLDS if rays else Status.INCONCLUSIVE,

@@ -20,6 +20,7 @@ from .analysis import (
     AnalysisOptions,
     EmptyCutSetError,
     SupportHandle,
+    branch_tables,
     check_A0,
     dmu_vertices_2d,
     enumerate_valid_equations,
@@ -55,7 +56,7 @@ def _options(args) -> AnalysisOptions:
     if args.max_iters < 1:
         raise ProblemFormatError("--max-iters must be at least 1")
     return AnalysisOptions(
-        **{k: flags[k] for k in ("tol", "samples", "seed") if k in flags},
+        **{k: flags[k] for k in ("tol", "samples") if k in flags},
         solver=SolverOptions(
             feas_tol=args.feas_tol,
             gap_tol=args.gap_tol,
@@ -172,9 +173,9 @@ def cmd_support(args) -> int:
     out = []
     if args.z is not None:
         z = _parse_vector(args.z, problem.dset.m, "--z")
-        for q in ineqs:
-            sigma = SupportHandle(problem.dset, q.mu, opts).eval(z)
-            out.append({"inequality": q.name, "z": z, "sigma": sigma})
+        handles = [SupportHandle(problem.dset, q.mu, opts) for q in ineqs]
+        branch_tables(handles, [], z[None])  # files z for every handle in one batch
+        out = [{"inequality": q.name, "z": z, "sigma": h.eval(z)} for q, h in zip(ineqs, handles)]
     else:
         # sigma(b) >= y.b from each branch's dual, +inf on infeasible ones
         for q, th in zip(ineqs, thetas(problem.dset, [q.mu for q in ineqs], opts)):
@@ -240,7 +241,7 @@ def cmd_demo(args) -> int:
     reps = full_reports(fx.dset, [fi.inequality for fi in fx.inequalities], opts)
     expected_a2 = fx.notes.get("assumption2")
     if expected_a2 is not None:
-        a2_status, _, a2_margin = assumption2_check(fx.dset, opts.solver, opts.margin_tol)
+        a2_status, _, a2_margin = assumption2_check(fx.dset, opts.solver)
         check(f"assumption2 {expected_a2}", a2_status.value == expected_a2,
               f"margin={_fmt(a2_margin)}")
     if "infeasible_rhs" in fx.notes:
@@ -320,8 +321,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 def _add_ladder_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=_DEFAULTS.tol)
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed,
-                   help="seed of the sampled extreme rays")
     p.add_argument("--samples", type=int, default=_DEFAULTS.samples)
 
 

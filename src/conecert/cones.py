@@ -156,15 +156,15 @@ class ConeProduct:
         return e
 
 
-def sample_extreme_rays(cone: ConeProduct, count: int, seed: int = 0) -> np.ndarray:
+def sample_extreme_rays(cone: ConeProduct, count: int) -> np.ndarray:
     """Unit-norm extreme rays of the product cone, zero outside their block,
     as the rows of a (k, dim) array, block by block.
 
     Nonneg blocks contribute every coordinate ray. A Lorentz block of
     dimension d contributes boundary rays (xbar, ||xbar||)/sqrt(2) with xbar
     on the unit sphere of R^(d-1): both points for d = 2, an equispaced
-    circle grid of `count` points for d = 3, and `count` seeded Gaussian
-    sphere samples otherwise. Deterministic for fixed (count, seed).
+    circle grid of `count` points for d = 3, and `count` Gaussian sphere
+    samples otherwise, from a generator seeded 0 for each block.
     """
     if not cone.is_regular():
         raise ValueError("sample_extreme_rays requires a regular cone")
@@ -187,7 +187,7 @@ def sample_extreme_rays(cone: ConeProduct, count: int, seed: int = 0) -> np.ndar
         else:
             # rows of one draw follow the stream of one draw per row; a
             # near-zero row is skipped and replaced from the same stream
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(0)
             bars = np.empty((0, d - 1))
             while len(bars) < count:
                 g = rng.standard_normal((count - len(bars), d - 1))

@@ -15,6 +15,8 @@ from .solver import ConicProgram, SolveStatus, SolverOptions, solve_batch
 
 FORMAT_VERSION = 1
 
+MARGIN_TOL = 1e-7  # the least margin that certifies a point interior to a cone
+
 
 class ProblemFormatError(ValueError):
     """Raised on parse or validation failures; message names the field."""
@@ -324,13 +326,12 @@ def save_problem(problem: Problem) -> str:
 def assumption2_check(
     dset: DisjunctiveSet,
     opts: SolverOptions | None = None,
-    tol: float = 1e-7,
 ) -> tuple[Status, np.ndarray | None, float]:
     """Look for a strictly interior feasible point: maximize t subject to
     x - t*e in K, Ax = b, t <= 1 on every expanded branch. The optimum t*
-    also decides the branch: it is feasible iff t* >= 0, and t* within tol
-    of 0 counts as feasible (a boundary branch). Returns the status, the
-    best witness x, and the best margin over the feasible branches."""
+    also decides the branch: it is feasible iff t* >= 0, and t* within
+    MARGIN_TOL of 0 counts as feasible. Returns the status, the best
+    witness x, and the best margin over the feasible branches."""
     opts = opts or SolverOptions()
     n, m = dset.n, dset.m
     e = dset.K.canonical_interior_point()
@@ -356,7 +357,7 @@ def assumption2_check(
             saw_limit = True
             continue
         t = float(sol.x[n])
-        if t < -tol:  # an infeasible branch
+        if t < -MARGIN_TOL:  # an infeasible branch
             continue
         saw_feasible = True
         if t > best_margin:
@@ -364,7 +365,7 @@ def assumption2_check(
             best_witness = sol.x[:n] + t * e
     if not saw_feasible and not saw_limit:
         return Status.FAILS, None, -np.inf
-    if best_margin > tol:
+    if best_margin > MARGIN_TOL:
         return Status.HOLDS, best_witness, best_margin
     if saw_limit:
         return Status.INCONCLUSIVE, None, best_margin

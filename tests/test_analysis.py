@@ -1,8 +1,10 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conecert import analysis
 from conecert.analysis import (
@@ -18,8 +20,8 @@ from conecert.analysis import (
     dmu_vertices_2d,
     enumerate_valid_equations,
     full_report,
+    full_reports,
     theta,
-    thetas,
     tight_extreme_ray_search,
     valid_equation_check,
 )
@@ -263,7 +265,7 @@ def test_report_solves_one_branch_batch_per_mu(monkeypatch):
     swept = 0
     for fx in map(builtin, names()):
         dset, n_b = fx.dset, len(fx.dset.B.expand())
-        samples = {tuple(np.round(dset.A @ z, 12)) for z in sample_extreme_rays(dset.K, 256, 0)}
+        samples = {tuple(np.round(dset.A @ z, 12)) for z in sample_extreme_rays(dset.K, 256)}
         for fi in fx.inequalities:
             batches.clear()
             full_report(dset, fi.inequality)
@@ -277,13 +279,15 @@ def test_report_solves_one_branch_batch_per_mu(monkeypatch):
 
 @pytest.mark.parametrize("name", ["cmir", "ex4_1"])
 def test_thetas_rows_equal_one_mu_theta(name):
-    """The merged batch of `thetas` gives, bit for bit, every row and every
-    swept value that `theta` gives for each mu alone."""
+    """The merged batch of several mu (`thetas` with swept directions)
+    gives, bit for bit, every row and every swept value that one mu gives
+    alone."""
     fx = builtin(name)
     dset, mus = fx.dset, [fi.inequality.mu for fi in fx.inequalities]
-    sweep = sample_extreme_rays(dset.K, 16, 0) @ dset.A.T
-    for mu, got in zip(mus, thetas(dset, mus, sweep=sweep)):
-        want = theta(dset, mu, sweep=sweep)
+    opts = AnalysisOptions()
+    sweep = sample_extreme_rays(dset.K, 16) @ dset.A.T
+    for mu, got in zip(mus, analysis._thetas(dset, mus, opts, sweep)):
+        want = analysis._thetas(dset, [mu], opts, sweep)[0]
         assert [r.status for r in got.table] == [r.status for r in want.table]
         for r, w in zip(got.table, want.table):
             for f in ("value", "x", "y", "sigma", "certificate"):
@@ -295,8 +299,8 @@ def test_thetas_rows_equal_one_mu_theta(name):
 def test_report_on_sampled_cone_solves_samples_after_validity(monkeypatch):
     """With a Lorentz block of dim >= 3 the tight-ray samples are 256 per
     block, so theta's batch holds B's rows alone: an invalid inequality
-    solves nothing more, and a valid one solves the samples in a batch of
-    their own."""
+    solves nothing more, and the valid ones of a set solve their samples in
+    one batch after validity, with the reports they get one by one."""
     A = np.array([[-2.0, -1.0, 1.0, 0.0, 2.0, 2.0],
                   [0.0, 0.0, 0.0, 1.0, 0.0, 1.0]])
     K = ConeProduct([lorentz(3), lorentz(3)])
@@ -308,11 +312,21 @@ def test_report_on_sampled_cone_solves_samples_after_validity(monkeypatch):
                         lambda p, rhs, opts=None, c=None: batches.append((c, len(rhs)))
                         or real_batch(p, rhs, opts, c))
     value = theta(dset, mu).value
-    samples = {tuple(np.round(A @ z, 12)) for z in sample_extreme_rays(K, 256, 0)}
+    samples = {tuple(np.round(A @ z, 12)) for z in sample_extreme_rays(K, 256)}
     for eta0, expected in ((value + 1.0, [1]), (value, [1, len(samples)])):
         batches.clear()
         full_report(dset, Inequality(mu, eta0))
         assert [k for c, k in batches if all(np.array_equal(row, mu) for row in c)] == expected
+    mu2 = mu + A.T @ [0.1, 0.1]
+    ineqs = [Inequality(mu, value), Inequality(mu2, theta(dset, mu2).value),
+             Inequality(mu, value + 1.0)]
+    singles = [full_report(dset, q).to_json() for q in ineqs]
+    batches.clear()
+    reports = full_reports(dset, ineqs)
+    assert [k for _, k in batches] == [len(ineqs), 2 * len(samples)]
+    assert [r.to_json() for r in reports] == singles
+    assert reports[2].final_verdict == "Invalid"
+    assert all(r.entry("tight_rays").values["count"] for r in reports[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +336,7 @@ def test_report_on_sampled_cone_solves_samples_after_validity(monkeypatch):
 def test_tight_rays_unique_direction():
     fx = builtin("ex4_2")
     rays, gaps = tight_extreme_ray_search(
-        SupportHandle(fx.dset, [0.0, 0.0, 1.0]), budget=64, seed=0
+        SupportHandle(fx.dset, [0.0, 0.0, 1.0], AnalysisOptions(samples=64))
     )
     assert len(rays) == 1
     z = rays[0].z
@@ -335,7 +349,8 @@ def test_tight_rays_reflect_offgrid_directions_exactly():
     # the ends +-sqrt(3) of D_mu give gamma = (-+sqrt(3), 1, 2) on the
     # boundary of L3, whose reflections lie between the 64 grid angles
     fx = builtin("ex4_1")
-    rays, _ = tight_extreme_ray_search(SupportHandle(fx.dset, [0.0, 1.0, 2.0]), budget=64, seed=0)
+    rays, _ = tight_extreme_ray_search(SupportHandle(fx.dset, [0.0, 1.0, 2.0],
+                                                     AnalysisOptions(samples=64)))
     assert len(rays) == 2
     expected = [
         np.array([1.0 / math.sqrt(3.0), -1.0 / 3.0, 2.0 / 3.0]),
@@ -355,7 +370,8 @@ def test_tight_rays_one_row_lorentz4():
         ConeProduct([lorentz(4)]),
         RhsFamily(explicit=(np.array([-1.0]), np.array([1.0]))),
     )
-    rays, gaps = tight_extreme_ray_search(SupportHandle(dset, [0.0, 1.0, 1.0, 2.0]), budget=64)
+    rays, gaps = tight_extreme_ray_search(SupportHandle(dset, [0.0, 1.0, 1.0, 2.0],
+                                                         AnalysisOptions(samples=64)))
     assert min(gaps) > 1e-6
     expected = [np.array([s * math.sqrt(0.5), -0.5, -0.5, 1.0]) / math.sqrt(2.0) for s in (1, -1)]
     assert len(rays) == 2
@@ -393,7 +409,7 @@ def test_tight_rays_three_row_search_raises_no_warning(monkeypatch):
 def test_tight_rays_cmir_all_five():
     fx = builtin("cmir")
     mu = fx.inequalities[0].inequality.mu
-    rays, _ = tight_extreme_ray_search(SupportHandle(fx.dset, mu), budget=16, seed=0)
+    rays, _ = tight_extreme_ray_search(SupportHandle(fx.dset, mu, AnalysisOptions(samples=16)))
     assert len(rays) == 5
 
 
@@ -526,6 +542,78 @@ def test_decide_minimal_exact_abstains_on_a_limit_row():
     assert status is Status.INCONCLUSIVE
 
 
+def _orthant_grid(count):
+    """The first `count` seeded 2x4 orthant decisions at eta0 = theta, as
+    (draw, dset, mu, th): integer A and three right-hand sides in [-3, 3]
+    and mu in [-2, 2] from default_rng(2026), skipping mu = 0, rejected
+    sets, and a theta that is not finite or has a limit row."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for draw in itertools.count():
+        if len(cases) == count:
+            return cases
+        A = rng.integers(-3, 4, (2, 4)).astype(float)
+        bs = tuple(rng.integers(-3, 4, 2).astype(float) for _ in range(3))
+        mu = rng.integers(-2, 3, 4).astype(float)
+        if not mu.any():
+            continue
+        try:
+            dset = DisjunctiveSet(A, ConeProduct([nonneg(4)]), RhsFamily(explicit=bs))
+            th = theta(dset, mu)
+        except ValueError:
+            continue
+        if math.isfinite(th.value) and not th.had_limit:
+            cases.append((draw, dset, mu, th))
+
+
+def _highs_improvement(dset, mu, eta0, th):
+    """max sum(delta) over delta >= 0 keeping (mu - delta; eta0) valid on
+    the feasible branches, by HiGHS: the optimum, or +inf if unbounded."""
+    m, n = dset.A.shape
+    bs = [r.b for r in th.table if r.status == "optimal"]
+    width = m + n  # per branch: lam free, gamma >= 0, delta + A^T lam + gamma = mu
+    nv = n + len(bs) * width
+    A_eq = np.zeros((n * len(bs), nv))
+    A_ub = np.zeros((len(bs), nv))
+    for k, b in enumerate(bs):
+        off = n + k * width
+        A_eq[k * n:(k + 1) * n, :n] = np.eye(n)
+        A_eq[k * n:(k + 1) * n, off:off + m] = dset.A.T
+        A_eq[k * n:(k + 1) * n, off + m:off + width] = np.eye(n)
+        A_ub[k, off:off + m] = -b  # b.lam >= eta0
+    bounds = [(0, None)] * n + ([(None, None)] * m + [(0, None)] * n) * len(bs)
+    res = scipy.optimize.linprog(np.concatenate([-np.ones(n), np.zeros(nv - n)]),
+                                 A_ub=A_ub, b_ub=np.full(len(bs), -eta0), A_eq=A_eq,
+                                 b_eq=np.tile(mu, len(bs)), bounds=bounds, method="highs")
+    assert res.status in (0, 3), res.message
+    return math.inf if res.status == 3 else -res.fun
+
+
+def test_decide_minimal_exact_caps_after_a_solver_limit():
+    """A program that ends at a solver limit is solved again with the cap,
+    as one that ends unbounded is. On 58 seeded orthant decisions every
+    decided verdict agrees with HiGHS on the same program, and draws 52 and
+    68, whose programs HiGHS finds unbounded and the IPM ended at a limit,
+    are Fails at the cap with a verified witness."""
+    abstained, capped = [], {}
+    for draw, dset, mu, th in _orthant_grid(58):
+        status, payload = decide_minimal_exact(dset, mu, th.value, th)
+        if status is Status.INCONCLUSIVE:
+            abstained.append(draw)
+            continue
+        best = _highs_improvement(dset, mu, th.value, th)
+        assert (status is Status.FAILS) == (best > 1e-6), (draw, status, best)
+        if status is Status.FAILS:
+            assert payload["witness_verified"], draw
+        if draw in (52, 68):
+            capped[draw] = (status, best, payload["optimum"])
+    assert set(abstained) <= {38, 74}
+    for status, best, optimum in capped.values():
+        assert status is Status.FAILS and best == math.inf
+        assert optimum == pytest.approx(15.0, abs=1e-6)  # three components at the cap 5
+    assert sorted(capped) == [52, 68]
+
+
 def test_decide_minimal_exact_not_applicable_off_orthant():
     fx = builtin("ex2_1")
     status, _ = _decide_minimal_exact(fx.dset, [1.0, 0.0, -1.0], -2.0)
@@ -597,11 +685,11 @@ def test_full_report_nontight_minimal():
 
 def test_full_report_records_config():
     fx = builtin("ex2_4")
-    opts = AnalysisOptions(tol=1e-7, samples=32, seed=5)
+    opts = AnalysisOptions(tol=1e-7, samples=32)
     rep = full_report(fx.dset, Inequality(np.array([1.0, -1.0]), -2.0), opts)
     assert rep.config["tol"] == 1e-7
     assert rep.config["samples"] == 32
-    assert rep.config["seed"] == 5
+    assert rep.config["margin_tol"] == 1e-7
 
 
 def test_full_report_json_round_trip():

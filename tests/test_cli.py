@@ -8,8 +8,8 @@ from conecert import analysis, cli
 from conecert.analysis import AnalysisOptions, full_report
 from conecert.cli import main
 from conecert.cones import sample_extreme_rays
-from conecert.fixtures import builtin, names
-from conecert.model import _plain, load_problem, save_problem
+from conecert.fixtures import names
+from conecert.model import _plain, load_problem
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "conecert" / "data"
 
@@ -105,7 +105,7 @@ def test_report_solves_one_branch_batch_per_file(capsys, monkeypatch, name):
     batches = _count_branch_batches(monkeypatch)
     code, out, _ = run(capsys, "report", str(path), "--json")
     assert code == 0 and out == want
-    samples = len({tuple(np.round(dset.A @ z, 12)) for z in sample_extreme_rays(dset.K, 256, 0)})
+    samples = len({tuple(np.round(dset.A @ z, 12)) for z in sample_extreme_rays(dset.K, 256)})
     assert batches == [len(ineqs) * (len(dset.B.expand()) + (samples if dset.m > 1 else 0))]
 
 
@@ -123,6 +123,23 @@ def test_theta_and_support_solve_one_branch_batch_per_file(capsys, monkeypatch, 
     code, out, _ = run(capsys, command, str(path), "--json")
     assert code == 0 and json.loads(out) == singles
     assert batches == [len(problem.inequalities) * len(problem.dset.B.expand())]
+
+
+def test_support_z_solves_one_branch_batch_per_file(capsys, monkeypatch):
+    """`support --z` fills the support handles of every selected inequality
+    in one batch of one row each, with the output of the inequalities one
+    by one."""
+    path = DATA / "cmir.json"
+    problem = load_problem(path.read_text())
+    singles = ""
+    for q in problem.inequalities:
+        code, out, _ = run(capsys, "support", str(path), "--inequality", q.name, "--z", "1,2")
+        assert code == 0
+        singles += out
+    batches = _count_branch_batches(monkeypatch)
+    code, out, _ = run(capsys, "support", str(path), "--z", "1,2")
+    assert code == 0 and out == singles
+    assert batches == [len(problem.inequalities)]
 
 
 @pytest.mark.parametrize("command", ["report", "theta", "support"])
@@ -185,16 +202,6 @@ def test_demo_cmir_vertices(capsys):
     assert "np.float64" not in out
 
 
-def test_seed_defaults_to_zero(tmp_path, capsys, monkeypatch):
-    # --seed is the only source of the seed; the environment is not read
-    monkeypatch.setenv("CCLAB_SEED", "17")
-    path = tmp_path / "p.json"
-    path.write_text(save_problem(builtin("ex2_4").to_problem()))
-    code, out, _ = run(capsys, "report", str(path), "--json")
-    assert code == 0
-    assert json.loads(out)[0]["config"]["seed"] == 0
-
-
 def test_negative_vectors_parse(capsys):
     code, out, _ = run(capsys, "separate", str(DATA / "ex2_4.json"), "--point", "-1,0", "--json")
     assert code == 0
@@ -224,7 +231,8 @@ def test_malformed_point_names_the_flag(capsys, argv):
 
 @pytest.mark.parametrize("command, flag", [
     (cmd, flag) for cmd in ("theta", "support") for flag in ("--tol", "--seed", "--samples")
-] + [("separate", "--seed"), ("separate", "--samples"), ("separate", "--normalization")] + [
+] + [("separate", "--seed"), ("separate", "--samples"), ("separate", "--normalization"),
+      ("report", "--seed")] + [
     ("equations", flag)
     for flag in ("--tol", "--seed", "--samples", "--max-iters", "--feas-tol", "--gap-tol")
 ])

@@ -3,6 +3,7 @@ import pytest
 
 import conecert.fixtures as fixtures
 from conecert.analysis import (
+    AnalysisOptions,
     SupportHandle,
     full_report,
     theta,
@@ -68,7 +69,7 @@ def test_expected_scalars():
             th = theta(fx.dset, fi.inequality.mu)
             if "theta" in fi.scalars:
                 assert th.value == pytest.approx(fi.scalars["theta"], abs=1e-6)
-            handle = SupportHandle(fx.dset, fi.inequality.mu)
+            handle = SupportHandle(fx.dset, fi.inequality.mu, AnalysisOptions(samples=64))
             if "inf_sigma" in fi.scalars:
                 assert th.inf_sigma == pytest.approx(fi.scalars["inf_sigma"], abs=1e-6)
                 if "inf_sigma_argmin" in fx.notes:
@@ -79,7 +80,7 @@ def test_expected_scalars():
                         fi.scalars["support_at_pm1"], abs=1e-6
                     )
             if "tight_ray" in fx.notes:
-                rays, _ = tight_extreme_ray_search(handle, budget=64, seed=0)
+                rays, _ = tight_extreme_ray_search(handle)
                 assert len(rays) == 1
                 assert np.allclose(rays[0].z, fx.notes["tight_ray"], atol=1e-6)
 

@@ -53,7 +53,7 @@ def test_weak_bound_on_rays():
     for _ in range(25):
         dset, mu = _random_orthant_instance(rng)
         handle = SupportHandle(dset, mu)
-        for z in sample_extreme_rays(dset.K, 8, seed=0):
+        for z in sample_extreme_rays(dset.K, 8):
             v = handle.eval(dset.A @ z)
             if math.isnan(v):
                 continue
@@ -407,9 +407,9 @@ def test_stacked_support_matches_single_and_support_program(monkeypatch):
                         rows["inf" if ref == math.inf else "finite"] += 1
                 if rep == 0 and m == 2:
                     batches.clear()
-                    tight_extreme_ray_search(SupportHandle(dset, mu), budget=16)
+                    tight_extreme_ray_search(SupportHandle(dset, mu, AnalysisOptions(samples=16)))
                     samples = {tuple(np.round(dset.A @ z, 12))
-                               for z in sample_extreme_rays(dset.K, 16, 0)}
+                               for z in sample_extreme_rays(dset.K, 16)}
                     assert batches[0] == len(samples)
                     assert len(batches) == 1  # no batch after the sample sweep
     assert rows["finite"] >= 100 and rows["inf"] >= 20 and rows["empty"] == 6
@@ -446,7 +446,7 @@ def test_reflected_ray_gap_bounds_are_sound():
                 assert -1e-9 <= gap <= bound + 1e-9, (dset.A, mu, z)
             checked += len(optimal)
             solved = mu @ Z.T - h.eval(Z @ dset.A.T)
-            samples = sample_extreme_rays(dset.K, 256, 0)
+            samples = sample_extreme_rays(dset.K, 256)
             full = analysis._distinct_tight_rays(np.vstack([samples, Z]),
                                                  np.concatenate([gaps, solved]), h.opts.tol)
             assert len(full) == len(rays)
