@@ -74,11 +74,32 @@ class ThetaResult:
     value: float  # may be -inf
     argmin: str | None
     table: list  # BranchValue rows, one per expanded b
+    handle: SupportHandle  # solved the table; the rungs read dset, mu and opts from it
     had_limit: bool = False
     inf_sigma: float = math.nan  # min of the rows' sigma; may be +inf/nan
     sigma_argmin: str | None = None
     monotone_ok: bool = True
-    handle: SupportHandle | None = None  # the SupportHandle that solved the table
+
+    def branch_values(self) -> dict:
+        """The validity rung's values: theta, its argmin and each branch's
+        value, or its status where it has none."""
+        return {
+            "theta": self.value,
+            "argmin": self.argmin,
+            "branches": {
+                r.label: (r.value if r.value is not None else r.status) for r in self.table
+            },
+        }
+
+    def sigma_values(self) -> dict:
+        """The inf_sigma rung's values: inf_b sigma(b), its argmin, the
+        lattice spot-check and each branch's sigma."""
+        return {
+            "inf_sigma": self.inf_sigma,
+            "argmin": self.sigma_argmin,
+            "monotone_ok": self.monotone_ok,
+            "table": {r.label: r.sigma for r in self.table},
+        }
 
 
 def theta(dset: DisjunctiveSet, mu, opts: AnalysisOptions | None = None) -> ThetaResult:
@@ -106,10 +127,10 @@ def _thetas(dset: DisjunctiveSet, mus, opts: AnalysisOptions,
         raise ValueError("mu must be nonzero")
     handles = [SupportHandle(dset, mu, opts) for mu in mus]
     tables = branch_tables(handles, dset.B.expand_labeled(), directions)
-    return [_theta_result(dset, h, table) for h, table in zip(handles, tables)]
+    return [_theta_result(h, table) for h, table in zip(handles, tables)]
 
 
-def _theta_result(dset: DisjunctiveSet, handle: SupportHandle, table: list) -> ThetaResult:
+def _theta_result(handle: SupportHandle, table: list) -> ThetaResult:
     value, argmin = _column_min(table, "value")
     had_limit = any(r.status == "limit" for r in table)
     if value == math.inf:  # no optimal or unbounded row
@@ -119,8 +140,8 @@ def _theta_result(dset: DisjunctiveSet, handle: SupportHandle, table: list) -> T
     inf_sigma, sigma_argmin = _column_min(table, "sigma")
     if not math.isfinite(inf_sigma) and had_limit:
         inf_sigma, sigma_argmin = math.nan, None
-    return ThetaResult(value, argmin, table, had_limit, inf_sigma, sigma_argmin,
-                       _lattice_monotone(dset, table), handle)
+    return ThetaResult(value, argmin, table, handle, had_limit, inf_sigma, sigma_argmin,
+                       _lattice_monotone(handle.dset, table))
 
 
 def _column_min(table: list, column: str) -> tuple[float, str | None]:
@@ -479,12 +500,7 @@ def _distinct_tight_rays(rays: np.ndarray, gaps: np.ndarray, tol: float) -> list
 # sublinearity and minimality certificates
 
 
-def check_sublinear_sufficient(
-    handle: SupportHandle,
-    eta0: float,
-    th: ThetaResult,
-    tight_rays: list[TightRay],
-):
+def check_sublinear_sufficient(th: ThetaResult, eta0: float, tight_rays: list[TightRay]):
     """Certify sublinearity through tight extreme rays summing into int(K).
     Validity is pre-certified through eta0 <= inf_b sigma(b), read from the
     branch table th = theta(dset, mu).
@@ -497,8 +513,10 @@ def check_sublinear_sufficient(
     ray test is exact: sublinearity fails as soon as a gap
     mu_i - sigma(a^i) exceeds tol (condition (A.1i)), and the Fails witness
     lists those coordinates and their gaps. The values are the search's,
-    read again from the handle's cache."""
-    dset, opts, inf_sigma = handle.dset, handle.opts, th.inf_sigma
+    read again from the cache of th's handle. The Holds certificate is the
+    sum and its margin; the rays are the tight_rays rung's."""
+    handle, inf_sigma = th.handle, th.inf_sigma
+    dset, opts = handle.dset, handle.opts
     if dset.is_orthant():
         gaps = handle.mu - handle.eval(dset.A.T)
         non_tight = np.flatnonzero(gaps > opts.tol)  # a nan gap is no evidence
@@ -508,20 +526,14 @@ def check_sublinear_sufficient(
         return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma}
     if not tight_rays:
         return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "tight_rays": []}
-    rays = [t.z for t in tight_rays]
-    total = np.sum(rays, axis=0)
+    total = np.sum([t.z for t in tight_rays], axis=0)
     margin = dset.K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
     if margin > MARGIN_TOL:
-        return Status.HOLDS, {
-            "rays": rays,
-            "sum": total,
-            "margin": margin,
-            "inf_sigma": inf_sigma,
-        }
+        return Status.HOLDS, {"sum": total, "margin": margin, "inf_sigma": inf_sigma}
     return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "margin": margin}
 
 
-def check_minimal_sufficient(handle: SupportHandle, eta0: float, th: ThetaResult):
+def check_minimal_sufficient(th: ThetaResult, eta0: float):
     """Certify minimality through points x^i on tight branches whose sum is
     interior. Applies only when eta0 equals inf_b sigma(b), read from the
     branch table th = theta(dset, mu).
@@ -532,29 +544,29 @@ def check_minimal_sufficient(handle: SupportHandle, eta0: float, th: ThetaResult
     as soon as any sum of points of the faces does (Rockafellar, Convex
     Analysis, Cor. 6.6.2). Soundness rests on the a-posteriori check of
     `_verify_point_sum` alone."""
-    opts, inf_sigma = handle.opts, th.inf_sigma
-    if not math.isfinite(inf_sigma) or abs(eta0 - inf_sigma) > opts.tol:
+    inf_sigma = th.inf_sigma
+    if not math.isfinite(inf_sigma) or abs(eta0 - inf_sigma) > th.handle.opts.tol:
         return Status.NOT_APPLICABLE, {"inf_sigma": inf_sigma}
-    tight = _tight_rows(th, eta0, opts.tol)
+    tight = _tight_rows(th, eta0)
     if not tight:
         return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma}
-    return _verify_point_sum(handle, eta0, inf_sigma, tight, [r.x for r in tight])
+    return _verify_point_sum(th, eta0, tight, [r.x for r in tight])
 
 
-def _tight_rows(th: ThetaResult, eta0: float, tol: float) -> list[BranchValue]:
+def _tight_rows(th: ThetaResult, eta0: float) -> list[BranchValue]:
     """The branch table's rows with a finite sigma(b) <= eta0 + tol; finite
     sigma makes each an optimal row with its point x."""
+    tol = th.handle.opts.tol
     return [r for r in th.table if math.isfinite(r.sigma) and r.sigma <= eta0 + tol]
 
 
-def _verify_point_sum(handle: SupportHandle, eta0: float, inf_sigma: float,
-                      tight: list[BranchValue], xs: list):
+def _verify_point_sum(th: ThetaResult, eta0: float, tight: list[BranchValue], xs: list):
     """Polish each x^i onto the affine constraints {Ax = b^i, <mu,x> = eta0}
     of its tight row and certify when the points' sum is interior: its
     normalized margin must exceed MARGIN_TOL and ten times the points'
     largest violation of K."""
-    dset, opts = handle.dset, handle.opts
-    M = np.vstack([dset.A, handle.mu.reshape(1, -1)])
+    dset, inf_sigma = th.handle.dset, th.inf_sigma
+    M = np.vstack([dset.A, th.handle.mu.reshape(1, -1)])
     points = []
     for row, x in zip(tight, xs):
         corr, _ = least_squares_solve(M, np.concatenate([row.b, [eta0]]) - M @ x)
@@ -573,35 +585,22 @@ def _verify_point_sum(handle: SupportHandle, eta0: float, inf_sigma: float,
     return Status.INCONCLUSIVE, {"inf_sigma": inf_sigma, "margin": margin}
 
 
-def check_minimal_necessary_interior(
-    dset: DisjunctiveSet,
-    mu,
-    eta0: float,
-    theta_value: float,
-    inf_sigma: float,
-    opts: AnalysisOptions | None = None,
-):
-    """For mu in int(K*): minimality forces eta0 = theta = inf_b sigma(b)."""
-    opts = opts or AnalysisOptions()
-    mu = _vec(mu, dset.n)
+def check_minimal_necessary_interior(th: ThetaResult, eta0: float):
+    """For mu in int(K*): minimality forces eta0 = theta = inf_b sigma(b),
+    with theta and inf_sigma read from th = theta(dset, mu)."""
+    dset, mu, tol = th.handle.dset, th.handle.mu, th.handle.opts.tol
     dual_margin = dset.K.dual().interior_margin(mu)
     if dual_margin <= MARGIN_TOL:
         return Status.NOT_APPLICABLE, {"dual_margin": dual_margin}
-    vals = {"dual_margin": dual_margin, "theta": theta_value, "inf_sigma": inf_sigma}
-    if math.isnan(inf_sigma) or math.isnan(theta_value):
+    vals = {"dual_margin": dual_margin, "theta": th.value, "inf_sigma": th.inf_sigma}
+    if math.isnan(th.inf_sigma) or math.isnan(th.value):
         return Status.INCONCLUSIVE, vals
-    if abs(eta0 - theta_value) > opts.tol or abs(eta0 - inf_sigma) > opts.tol:
+    if abs(eta0 - th.value) > tol or abs(eta0 - th.inf_sigma) > tol:
         return Status.FAILS, vals
     return Status.HOLDS, vals
 
 
-def decide_minimal_exact(
-    dset: DisjunctiveSet,
-    mu,
-    eta0: float,
-    th: ThetaResult,
-    opts: AnalysisOptions | None = None,
-):
+def decide_minimal_exact(th: ThetaResult, eta0: float):
     """Exact minimality decision on the orthant: maximize sum(delta) over
     delta >= 0 such that (mu - delta; eta0) stays valid, encoded through one
     multiplier per feasible branch. Minimal iff the optimum is ~0. `th` is
@@ -609,8 +608,7 @@ def decide_minimal_exact(
     that ends unbounded or at a solver limit is solved again with delta
     capped: (mu; eta0) is valid and the valid (rho; rho0) form a convex
     set, so every feasible delta scales into the cap."""
-    opts = opts or AnalysisOptions()
-    mu = _vec(mu, dset.n)
+    dset, mu, opts = th.handle.dset, th.handle.mu, th.handle.opts
     if not dset.is_orthant():
         return Status.NOT_APPLICABLE, {}
     if math.isnan(th.value) or eta0 > th.value + opts.tol:
@@ -732,27 +730,26 @@ def full_reports(
     else:
         ths = thetas(dset, mus, opts)
         valid = [th.handle for q, th in zip(ineqs, ths) if th.handle._interval is None
-                 and _validity(th, q.eta0, opts.tol) is Status.HOLDS]
+                 and _validity(th, q.eta0) is Status.HOLDS]
         if valid:
             branch_tables(valid, [], sample_extreme_rays(dset.K, opts.samples) @ dset.A.T)
     assumption2 = functools.cache(lambda: assumption2_check(dset, opts.solver))
-    return [_ladder(dset, q, th, assumption2, opts) for q, th in zip(ineqs, ths)]
+    return [_ladder(q, th, assumption2) for q, th in zip(ineqs, ths)]
 
 
-def _validity(th: ThetaResult, eta0: float, tol: float) -> Status:
+def _validity(th: ThetaResult, eta0: float) -> Status:
     """The validity rung: Inconclusive when theta is unknown or a branch
     ended at a solver limit, else Holds iff eta0 <= theta + tol."""
     if math.isnan(th.value) or th.had_limit:
         return Status.INCONCLUSIVE
-    return Status.HOLDS if eta0 <= th.value + tol else Status.FAILS
+    return Status.HOLDS if eta0 <= th.value + th.handle.opts.tol else Status.FAILS
 
 
-def _ladder(dset: DisjunctiveSet, ineq: Inequality, th: ThetaResult, assumption2,
-            opts: AnalysisOptions) -> CertificateReport:
+def _ladder(ineq: Inequality, th: ThetaResult, assumption2) -> CertificateReport:
     """The verdict ladder of one inequality, given th = theta(dset, mu) and
     a function that returns assumption2_check's result for the set."""
     handle = th.handle
-    mu, eta0 = handle.mu, float(ineq.eta0)
+    dset, mu, opts, eta0 = handle.dset, handle.mu, handle.opts, float(ineq.eta0)
     rep = CertificateReport(config={
         "tol": opts.tol,
         "margin_tol": MARGIN_TOL,
@@ -762,15 +759,8 @@ def _ladder(dset: DisjunctiveSet, ineq: Inequality, th: ThetaResult, assumption2
         "max_iters": opts.solver.max_iters,
         "inequality": ineq.name,
     })
-    theta_vals = {
-        "theta": th.value,
-        "argmin": th.argmin,
-        "branches": {
-            r.label: (r.value if r.value is not None else r.status) for r in th.table
-        },
-    }
-    validity = _validity(th, eta0, opts.tol)
-    rep.add("validity", validity, theta_vals)
+    validity = _validity(th, eta0)
+    rep.add("validity", validity, th.branch_values())
     if validity is not Status.HOLDS:
         rep.final_verdict = (VERDICT_INCONCLUSIVE if validity is Status.INCONCLUSIVE
                              else VERDICT_INVALID)
@@ -783,16 +773,7 @@ def _ladder(dset: DisjunctiveSet, ineq: Inequality, th: ThetaResult, assumption2
     # finite or +inf
     a0_status, a0_payload = check_A0(handle, th)
     rep.add("A0", a0_status, witness=a0_payload)
-    rep.add(
-        "inf_sigma",
-        Status.HOLDS,
-        {
-            "inf_sigma": th.inf_sigma,
-            "argmin": th.sigma_argmin,
-            "monotone_ok": th.monotone_ok,
-            "table": {r.label: r.sigma for r in th.table},
-        },
-    )
+    rep.add("inf_sigma", Status.HOLDS, th.sigma_values())
     mono_ok = th.monotone_ok
 
     a2_status, a2_witness, a2_margin = assumption2()
@@ -806,12 +787,12 @@ def _ladder(dset: DisjunctiveSet, ineq: Inequality, th: ThetaResult, assumption2
         {"count": len(rays), "min_sampled_gap": float(min(sampled_gaps))},
         {"rays": [t.z for t in rays], "gaps": [t.gap for t in rays]},
     )
-    sub_status, sub_payload = check_sublinear_sufficient(handle, eta0, th, rays)
+    sub_status, sub_payload = check_sublinear_sufficient(th, eta0, rays)
     rep.add("sublinearity", sub_status, sub_payload)
 
     verdict = None
     if dset.is_orthant():
-        ex_status, ex_payload = decide_minimal_exact(dset, mu, eta0, th, opts)
+        ex_status, ex_payload = decide_minimal_exact(th, eta0)
         rep.add("minimality_exact", ex_status, ex_payload)
         if ex_status is Status.HOLDS:
             # a CertifiedMinimal verdict additionally needs a full-dimensional
@@ -820,16 +801,14 @@ def _ladder(dset: DisjunctiveSet, ineq: Inequality, th: ThetaResult, assumption2
         elif ex_status is Status.FAILS and ex_payload["witness_verified"]:
             verdict = VERDICT_NOT_MINIMAL if mono_ok else None
     else:
-        nec_status, nec_vals = check_minimal_necessary_interior(
-            dset, mu, eta0, th.value, th.inf_sigma, opts
-        )
+        nec_status, nec_vals = check_minimal_necessary_interior(th, eta0)
         rep.add("minimal_necessary_interior", nec_status, nec_vals)
         if nec_status is Status.FAILS:
             fails_theta = abs(eta0 - th.value) > opts.tol
             if fails_theta or mono_ok:
                 verdict = VERDICT_NOT_MINIMAL
         if verdict is None:
-            suf_status, suf_payload = check_minimal_sufficient(handle, eta0, th)
+            suf_status, suf_payload = check_minimal_sufficient(th, eta0)
             rep.add("minimal_sufficient", suf_status, suf_payload)
             if (
                 suf_status is Status.HOLDS

@@ -143,7 +143,7 @@ def cmd_report(args) -> int:
                 print(f"  {e.name:28s} {e.status.value:14s} {vals}")
             print(f"  final verdict: {rep.final_verdict}")
     if args.json:
-        _emit(out, True)
+        print(json.dumps(out, indent=2))  # to_dict's values are plain already
     return EXIT_OK
 
 
@@ -151,17 +151,8 @@ def cmd_theta(args) -> int:
     opts = _options(args)
     problem = _load(args.problem)
     ineqs = _select_inequalities(problem, args.inequality)
-    out = [
-        {
-            "inequality": q.name,
-            "theta": th.value,
-            "argmin": th.argmin,
-            "branches": {
-                r.label: (r.value if r.value is not None else r.status) for r in th.table
-            },
-        }
-        for q, th in zip(ineqs, thetas(problem.dset, [q.mu for q in ineqs], opts))
-    ]
+    out = [{"inequality": q.name, **th.branch_values()}
+           for q, th in zip(ineqs, thetas(problem.dset, [q.mu for q in ineqs], opts))]
     _emit(out, args.json)
     return EXIT_OK
 
@@ -181,15 +172,7 @@ def cmd_support(args) -> int:
         for q, th in zip(ineqs, thetas(problem.dset, [q.mu for q in ineqs], opts)):
             if check_A0(th.handle, th)[0] is Status.FAILS:
                 raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
-            out.append(
-                {
-                    "inequality": q.name,
-                    "inf_sigma": th.inf_sigma,
-                    "argmin": th.sigma_argmin,
-                    "monotone_ok": th.monotone_ok,
-                    "table": {r.label: r.sigma for r in th.table},
-                }
-            )
+            out.append({"inequality": q.name, **th.sigma_values()})
     _emit(out, args.json)
     return EXIT_OK
 

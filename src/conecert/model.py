@@ -212,6 +212,8 @@ def load_problem(text: str) -> Problem:
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError("A: needs a two-entry 'shape' and row-major 'entries'") from exc
     m, n = _integer(rows, "A.shape"), _integer(cols, "A.shape")
+    if m < 0 or n < 0:
+        raise ProblemFormatError(f"A.shape: expected nonnegative entries, got {[m, n]}")
     if size != m * n:
         raise ProblemFormatError(f"A.entries: expected {m * n} values, got {size}")
     A = _finite(entries, "A.entries").reshape(m, n)

@@ -197,10 +197,9 @@ def test_theta_inf_sigma_and_monotone_flag():
 
 
 def _orthant_sublinearity(dset, mu):
-    h = SupportHandle(dset, mu)
-    rays, gaps = tight_extreme_ray_search(h)
     th = theta(dset, mu)
-    return rays, gaps, check_sublinear_sufficient(h, th.value, th, rays)
+    rays, gaps = tight_extreme_ray_search(th.handle)
+    return rays, gaps, check_sublinear_sufficient(th, th.value, rays)
 
 
 def test_orthant_sublinearity_holds_and_fails():
@@ -208,7 +207,8 @@ def test_orthant_sublinearity_holds_and_fails():
     rays, gaps, (status, payload) = _orthant_sublinearity(fx.dset, [1.0, -1.0])
     assert status is Status.HOLDS
     assert np.allclose(gaps, 0.0, atol=1e-9)
-    assert np.array_equal(payload["rays"], np.eye(2))
+    assert np.array_equal([t.z for t in rays], np.eye(2))
+    assert "rays" not in payload  # the tight_rays rung lists them
     assert np.array_equal(payload["sum"], np.ones(2))
 
     dset = DisjunctiveSet(
@@ -414,9 +414,9 @@ def test_tight_rays_cmir_all_five():
 
 
 def _sublinear_sufficient(dset, mu, eta0):
-    h = SupportHandle(dset, mu)
-    rays, _ = tight_extreme_ray_search(h)
-    return check_sublinear_sufficient(h, eta0, theta(dset, mu), rays)
+    th = theta(dset, mu)
+    rays, _ = tight_extreme_ray_search(th.handle)
+    return check_sublinear_sufficient(th, eta0, rays)
 
 
 def test_sublinear_sufficient():
@@ -433,12 +433,12 @@ def test_sublinear_sufficient():
     # the sum of all of them, which points along the cone's axis
     fx = builtin("ex2_1")
     ineq = fx.inequalities[0].inequality
-    h = SupportHandle(fx.dset, ineq.mu)
-    rays, _ = tight_extreme_ray_search(h)
+    th = theta(fx.dset, ineq.mu)
+    rays, _ = tight_extreme_ray_search(th.handle)
     assert len(rays) == 256
-    status, payload = check_sublinear_sufficient(h, ineq.eta0, theta(fx.dset, ineq.mu), rays)
+    status, payload = check_sublinear_sufficient(th, ineq.eta0, rays)
     assert status is Status.HOLDS
-    assert len(payload["rays"]) == len(rays)
+    assert "rays" not in payload  # the tight_rays rung lists them
     assert np.array_equal(payload["sum"], np.sum([t.z for t in rays], axis=0))
     assert payload["margin"] == pytest.approx(1.0, abs=1e-12)
 
@@ -448,8 +448,7 @@ def test_sublinear_sufficient():
 
 
 def _minimal_sufficient(dset, mu, eta0):
-    h = SupportHandle(dset, mu)
-    return check_minimal_sufficient(h, eta0, theta(dset, mu))
+    return check_minimal_sufficient(theta(dset, mu), eta0)
 
 
 def test_minimal_sufficient_holds():
@@ -470,23 +469,22 @@ def test_minimal_sufficient_not_applicable():
 
 def test_minimal_necessary_interior():
     fx = builtin("ex4_1")
-    status, _ = check_minimal_necessary_interior(
-        fx.dset, [0.0, 1.0, 2.0], 1.0, theta_value=1.0, inf_sigma=math.sqrt(3.0)
-    )
+    th = theta(fx.dset, [0.0, 1.0, 2.0])
+    assert th.inf_sigma == pytest.approx(math.sqrt(3.0), abs=1e-6)
+    status, _ = check_minimal_necessary_interior(th, 1.0)
     assert status is Status.FAILS
-    status, _ = check_minimal_necessary_interior(
-        fx.dset, [0.0, 0.0, 1.0], 1.0, theta_value=1.0, inf_sigma=1.0
-    )
+    th = theta(fx.dset, [0.0, 0.0, 1.0])
+    assert th.value == pytest.approx(1.0, abs=1e-6)
+    assert th.inf_sigma == pytest.approx(1.0, abs=1e-6)
+    status, _ = check_minimal_necessary_interior(th, 1.0)
     assert status is Status.HOLDS
     # boundary mu is out of scope for this test
-    status, _ = check_minimal_necessary_interior(
-        fx.dset, [0.0, 1.0, 1.0], 1.0, theta_value=1.0, inf_sigma=1.0
-    )
+    status, _ = check_minimal_necessary_interior(theta(fx.dset, [0.0, 1.0, 1.0]), 1.0)
     assert status is Status.NOT_APPLICABLE
 
 
 def _decide_minimal_exact(dset, mu, eta0):
-    return decide_minimal_exact(dset, mu, eta0, theta(dset, mu))
+    return decide_minimal_exact(theta(dset, mu), eta0)
 
 
 def test_decide_minimal_exact_trio():
@@ -538,7 +536,7 @@ def test_decide_minimal_exact_abstains_on_a_limit_row():
     fx = builtin("ex2_4")
     th = theta(fx.dset, [1.0, 0.0])
     th.table[0].status, th.had_limit = "limit", True
-    status, _ = decide_minimal_exact(fx.dset, [1.0, 0.0], 0.0, th)
+    status, _ = decide_minimal_exact(th, 0.0)
     assert status is Status.INCONCLUSIVE
 
 
@@ -597,7 +595,7 @@ def test_decide_minimal_exact_caps_after_a_solver_limit():
     are Fails at the cap with a verified witness."""
     abstained, capped = [], {}
     for draw, dset, mu, th in _orthant_grid(58):
-        status, payload = decide_minimal_exact(dset, mu, th.value, th)
+        status, payload = decide_minimal_exact(th, th.value)
         if status is Status.INCONCLUSIVE:
             abstained.append(draw)
             continue

@@ -125,6 +125,25 @@ def test_theta_and_support_solve_one_branch_batch_per_file(capsys, monkeypatch, 
     assert batches == [len(problem.inequalities) * len(problem.dset.B.expand())]
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.json")))
+def test_theta_and_support_print_the_report_values(capsys, name):
+    """`theta` prints each inequality's validity values and `support`
+    (without --z) its inf_sigma values, as `report` records them, with the
+    inequality's name first."""
+    path = str(DATA / f"{name}.json")
+    docs = {}
+    for command in ("report", "theta", "support"):
+        code, out, _ = run(capsys, command, path, "--json")
+        assert code == 0
+        docs[command] = json.loads(out)
+    assert len(docs["theta"]) == len(docs["support"]) == len(docs["report"])
+    for rep, th, sup in zip(docs["report"], docs["theta"], docs["support"]):
+        rungs = {c["name"]: c["values"] for c in rep["checks"]}
+        for got, rung in ((th, "validity"), (sup, "inf_sigma")):
+            want = {"inequality": rep["inequality"], **rungs[rung]}
+            assert got == want and list(got) == list(want), (rep["inequality"], rung)
+
+
 def test_support_z_solves_one_branch_batch_per_file(capsys, monkeypatch):
     """`support --z` fills the support handles of every selected inequality
     in one batch of one row each, with the output of the inequalities one

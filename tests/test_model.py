@@ -104,6 +104,8 @@ def test_load_rejects_bad_documents():
     (("A", "shape"), [3], "A"),
     (("A", "entries"), 5, "A"),
     (("cone",), 5, "cone"),
+    (("A", "shape"), [-1, -3], "A.shape"),
+    (("A", "shape"), [-3, -1], "A.shape"),
 ])
 def test_load_rejects_malformed_values(path, value, field):
     doc = json.loads(save_problem(builtin("ex4_1").to_problem()))

@@ -526,16 +526,16 @@ def test_table_witness_matches_joint_program(monkeypatch):
     statuses = Counter()
     for dset, ineq in _minimality_cases():
         eta0 = float(ineq.eta0)
-        th, h = theta(dset, ineq.mu), SupportHandle(dset, ineq.mu)
+        th = theta(dset, ineq.mu)
         solves.clear()
-        status, _ = check_minimal_sufficient(h, eta0, th)
+        status, _ = check_minimal_sufficient(th, eta0)
         assert not solves
         if status is Status.NOT_APPLICABLE:
             continue
         statuses[status] += 1
-        tight = analysis._tight_rows(th, eta0, h.opts.tol)
-        xs = _joint_program_points(dset, h.mu, eta0, tight)
+        tight = analysis._tight_rows(th, eta0)
+        xs = _joint_program_points(dset, th.handle.mu, eta0, tight)
         joint = (Status.INCONCLUSIVE if xs is None else
-                 analysis._verify_point_sum(h, eta0, th.inf_sigma, tight, xs)[0])
+                 analysis._verify_point_sum(th, eta0, tight, xs)[0])
         assert status is joint, (dset.A, ineq.name)
     assert statuses[Status.HOLDS] >= 45 and statuses[Status.INCONCLUSIVE] >= 4
