@@ -4,12 +4,11 @@ Implements the best-rhs value theta, support-function evaluation over the
 cut generating set D_mu = {lambda : mu - A* lambda in K*}, the algebraic
 conditions behind sublinearity, sufficient and necessary minimality
 certificates, the exact orthant minimality decision, valid-equation
-detection, and the full verdict ladder.
+detection, the interior-point Assumption 2, and the full verdict ladder.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -24,7 +23,6 @@ from .model import (
     DisjunctiveSet,
     Inequality,
     Status,
-    assumption2_check,
 )
 from .separation import Branch, _verify_cut, multiplier_program
 from .solver import ConicProgram, SolveStatus, SolverOptions, solve, solve_batch
@@ -119,13 +117,15 @@ def thetas(dset: DisjunctiveSet, mus, opts: AnalysisOptions | None = None) -> li
 
 
 def _thetas(dset: DisjunctiveSet, mus, opts: AnalysisOptions,
-            directions: np.ndarray) -> list[ThetaResult]:
+            directions: np.ndarray, zero: bool = False) -> list[ThetaResult]:
     """`thetas`, with the (k, m) stack `directions` in the same batch: each
-    handle files their values for its later `eval`."""
+    handle files their values for its later `eval`. With `zero`, the batch and
+    the results end with the objective-0 record that `_assumption2` reads."""
     mus = [_vec(mu, dset.n) for mu in mus]
     if not all(np.any(mu) for mu in mus):
         raise ValueError("mu must be nonzero")
     handles = [SupportHandle(dset, mu, opts) for mu in mus]
+    handles += [_ZeroObjective(dset, opts)] if zero else []
     tables = branch_tables(handles, dset.B.expand_labeled(), directions)
     return [_theta_result(h, table) for h, table in zip(handles, tables)]
 
@@ -285,6 +285,17 @@ class SupportHandle:
         return out
 
 
+class _ZeroObjective(SupportHandle):
+    """The branch program at objective 0, whose table `_assumption2` reads.
+    No rung evaluates its support function, so it solves no direction."""
+
+    def __init__(self, dset: DisjunctiveSet, opts: AnalysisOptions):
+        super().__init__(dset, np.zeros(dset.n), opts)
+
+    def _uncached(self, keys: list, directions: np.ndarray) -> dict:
+        return {}
+
+
 def _keys(Z: np.ndarray) -> list[tuple]:
     """The cache keys of the directions of a (k, m) stack."""
     return [tuple(z) for z in np.round(Z, 12)]
@@ -412,15 +423,15 @@ def _lorentz_form(u: np.ndarray, v: np.ndarray) -> float:
     return 0.0 if abs(head - tail) <= 4 * u.size * np.finfo(float).eps * scale else head - tail
 
 
-def check_A0(handle: SupportHandle, th: ThetaResult | None = None):
-    """Feasibility of D_mu, i.e. mu in K* + Im(A*). The witness is the dual y
-    of the first optimal row of the branch table `th` (theta(dset, mu)),
-    else the handle's own (A.0) decision, which gives the Farkas ray when
-    D_mu is empty."""
-    lam = next((r.y for r in (th.table if th else ()) if r.status == "optimal"), None)
+def check_A0(th: ThetaResult):
+    """Feasibility of D_mu, i.e. mu in K* + Im(A*), for th = theta(dset, mu).
+    The witness is the dual y of the first optimal row of its branch table,
+    else the (A.0) decision of its handle (`decide_A0`), which gives the
+    Farkas ray when D_mu is empty."""
+    lam = next((r.y for r in th.table if r.status == "optimal"), None)
     if lam is not None:
-        return Status.HOLDS, handle._witness(lam)
-    return handle.decide_A0()
+        return Status.HOLDS, th.handle._witness(lam)
+    return th.handle.decide_A0()
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +724,9 @@ def full_reports(
     opts: AnalysisOptions | None = None,
 ) -> list[CertificateReport]:
     """Run the verdict ladder on every inequality of `ineqs` over one set.
-    The branch programs of all of them are solved in one batch, and
-    assumption2_check, a property of the set, runs at most once: when the
-    first inequality passes the validity rung."""
+    The branch programs of all of them are solved in one batch, which also
+    holds the branch program at objective 0 on every branch: Assumption 2,
+    a property of the set, is read from those rows once (`_assumption2`)."""
     opts = opts or AnalysisOptions()
     # When the tight-ray samples are all of K's extreme rays (no Lorentz
     # block of dim >= 3), they are few, and theta's batch of the branch
@@ -724,16 +735,14 @@ def full_reports(
     # inequality would solve for nothing, so one batch after validity
     # solves them for the valid inequalities whose handle has no one-row
     # interval to answer them.
-    mus = [q.mu for q in ineqs]
-    if not any(b.kind is BlockKind.LORENTZ and b.dim > 2 for b in dset.K.blocks):
-        ths = _thetas(dset, mus, opts, sample_extreme_rays(dset.K, opts.samples) @ dset.A.T)
-    else:
-        ths = thetas(dset, mus, opts)
-        valid = [th.handle for q, th in zip(ineqs, ths) if th.handle._interval is None
-                 and _validity(th, q.eta0) is Status.HOLDS]
-        if valid:
-            branch_tables(valid, [], sample_extreme_rays(dset.K, opts.samples) @ dset.A.T)
-    assumption2 = functools.cache(lambda: assumption2_check(dset, opts.solver))
+    sampled = any(b.kind is BlockKind.LORENTZ and b.dim > 2 for b in dset.K.blocks)
+    rays = sample_extreme_rays(dset.K, opts.samples) @ dset.A.T
+    directions = np.empty((0, dset.m)) if sampled else rays
+    *ths, zero = _thetas(dset, [q.mu for q in ineqs], opts, directions, zero=True)
+    if sampled:
+        branch_tables([th.handle for q, th in zip(ineqs, ths) if th.handle._interval is None
+                       and _validity(th, q.eta0) is Status.HOLDS], [], rays)
+    assumption2 = _assumption2(dset, zero.table, opts)
     return [_ladder(q, th, assumption2) for q, th in zip(ineqs, ths)]
 
 
@@ -745,9 +754,54 @@ def _validity(th: ThetaResult, eta0: float) -> Status:
     return Status.HOLDS if eta0 <= th.value + th.handle.opts.tol else Status.FAILS
 
 
-def _ladder(ineq: Inequality, th: ThetaResult, assumption2) -> CertificateReport:
+def assumption2_check(dset: DisjunctiveSet, opts: AnalysisOptions | None = None):
+    """Assumption 2 of a set on its own: the rows `full_reports` reads it
+    from, solved alone. Returns the status, the interior witness x (None
+    unless Holds) and the best normalized margin."""
+    opts = opts or AnalysisOptions()
+    zero = _ZeroObjective(dset, opts)
+    table = branch_tables([zero], dset.B.expand_labeled(), np.empty((0, dset.m)))[0]
+    status, witness, margin = _assumption2(dset, table, opts)
+    return status, witness.get("witness"), margin
+
+
+def _assumption2(dset: DisjunctiveSet, table: list, opts: AnalysisOptions):
+    """Assumption 2, some branch {x in K : Ax = b} meets int K, as (status,
+    witness, margin), read from the branch table at objective 0, whose
+    optimal rows end near the relative interior of their branch.
+
+    Holds when some optimal row's x, polished onto Ax = b, has normalized
+    margin interior_margin(x)/|x| above MARGIN_TOL; the margin is the best
+    one (-inf with no optimal row). Fails when every row is infeasible or
+    has a y that exposes its branch: scaled to |s|_inf = 1 for s = -A^T y,
+    s in K* and |b.y| <= tol, the solver's verification tolerance. Then
+    margin(x) <= <s,x> = -b.y for x in the branch. An s under tol*|A||y| is
+    cancellation noise. Inconclusive otherwise, as after a solver limit."""
+    A, K, tol = dset.A, dset.K, 100.0 * max(opts.solver.feas_tol, opts.solver.gap_tol)
+    margin, witness, rows = -math.inf, {}, {}
+    for r in table:
+        if r.status == "infeasible":
+            rows[r.label] = "infeasible"
+        elif r.status == "optimal":
+            x = r.x + least_squares_solve(A, r.b - A @ r.x)[0]
+            value = K.interior_margin(x) / max(np.linalg.norm(x), 1e-300)
+            if value > margin:
+                margin, witness = value, {"witness": x, "branch": r.label}
+            scale = float(np.abs(A.T @ r.y).max(initial=0.0))
+            noise = tol * np.abs(A).max(initial=0.0) * np.abs(r.y).max(initial=0.0)
+            y = r.y / max(scale, 1e-300)
+            if scale > noise and K.dual().contains(-A.T @ y, tol) and abs(r.b @ y) <= tol:
+                rows[r.label] = {"y": y, "s": -A.T @ y}
+    if margin > MARGIN_TOL:
+        return Status.HOLDS, witness, margin
+    if len(rows) == len(table):
+        return Status.FAILS, {"branches": rows}, margin
+    return Status.INCONCLUSIVE, {}, margin
+
+
+def _ladder(ineq: Inequality, th: ThetaResult, assumption2: tuple) -> CertificateReport:
     """The verdict ladder of one inequality, given th = theta(dset, mu) and
-    a function that returns assumption2_check's result for the set."""
+    the set's Assumption 2 result (`_assumption2`)."""
     handle = th.handle
     dset, mu, opts, eta0 = handle.dset, handle.mu, handle.opts, float(ineq.eta0)
     rep = CertificateReport(config={
@@ -771,14 +825,13 @@ def _ladder(ineq: Inequality, th: ThetaResult, assumption2) -> CertificateReport
     # theta is finite here, so the table has an optimal row, whose y is the
     # (A.0) witness, and no row ended by a solver limit: every sigma is
     # finite or +inf
-    a0_status, a0_payload = check_A0(handle, th)
+    a0_status, a0_payload = check_A0(th)
     rep.add("A0", a0_status, witness=a0_payload)
     rep.add("inf_sigma", Status.HOLDS, th.sigma_values())
     mono_ok = th.monotone_ok
 
-    a2_status, a2_witness, a2_margin = assumption2()
-    rep.add("assumption2", a2_status, {"margin": a2_margin},
-            {"witness": a2_witness} if a2_witness is not None else {})
+    a2_status, a2_witness, a2_margin = assumption2
+    rep.add("assumption2", a2_status, {"margin": a2_margin}, a2_witness)
 
     rays, sampled_gaps = tight_extreme_ray_search(handle)
     rep.add(
@@ -810,11 +863,7 @@ def _ladder(ineq: Inequality, th: ThetaResult, assumption2) -> CertificateReport
         if verdict is None:
             suf_status, suf_payload = check_minimal_sufficient(th, eta0)
             rep.add("minimal_sufficient", suf_status, suf_payload)
-            if (
-                suf_status is Status.HOLDS
-                and a2_status is Status.HOLDS
-                and mono_ok
-            ):
+            if suf_status is Status.HOLDS and a2_status is Status.HOLDS and mono_ok:
                 verdict = VERDICT_MINIMAL
 
     eq_status, eq_payload = valid_equation_check(dset, mu, opts)

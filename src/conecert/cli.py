@@ -20,6 +20,7 @@ from .analysis import (
     AnalysisOptions,
     EmptyCutSetError,
     SupportHandle,
+    assumption2_check,
     branch_tables,
     check_A0,
     dmu_vertices_2d,
@@ -31,7 +32,6 @@ from .model import (
     Problem,
     ProblemFormatError,
     Status,
-    assumption2_check,
     load_problem,
     _plain,
 )
@@ -170,7 +170,7 @@ def cmd_support(args) -> int:
     else:
         # sigma(b) >= y.b from each branch's dual, +inf on infeasible ones
         for q, th in zip(ineqs, thetas(problem.dset, [q.mu for q in ineqs], opts)):
-            if check_A0(th.handle, th)[0] is Status.FAILS:
+            if check_A0(th)[0] is Status.FAILS:
                 raise EmptyCutSetError("D_mu is empty; condition (A.0) fails")
             out.append({"inequality": q.name, **th.sigma_values()})
     _emit(out, args.json)
@@ -224,7 +224,7 @@ def cmd_demo(args) -> int:
     reps = full_reports(fx.dset, [fi.inequality for fi in fx.inequalities], opts)
     expected_a2 = fx.notes.get("assumption2")
     if expected_a2 is not None:
-        a2_status, _, a2_margin = assumption2_check(fx.dset, opts.solver)
+        a2_status, _, a2_margin = assumption2_check(fx.dset, opts)
         check(f"assumption2 {expected_a2}", a2_status.value == expected_a2,
               f"margin={_fmt(a2_margin)}")
     if "infeasible_rhs" in fx.notes:

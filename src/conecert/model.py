@@ -11,7 +11,6 @@ import numpy as np
 
 from .cones import BlockKind, ConeBlock, ConeProduct
 from .linalg import as_matrix
-from .solver import ConicProgram, SolveStatus, SolverOptions, solve_batch
 
 FORMAT_VERSION = 1
 
@@ -237,6 +236,8 @@ def load_problem(text: str) -> Problem:
     rhs = doc.get("rhs")
     if not isinstance(rhs, dict):
         raise ProblemFormatError("rhs: expected an object")
+    if not isinstance(rhs.get("explicit", []), list):
+        raise ProblemFormatError("rhs.explicit: expected a list of right-hand sides")
     explicit = tuple(_finite(b, f"rhs.explicit[{i}]")
                      for i, b in enumerate(rhs.get("explicit", [])))
     lattice = None
@@ -256,6 +257,8 @@ def load_problem(text: str) -> Problem:
     B = RhsFamily(explicit, lattice)
 
     dset = DisjunctiveSet(A, K, B)
+    if not isinstance(doc.get("inequalities", []), list):
+        raise ProblemFormatError("inequalities: expected a list of inequalities")
     ineqs = []
     for i, item in enumerate(doc.get("inequalities", [])):
         if not isinstance(item, dict) or "mu" not in item or "eta0" not in item:
@@ -319,56 +322,3 @@ def save_problem(problem: Problem) -> str:
             "kmax": lat.k_max,
         }
     return json.dumps(doc, indent=2)
-
-
-# ---------------------------------------------------------------------------
-# the interior-point assumption
-
-
-def assumption2_check(
-    dset: DisjunctiveSet,
-    opts: SolverOptions | None = None,
-) -> tuple[Status, np.ndarray | None, float]:
-    """Look for a strictly interior feasible point: maximize t subject to
-    x - t*e in K, Ax = b, t <= 1 on every expanded branch. The optimum t*
-    also decides the branch: it is feasible iff t* >= 0, and t* within
-    MARGIN_TOL of 0 counts as feasible. Returns the status, the best
-    witness x, and the best margin over the feasible branches."""
-    opts = opts or SolverOptions()
-    n, m = dset.n, dset.m
-    e = dset.K.canonical_interior_point()
-    # variables: v in K, t free (capped at 1 by a slack row)
-    cone = ConeProduct(list(dset.K.blocks) + [
-        ConeBlock(BlockKind.FREE, 1), ConeBlock(BlockKind.NONNEG, 1)])
-    Arow = np.zeros((m + 1, n + 2))
-    Arow[:m, :n] = dset.A
-    Arow[:m, n] = dset.A @ e
-    Arow[m, n] = 1.0
-    Arow[m, n + 1] = 1.0
-    c = np.zeros(n + 2)
-    c[n] = -1.0
-    best_margin = -np.inf
-    best_witness = None
-    saw_feasible = False
-    saw_limit = False
-    rhs = np.array([np.append(b, 1.0) for _, b in dset.B.expand_labeled()])
-    for sol in solve_batch(ConicProgram(c, Arow, rhs[0], cone), rhs, opts):
-        if sol.status is SolveStatus.PRIMAL_INFEASIBLE:  # no t <= 1 puts b - t*Ae in A(K)
-            continue
-        if sol.status is not SolveStatus.OPTIMAL:
-            saw_limit = True
-            continue
-        t = float(sol.x[n])
-        if t < -MARGIN_TOL:  # an infeasible branch
-            continue
-        saw_feasible = True
-        if t > best_margin:
-            best_margin = t
-            best_witness = sol.x[:n] + t * e
-    if not saw_feasible and not saw_limit:
-        return Status.FAILS, None, -np.inf
-    if best_margin > MARGIN_TOL:
-        return Status.HOLDS, best_witness, best_margin
-    if saw_limit:
-        return Status.INCONCLUSIVE, None, best_margin
-    return Status.FAILS, None, best_margin

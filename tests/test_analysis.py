@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -12,6 +13,7 @@ from conecert.analysis import (
     EmptyCutSetError,
     ModelError,
     SupportHandle,
+    assumption2_check,
     check_A0,
     check_minimal_necessary_interior,
     check_minimal_sufficient,
@@ -139,14 +141,14 @@ def test_support_empty_cut_set():
 
 def test_check_A0():
     fx = builtin("ex4_1")
-    status, payload = check_A0(SupportHandle(fx.dset, [0.0, 1.0, 2.0]))
+    status, payload = SupportHandle(fx.dset, [0.0, 1.0, 2.0]).decide_A0()
     assert status is Status.HOLDS
     lam, gamma = payload["lambda"], payload["gamma"]
     resid = fx.dset.A.T @ lam + gamma - np.array([0.0, 1.0, 2.0])
     assert np.linalg.norm(resid) < 1e-6
     assert fx.dset.K.contains(gamma, tol=1e-7)
 
-    status, payload = check_A0(SupportHandle(fx.dset, [0.0, 2.0, 1.0]))
+    status, payload = SupportHandle(fx.dset, [0.0, 2.0, 1.0]).decide_A0()
     assert status is Status.FAILS
     u = payload["ray"]
     assert fx.dset.K.contains(u, tol=1e-6)
@@ -156,7 +158,7 @@ def test_check_A0():
     # two rows and no branch table: the (A.0) program is solved
     fx = builtin("cmir")
     mu = fx.inequalities[0].inequality.mu
-    status, payload = check_A0(SupportHandle(fx.dset, mu))
+    status, payload = SupportHandle(fx.dset, mu).decide_A0()
     assert status is Status.HOLDS
     assert np.linalg.norm(fx.dset.A.T @ payload["lambda"] + payload["gamma"] - mu) < 1e-6
     assert fx.dset.K.contains(payload["gamma"], tol=1e-7)
@@ -165,7 +167,7 @@ def test_check_A0():
     fx = builtin("ex2_4")
     mu = np.array([1.0, -1.0])
     th = theta(fx.dset, mu)
-    status, payload = check_A0(SupportHandle(fx.dset, mu), th)
+    status, payload = check_A0(th)
     assert status is Status.HOLDS
     assert np.array_equal(payload["lambda"], th.table[0].y)
     assert fx.dset.K.contains(payload["gamma"], tol=1e-6)
@@ -178,7 +180,7 @@ def test_check_A0():
         RhsFamily(explicit=(np.array([1.0]),)),
     )
     mu = np.array([-2.0, 0.0, 4.0, 0.0, -6.0, 3.0, 1.0, -3.0])
-    status, payload = check_A0(SupportHandle(dset, mu))
+    status, payload = SupportHandle(dset, mu).decide_A0()
     assert status is Status.HOLDS
     assert payload["lambda"] == pytest.approx([-2.0], abs=1e-9)
     assert dset.K.contains(payload["gamma"], tol=1e-9)
@@ -254,9 +256,10 @@ def test_one_row_orthant_report_solves_no_column_program(monkeypatch):
 def test_report_solves_one_branch_batch_per_mu(monkeypatch):
     """full_report solves theta's rows and the tight-ray samples in one
     batch of the branch program of mu where the samples are K's extreme
-    rays, as on every built-in fixture. On one-row sets that batch holds B's
-    rows alone: the interval answers the samples. No other batch is solved:
-    decide_minimal_exact checks its witness by its own multipliers."""
+    rays, as on every built-in fixture. On one-row sets mu's rows are B's
+    alone: the interval answers the samples. The batch ends with a row per
+    branch at objective 0, which Assumption 2 reads. No other batch is
+    solved: decide_minimal_exact checks its witness by its own multipliers."""
     batches = []
     real_batch = analysis.solve_batch
     monkeypatch.setattr(analysis, "solve_batch",
@@ -269,10 +272,10 @@ def test_report_solves_one_branch_batch_per_mu(monkeypatch):
         for fi in fx.inequalities:
             batches.clear()
             full_report(dset, fi.inequality)
-            assert all(np.array_equal(row, fi.inequality.mu) for c, _ in batches for row in c), \
-                fx.name
-            mine = [k for _, k in batches]
-            assert mine == [n_b if dset.m == 1 else n_b + len(samples)], (fx.name, mine)
+            mine = n_b if dset.m == 1 else n_b + len(samples)
+            want = np.vstack([np.tile(fi.inequality.mu, (mine, 1)), np.zeros((n_b, dset.n))])
+            assert [k for _, k in batches] == [mine + n_b], fx.name
+            assert np.array_equal(batches[0][0], want), fx.name
             swept += dset.m > 1
     assert swept == 3  # cmir's two inequalities and ex4_3's one
 
@@ -298,9 +301,10 @@ def test_thetas_rows_equal_one_mu_theta(name):
 
 def test_report_on_sampled_cone_solves_samples_after_validity(monkeypatch):
     """With a Lorentz block of dim >= 3 the tight-ray samples are 256 per
-    block, so theta's batch holds B's rows alone: an invalid inequality
-    solves nothing more, and the valid ones of a set solve their samples in
-    one batch after validity, with the reports they get one by one."""
+    block, so theta's batch holds B's rows alone, and a row per branch at
+    objective 0 for Assumption 2: an invalid inequality solves nothing more,
+    and the valid ones of a set solve their samples in one batch after
+    validity, with the reports they get one by one."""
     A = np.array([[-2.0, -1.0, 1.0, 0.0, 2.0, 2.0],
                   [0.0, 0.0, 0.0, 1.0, 0.0, 1.0]])
     K = ConeProduct([lorentz(3), lorentz(3)])
@@ -313,17 +317,22 @@ def test_report_on_sampled_cone_solves_samples_after_validity(monkeypatch):
                         or real_batch(p, rhs, opts, c))
     value = theta(dset, mu).value
     samples = {tuple(np.round(A @ z, 12)) for z in sample_extreme_rays(K, 256)}
-    for eta0, expected in ((value + 1.0, [1]), (value, [1, len(samples)])):
+    zero = np.zeros(dset.n)
+    for eta0, expected in ((value + 1.0, [2]), (value, [2, len(samples)])):
         batches.clear()
         full_report(dset, Inequality(mu, eta0))
-        assert [k for c, k in batches if all(np.array_equal(row, mu) for row in c)] == expected
+        assert [k for _, k in batches] == expected
+        assert np.array_equal(batches[0][0], [mu, zero])
+        assert all(np.array_equal(row, mu) for c, _ in batches[1:] for row in c)
     mu2 = mu + A.T @ [0.1, 0.1]
     ineqs = [Inequality(mu, value), Inequality(mu2, theta(dset, mu2).value),
              Inequality(mu, value + 1.0)]
     singles = [full_report(dset, q).to_json() for q in ineqs]
     batches.clear()
     reports = full_reports(dset, ineqs)
-    assert [k for _, k in batches] == [len(ineqs), 2 * len(samples)]
+    assert [k for _, k in batches] == [len(ineqs) + 1, 2 * len(samples)]
+    assert np.array_equal(batches[0][0], [mu, mu2, mu, zero])
+    assert np.array_equal(batches[1][0], np.repeat([mu, mu2], len(samples), axis=0))
     assert [r.to_json() for r in reports] == singles
     assert reports[2].final_verdict == "Invalid"
     assert all(r.entry("tight_rays").values["count"] for r in reports[:2])
@@ -616,6 +625,114 @@ def test_decide_minimal_exact_not_applicable_off_orthant():
     fx = builtin("ex2_1")
     status, _ = _decide_minimal_exact(fx.dset, [1.0, 0.0, -1.0], -2.0)
     assert status is Status.NOT_APPLICABLE
+
+
+# ---------------------------------------------------------------------------
+# Assumption 2
+
+
+def _orthant_a2_set(rng, kind: str) -> DisjunctiveSet:
+    """A seeded orthant set whose first row of A is nonnegative. Its first
+    branch comes from an interior point ("interior"), or gives that row
+    right-hand side 0 where the row is positive on some coordinates S, so
+    that every point has x_S = 0 ("flat"). With "+infeasible" a second
+    branch gives the row right-hand side -1, which no x >= 0 meets."""
+    m, n = int(rng.integers(2, 4)), int(rng.integers(3, 6))
+    A = rng.integers(-2, 3, size=(m, n)).astype(float)
+    x = rng.uniform(0.5, 2.0, n)
+    A[0] = rng.integers(0, 3, n)
+    if kind.startswith("flat"):
+        S = rng.permutation(n)[:int(rng.integers(1, n))]
+        A[0] = 0.0
+        A[0, S] = rng.integers(1, 3, len(S))
+        x[S] = 0.0
+    bs = [A @ x]
+    if kind.endswith("+infeasible"):
+        bs.append(np.concatenate([[-1.0], rng.integers(-2, 3, m - 1)]))
+    return DisjunctiveSet(A, ConeProduct([nonneg(n)]), RhsFamily(explicit=tuple(bs)))
+
+
+def _highs_assumption2(dset: DisjunctiveSet) -> Status:
+    """Assumption 2 on the orthant by HiGHS, without the IPM: the largest
+    t <= 1 with Ax = b and x - t*1 >= 0 on each branch; Holds iff some
+    branch has t > 1e-7."""
+    m, n = dset.A.shape
+    best = -math.inf
+    for b in dset.B.expand():
+        res = scipy.optimize.linprog(np.concatenate([np.zeros(n), [-1.0]]),
+                                     A_ub=np.hstack([-np.eye(n), np.ones((n, 1))]),
+                                     b_ub=np.zeros(n), A_eq=np.hstack([dset.A, np.zeros((m, 1))]),
+                                     b_eq=b, bounds=[(None, None)] * n + [(None, 1.0)],
+                                     method="highs")
+        assert res.status in (0, 2), res.message
+        if res.status == 0:
+            best = max(best, -res.fun)
+    return Status.HOLDS if best > 1e-7 else Status.FAILS
+
+
+@pytest.mark.parametrize("kind, abstains", [("interior", []), ("flat", [4]),
+                                            ("interior+infeasible", []),
+                                            ("flat+infeasible", [7])])
+def test_assumption2_agrees_with_highs_on_the_orthant(kind, abstains):
+    """assumption2_check, read from the branch program at objective 0,
+    decides Assumption 2 as a HiGHS max-t program does on 12 seeded orthant
+    sets of each kind. A flat branch has no interior point, so its program
+    at objective 0 has none either: at the draws `abstains` the IPM's
+    infeasibility screen fires a step before the optimum, the verifier
+    rejects that ray, and the row ends at a solver limit. The check then
+    abstains, as its rules ask; it never contradicts HiGHS."""
+    rng = np.random.default_rng(24)
+    abstained = []
+    for draw in range(12):
+        dset = _orthant_a2_set(rng, kind)
+        status, witness, margin = assumption2_check(dset)
+        want = _highs_assumption2(dset)
+        assert want is (Status.FAILS if kind.startswith("flat") else Status.HOLDS)
+        if status is Status.INCONCLUSIVE:
+            assert "limit" in [r.status for r in _zero_table(dset)]
+            abstained.append(draw)
+            continue
+        assert status is want, (kind, draw, margin)
+        if status is Status.HOLDS:
+            assert margin > 1e-3 and dset.K.interior_margin(witness) > 0.0
+        else:
+            assert witness is None and margin <= 1e-7
+    assert abstained == abstains
+
+
+def _zero_table(dset: DisjunctiveSet) -> list:
+    return analysis.branch_tables([analysis._ZeroObjective(dset, AnalysisOptions())],
+                                  dset.B.expand_labeled(), np.empty((0, dset.m)))[0]
+
+
+@pytest.mark.parametrize("name", ["ex2_2", "ex4_3"])
+def test_assumption2_fails_only_on_a_verified_exposing_vector(name):
+    """On the two flat fixtures each optimal row's y exposes its branch:
+    s = -A^T y lies in K*, |s|_inf = 1 and b.y = 0. A doctored certificate
+    is rejected and the reader abstains: y negated moves s out of K*, and b
+    moved along y makes b.y nonzero (the polished x then leaves K)."""
+    dset, opts = builtin(name).dset, AnalysisOptions()
+    table = _zero_table(dset)
+    status, witness, margin = analysis._assumption2(dset, table, opts)
+    assert status is Status.FAILS and margin <= 1e-7
+    rows = witness["branches"]
+    assert list(rows) == [r.label for r in table]
+    optimal = [r for r in table if r.status == "optimal"]
+    assert len(optimal) == 1
+    for r in table:
+        if r.status == "infeasible":
+            assert rows[r.label] == "infeasible"
+    row = optimal[0]
+    y, s = rows[row.label]["y"], rows[row.label]["s"]
+    assert np.max(np.abs(s)) == pytest.approx(1.0)
+    assert np.allclose(s, -dset.A.T @ y) and dset.K.dual().contains(s, 1e-9)
+    assert abs(row.b @ y) <= 1e-12
+    for doctored in (dataclasses.replace(row, y=-row.y),
+                     dataclasses.replace(row, b=row.b + row.y)):
+        assert abs(doctored.b @ doctored.y) > 1e-3 or not dset.K.dual().contains(
+            -dset.A.T @ doctored.y, 1e-3)
+        rigged = [doctored if r is row else r for r in table]
+        assert analysis._assumption2(dset, rigged, opts)[0] is Status.INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------

@@ -94,19 +94,27 @@ def test_report_solves_one_branch_batch_per_file(capsys, monkeypatch, name):
     """`report` solves the branch programs of every inequality of a file in
     one batch: per inequality a row per branch and, with two or more rows
     in A, a row per distinct image of the tight-ray samples (K has no
-    Lorentz block of dim >= 3). Its JSON is that of full_report, inequality
-    by inequality."""
+    Lorentz block of dim >= 3), each with the inequality's mu as objective,
+    then a row per branch at objective 0 for Assumption 2. Its JSON is that
+    of full_report, inequality by inequality."""
     path = DATA / f"{name}.json"
     problem = load_problem(path.read_text())
     dset, ineqs = problem.dset, problem.inequalities
     assert len(ineqs) == 2
     want = json.dumps(_plain([{"inequality": q.name, **full_report(dset, q).to_dict()}
                               for q in ineqs]), indent=2) + "\n"
-    batches = _count_branch_batches(monkeypatch)
+    objectives = []
+    real_batch = analysis.solve_batch
+    monkeypatch.setattr(analysis, "solve_batch",
+                        lambda p, rhs, opts=None, c=None: objectives.append(c)
+                        or real_batch(p, rhs, opts, c))
     code, out, _ = run(capsys, "report", str(path), "--json")
     assert code == 0 and out == want
     samples = len({tuple(np.round(dset.A @ z, 12)) for z in sample_extreme_rays(dset.K, 256)})
-    assert batches == [len(ineqs) * (len(dset.B.expand()) + (samples if dset.m > 1 else 0))]
+    n_b = len(dset.B.expand())
+    per_mu = n_b + (samples if dset.m > 1 else 0)
+    want_c = np.vstack([np.tile(q.mu, (per_mu, 1)) for q in ineqs] + [np.zeros((n_b, dset.n))])
+    assert len(objectives) == 1 and np.array_equal(objectives[0], want_c)
 
 
 @pytest.mark.parametrize("command", ["theta", "support"])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conecert.analysis import assumption2_check
 from conecert.cones import ConeProduct, lorentz, nonneg
 from conecert.model import (
     DisjunctiveSet,
@@ -12,7 +13,6 @@ from conecert.model import (
     ProblemFormatError,
     RhsFamily,
     Status,
-    assumption2_check,
     load_problem,
     save_problem,
 )
@@ -106,6 +106,8 @@ def test_load_rejects_bad_documents():
     (("cone",), 5, "cone"),
     (("A", "shape"), [-1, -3], "A.shape"),
     (("A", "shape"), [-3, -1], "A.shape"),
+    (("rhs", "explicit"), 5, "rhs.explicit"),
+    (("inequalities",), 5, "inequalities"),
 ])
 def test_load_rejects_malformed_values(path, value, field):
     doc = json.loads(save_problem(builtin("ex4_1").to_problem()))

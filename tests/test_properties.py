@@ -9,7 +9,6 @@ from conecert.analysis import (
     AnalysisOptions,
     EmptyCutSetError,
     SupportHandle,
-    check_A0,
     check_minimal_sufficient,
     full_report,
     theta,
@@ -455,9 +454,9 @@ def test_reflected_ray_gap_bounds_are_sound():
 
 def test_unknown_dmu_is_settled_once(monkeypatch):
     """When the (A.0) feasibility solve ends at a limit, +inf rows read nan,
-    check_A0 is Inconclusive, and that solve is not repeated; once an
+    decide_A0 is Inconclusive, and that solve is not repeated; once an
     optimal row shows a point of D_mu, the cached rows read +inf again and
-    check_A0 holds with that point."""
+    decide_A0 holds with that point."""
     dset, mu, Z = _multi_row_instance(np.random.default_rng(17), 2, [nonneg(5)], empty=False)
     want = SupportHandle(dset, mu).eval(Z)
     inf, finite = Z[want == math.inf], Z[np.isfinite(want)]
@@ -469,10 +468,10 @@ def test_unknown_dmu_is_settled_once(monkeypatch):
     for z in inf:
         assert math.isnan(h.eval(z))
     assert np.isnan(h.eval(inf)).all() and len(calls) == 1
-    assert check_A0(h) == (Status.INCONCLUSIVE, {}) and len(calls) == 1
+    assert h.decide_A0() == (Status.INCONCLUSIVE, {}) and len(calls) == 1
     assert h.eval(finite) == pytest.approx(want[np.isfinite(want)])
     assert (h.eval(inf) == math.inf).all() and len(calls) == 1
-    status, witness = check_A0(h)
+    status, witness = h.decide_A0()
     assert status is Status.HOLDS and len(calls) == 1
     assert dset.K.dual().contains(witness["gamma"], 1e-6)
 
