@@ -89,8 +89,9 @@ class CutResult:
     violation: float | None = None
     verified: bool = False
     diagnostic: str = ""
-    # validity certificate: the cut program's lambda_k per branch (None for
-    # an infeasible branch), checked by _verify_cut
+    # validity certificate: the cut program's lambda_k per branch, checked by
+    # _verify_cut; None for an infeasible branch, which a feasibility solve
+    # found empty after the cut program's dual gave no point of it
     multipliers: list | None = None
 
 
@@ -102,39 +103,45 @@ def generate_cut(
 ) -> CutResult:
     """Search for (mu; eta0) valid on every feasible branch (in the shared
     variables, the first len(xhat) of every branch) with
-    <mu, xhat> < eta0 - tol, normalized by the box |mu_i| <= 1, |eta0| <= 1."""
+    <mu, xhat> < eta0 - tol, normalized by the box |mu_i| <= 1, |eta0| <= 1.
+
+    The cut program is solved once over every branch, and the nonemptiness
+    of each branch is read from its dual (`_nonempty_by_dual`). Only a
+    branch that the dual does not prove nonempty gets a c = 0 feasibility
+    solve. When one of those is infeasible, the program is solved again over
+    the feasible branches, so every cut comes from the program over exactly
+    the feasible branches, up to the tolerance of the dual's point check.
+    A set of n branches takes 1 solve when the dual proves every branch, and
+    at most n + 2 (the first solve, n feasibility solves, the re-solve) when
+    it proves none and some branch is empty; the solve over every branch is
+    then spent for nothing."""
     solver = solver or SolverOptions()
     xhat = np.asarray(xhat, dtype=float).ravel()
-    ns = xhat.size
-    if ns > min(br.K.dim for br in branches):
+    if xhat.size > min(br.K.dim for br in branches):
         raise ValueError(f"xhat must have the shared-variable length (got {xhat.size})")
 
+    prog, lam_at = _cut_program(branches, xhat)
+    sol = solve(prog, solver)
     is_feasible = []
-    for br in branches:
-        sol = solve(
-            ConicProgram(np.zeros(br.K.dim), br.A, br.b, br.K), solver
-        )
-        if sol.status not in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE):
-            return CutResult(False, diagnostic=f"branch feasibility {sol.status.value}")
-        is_feasible.append(sol.status is SolveStatus.OPTIMAL)
+    for br, ok in zip(branches, _nonempty_by_dual(branches, sol, solver)):
+        if not ok:
+            pre = solve(ConicProgram(np.zeros(br.K.dim), br.A, br.b, br.K), solver)
+            if pre.status not in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE):
+                return CutResult(False, diagnostic=f"branch feasibility {pre.status.value}")
+            ok = pre.status is SolveStatus.OPTIMAL
+        is_feasible.append(ok)
     feasible = [br for br, ok in zip(branches, is_feasible) if ok]
     if not feasible:
         raise ValueError("every branch of the disjunction is infeasible")
+    if len(feasible) < len(branches):
+        prog, lam_at = _cut_program(feasible, xhat)
+        sol = solve(prog, solver)
 
-    # head (mu, eta0) free, rho = mu, rho0 = eta0, in the box |mu_i| <= 1, |eta0| <= 1
-    head = [ConeBlock(BlockKind.FREE, ns), ConeBlock(BlockKind.FREE, 1)]
-    j = np.arange(ns + 1)
-    box = np.zeros((2 * ns + 2, ns + 1))
-    box[2 * j, j], box[2 * j + 1, j] = 1.0, -1.0
-    prog, lam_at = multiplier_program(
-        feasible, head, np.concatenate([xhat, [-1.0]]),
-        (np.zeros(ns), np.eye(ns, ns + 1)), (0.0, np.eye(ns + 1)[ns]),
-        (box, np.ones(2 * ns + 2)))
-    sol = solve(prog, solver)
     if sol.status is not SolveStatus.OPTIMAL:
         return CutResult(False, diagnostic=f"cut program {sol.status.value}")
     if sol.objective >= -tol:
         return CutResult(False, diagnostic="no violated inequality under this normalization")
+    ns = xhat.size
     mu = sol.x[:ns]
     eta0 = float(sol.x[ns])
     violation = eta0 - float(mu @ xhat)
@@ -143,6 +150,51 @@ def generate_cut(
     verified = _verify_cut(branches, multipliers, mu, eta0, tol, solver)
     return CutResult(True, Inequality(mu, eta0, "cut"), violation, verified,
                      multipliers=multipliers)
+
+
+def _cut_program(branches, xhat):
+    """The cut program over `branches`: head (mu, eta0) free, rho = mu,
+    rho0 = eta0, cost <mu, xhat> - eta0, in the box |mu_i| <= 1,
+    |eta0| <= 1. Returns the program and the slice of each lambda_k."""
+    ns = xhat.size
+    head = [ConeBlock(BlockKind.FREE, ns), ConeBlock(BlockKind.FREE, 1)]
+    j = np.arange(ns + 1)
+    box = np.zeros((2 * ns + 2, ns + 1))
+    box[2 * j, j], box[2 * j + 1, j] = 1.0, -1.0
+    return multiplier_program(
+        branches, head, np.concatenate([xhat, [-1.0]]),
+        (np.zeros(ns), np.eye(ns, ns + 1)), (0.0, np.eye(ns + 1)[ns]),
+        (box, np.ones(2 * ns + 2)))
+
+
+def _nonempty_by_dual(branches, sol, solver) -> list[bool]:
+    """Which branches the cut program's dual proves nonempty. Dual
+    feasibility on branch k's columns (lambda_k, gamma_k, w_k) reads
+    A_k y_k + theta_k b_k = 0, -y_k in K_k and theta_k >= 0, where y_k is
+    the dual of the branch's K_k.dim rows and theta_k that of its rho0 row.
+    So for theta_k > 0, x_k = -y_k / theta_k is a point of the branch; it
+    counts when it passes A_k x = b_k and x in K_k within
+    100 * feas_tol * (1 + |b_k|_inf), scaled by the data as `_verify_cut`
+    scales its check. A tolerance that grew with |x_k| would pass the far
+    points of a tiny theta_k that approach an empty branch, such as
+    x2 + x3 = -1 in L3 (ex4_2). An empty branch with a point within this
+    tolerance of it still counts as nonempty: it stays in the program, and
+    the cut is valid but may be weaker than over the feasible branches."""
+    if sol.status is not SolveStatus.OPTIMAL:
+        return [False] * len(branches)
+    out, i = [], 0
+    for br in branches:
+        nk = br.K.dim
+        y, theta = sol.y[i : i + nk], float(sol.y[i + nk])
+        i += nk + 1
+        if not theta > 0.0:
+            out.append(False)
+            continue
+        x = -y / theta
+        t = 100.0 * solver.feas_tol * (1.0 + float(np.abs(br.b).max(initial=0.0)))
+        out.append(float(np.abs(br.A @ x - br.b).max(initial=0.0)) <= t
+                   and br.K.contains(x, t))
+    return out
 
 
 def multiplier_program(branches, head, c_head, rho, rho0, bound):

@@ -8,7 +8,7 @@ from conecert import analysis, cli
 from conecert.analysis import AnalysisOptions, full_report
 from conecert.cli import main
 from conecert.cones import sample_extreme_rays
-from conecert.fixtures import names
+from conecert.fixtures import builtin, names
 from conecert.model import _plain, load_problem
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "conecert" / "data"
@@ -219,6 +219,29 @@ def test_demo_pass_lines(capsys):
         assert code == 0, (name, out)
         assert "PASS" in out, name
         assert "FAIL" not in out, (name, out)
+
+
+def test_demo_reads_assumption2_from_the_reports(capsys, monkeypatch):
+    # ex2_2 notes Assumption 2 Fails; the report of its valid inequality
+    # carries the set's result, so the objective-0 rows are solved once
+    zero_rows = []
+    real = analysis.branch_tables
+
+    def spy(handles, labeled, directions):
+        zero_rows.extend(h for h in handles if isinstance(h, analysis._ZeroObjective))
+        return real(handles, labeled, directions)
+
+    monkeypatch.setattr(analysis, "branch_tables", spy)
+    code, text, _ = run(capsys, "demo", "ex2_2")
+    assert code == 0 and len(zero_rows) == 1
+    code, doc, _ = run(capsys, "demo", "ex2_2", "--json")
+    assert code == 0 and len(zero_rows) == 2
+    # the same line as from the check on its own
+    status, _, margin = analysis.assumption2_check(builtin("ex2_2").dset)
+    line = {"check": "assumption2 Fails", "pass": status.value == "Fails",
+            "detail": f"margin={cli._fmt(margin)}"}
+    assert f"PASS  {line['check']}  ({line['detail']})" in text.splitlines()
+    assert line in json.loads(doc)["checks"]
 
 
 def test_demo_cmir_vertices(capsys):
