@@ -1,16 +1,18 @@
-"""Golden cuts: `found`, `verified`, `diagnostic`, `mu` and `eta0` of
-`generate_cut` on the fixture cuts of `test_separation.py`, on its
-LORENTZ_SPLIT instance, on six seeded split disjunctions (orthant and
-Lorentz(3) blocks, n in {12, 24}) and on the fixture grid of
-`test_separation.fixture_grid` ("<fixture> grid <i>", i = 0 the origin),
-which holds sets with infeasible branches (ex4_2, ex4_3) and 21 branches
-(cmir).
+"""Golden cuts: `found`, `verified`, `diagnostic`, `mu`, `eta0` and the
+violation `eta0 - mu.xhat` of `generate_cut` on the fixture cuts of
+`test_separation.py`, on its LORENTZ_SPLIT instance, on six seeded split
+disjunctions (orthant and Lorentz(3) blocks, n in {12, 24}) and on the
+fixture grid of `test_separation.fixture_grid` ("<fixture> grid <i>",
+i = 0 the origin), which holds sets with infeasible branches (ex4_2, ex4_3)
+and 21 branches (cmir).
 
 The stored values are the output of the code before the cut program and the
 exact minimality program shared one multiplier builder (the grid entries:
 before `generate_cut` read branch nonemptiness from the cut program's dual);
-a change to how a cut is computed must leave them unchanged. Rewrite the file, after arguing
-the change, with
+a change to how a cut is computed must leave them unchanged. The violations
+were added later, from the code of that time, and pin the cut's depth where
+`mu` and `eta0` may move along an optimal face that is not unique. Rewrite
+the file, after arguing the change, with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden_cuts.py
 """
@@ -68,6 +70,7 @@ def _summary(res) -> dict:
         "diagnostic": res.diagnostic,
         "mu": res.inequality.mu.tolist() if found else None,
         "eta0": res.inequality.eta0 if found else None,
+        "violation": res.violation,
     }
 
 
@@ -80,10 +83,11 @@ def test_cuts_match_golden():
         for field in ("found", "verified", "diagnostic"):
             assert got[field] == want[field], (key, field)
         if want["mu"] is None:
-            assert got["mu"] is None and got["eta0"] is None, key
+            assert got["mu"] is None and got["eta0"] is None and got["violation"] is None, key
             continue
         assert np.allclose(got["mu"], want["mu"], rtol=0.0, atol=SCALAR_TOL), (key, got["mu"])
         assert abs(got["eta0"] - want["eta0"]) <= SCALAR_TOL, (key, got["eta0"])
+        assert abs(got["violation"] - want["violation"]) <= SCALAR_TOL, (key, got["violation"])
 
 
 if __name__ == "__main__":
