@@ -259,12 +259,21 @@ class _Embedding:
 class _Factors:
     """What `_KKT.solve` needs of each row's factorization: the LU of its
     reduced matrix (None where it failed) and the eliminated terms at the
-    row's regularization r, -1/(w2 + r) per Nonneg slack and 1/h per one-row
-    column, as (B, 1, nN) and (B, 1, n1) stacks."""
+    row's regularization r: -1/(w2 + r) per Nonneg slack, 1/h per one-row
+    column, and r/d and a/d per pair, d = r^2 + a^2 (None without pairs),
+    as (B, 1, nN), (B, 1, n1) and (B, 1, nP) stacks."""
 
-    lu: list
+    lu: list | None
     ng: np.ndarray
     ih: np.ndarray
+    pr: np.ndarray | None
+    pa: np.ndarray | None
+
+    def put(self, row: slice, other: "_Factors") -> None:
+        """Take the eliminated terms of `row` from the one-row `other`."""
+        self.ng[row], self.ih[row] = other.ng, other.ih
+        if self.pr is not None:
+            self.pr[row], self.pa[row] = other.pr, other.pa
 
 
 class _KKT:
@@ -279,15 +288,32 @@ class _KKT:
     with h = r + g, which subtracts a^2/h from row i's diagonal and
     a (rx_c - g rz) / h from ry_i. The embedding puts these columns first and
     the Nonneg slacks last, so the unknowns left, [other Nonneg x, the rest
-    of x, y, Lorentz z], are the one slice `red`; both eliminated blocks are
-    diagonal, so the reduced matrix keeps the quasi-definite form for which
-    any symmetric pivot order is stable. The Lorentz slacks stay in it:
-    eliminating one needs the inverse of its W^2 + rI, whose eigenvalues
-    spread without bound as the iterate nears the boundary of the cone. On
-    min x1 - x3 : x3 - x1 = 0, x in L3 they reach 0 and 3.7e14 (r is lost
-    to rounding), the explicit inverse is singular, and the solve ends
-    NumericalLimit instead of Optimal in 5 iterations; the LU pivots on the
-    block as it is.
+    of x, y, Lorentz z], are the one slice `red`.
+
+    A Lorentz column with one nonzero a, in a row i that holds no one-row
+    Nonneg column, is paired with y_i (the first such column of the row, if
+    it holds several) and both leave through the 2 x 2 pivot
+    M = [[r, a], [a, -r]], whose inverse is [[r, a], [a, -r]] / d with
+    d = r^2 + a^2 (a 2 x 2 pivot of a quasi-definite matrix; Vanderbei,
+    SIAM J. Optim. 5, 1995). The pair couples only to its slack z_c (by -1)
+    and to row i's other columns v (by A_iv), so the term C' M^-1 C that its
+    elimination subtracts (r/d on z_c's diagonal, -a A_iv/d between z_c and
+    v, -r A_iv A_iw/d between columns v and w) depends on r alone and is
+    part of the static matrix; a step reduces the right-hand side and
+    recovers [dx_c, dy_i] in closed form. The reduced unknowns are then `red` less the pairs, indexed by
+    `keep`. In every multiplier program gamma_k is an identity block, so on
+    Lorentz(3) products every gamma_k column pairs: the cut program of a
+    36-variable split factors 207 unknowns instead of 351, as many as its
+    orthant twin.
+
+    Every eliminated block is diagonal or 2 x 2, so the reduced matrix keeps
+    the quasi-definite form for which any symmetric pivot order is stable.
+    The Lorentz slacks stay in it: eliminating one needs the inverse of its
+    W^2 + rI, whose eigenvalues spread without bound as the iterate nears
+    the boundary of the cone. On min x1 - x3 : x3 - x1 = 0, x in L3 they
+    reach 0 and 3.7e14 (r is lost to rounding), the explicit inverse is
+    singular, and the solve ends NumericalLimit instead of Optimal in 5
+    iterations; the LU pivots on the block as it is.
 
     The static part of the reduced matrix is built once per regularization
     r. Each iteration writes the Lorentz W^2 blocks and the eliminated
@@ -301,27 +327,58 @@ class _KKT:
         pl = emb.work.lp.start
         self.size = n + mh + pl + nN
         self.red = slice(n1, n + mh + pl)
-        self.rsize = n - n1 + mh + pl
-        self.y = slice(n - n1, n - n1 + mh)  # y in the reduced unknowns
         self.ys = slice(n, n + mh)  # y in the unknowns
         self.zN = slice(n + mh + pl, self.size)
         self.n1, self.nN = n1, nN
         self.A1 = np.ascontiguousarray(emb.Ahat[:, :n1])
         self.A1T = emb.AhatT[:n1]
+        pcol, prow, slots = self._pairs(emb) if pl else ((),) * 3
+        self.nP = nP = len(pcol)
+        self.nx = nx = n - n1 - nP  # x in the reduced unknowns
+        self.rsize = nx + mh - nP + pl
+        self.y = slice(nx, nx + mh - nP)  # y in the reduced unknowns
+        if nP:
+            # the pairs' x and y in the unknowns, the reduced unknowns in
+            # `red`, the paired slacks in the reduced unknowns, and each
+            # pair's a and the coefficients A_iv of its row on the reduced x
+            self.pidx = np.concatenate([pcol, n + prow])
+            self.keep = np.delete(np.arange(self.red.stop - n1), self.pidx - n1)
+            self.zP = nx + mh - nP + slots
+            self.a = emb.Ahat[prow, pcol]
+            self.P = emb.Ahat[prow][:, n1 + self.keep[:nx]]
+            self.PT = np.ascontiguousarray(self.P.T)
+            self.A1T = self.A1T[:, np.delete(np.arange(mh), prow)]
         self.A1sqT = self.A1T * self.A1T
         rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
         for o, nb, d, *_ in emb.work.groups:
-            idx = n - n1 + mh + o + np.arange(nb * d).reshape(nb, d)
+            idx = nx + mh - nP + o + np.arange(nb * d).reshape(nb, d)
             rows.append(np.repeat(idx[:, :, None], d, axis=2).ravel())
             cols.append(np.repeat(idx[:, None, :], d, axis=1).ravel())
         self.rows, self.cols = np.concatenate(rows), np.concatenate(cols)
-        self._static: dict[float, np.ndarray] = {}
+        self._static: dict[float, tuple] = {}
 
-    def static(self, bump: float) -> np.ndarray:
+    @staticmethod
+    def _pairs(emb: _Embedding):
+        """The Lorentz columns paired with their rows, with those rows and
+        the columns' slack slots: a column pairs when its only nonzero is in
+        a row with no one-row Nonneg column, and is the first such column of
+        that row in slack order."""
+        cols = emb.cidx[: emb.work.lp.start]  # the column of each Lorentz slack
+        nz = emb.Ahat[:, cols] != 0
+        slots = np.flatnonzero(nz.sum(axis=0) == 1)
+        rows = nz[:, slots].argmax(axis=0)
+        ok = ~(emb.Ahat[rows, : emb.n1] != 0).any(axis=1)
+        rows, first = np.unique(rows[ok], return_index=True)
+        slots = slots[ok][first]
+        return cols[slots], rows, slots
+
+    def static(self, bump: float) -> tuple:
+        """The static reduced matrix at one bump, and the pairs' r/d and a/d
+        (None without pairs)."""
         if bump not in self._static:
             emb = self.emb
-            n1, mh, size = emb.n1, emb.mh, self.rsize
-            nx = emb.n - n1
+            n1, mh = emb.n1, emb.mh
+            nx, size = emb.n - n1, self.red.stop - n1
             rr = _STATIC_REG * bump
             T = np.zeros((size, size))
             T[:nx, nx : nx + mh] = emb.AhatT[n1:]
@@ -330,50 +387,88 @@ class _KKT:
             T[emb.cidx[: slots.size] - n1, slots] = -1.0
             T[slots, emb.cidx[: slots.size] - n1] = -1.0
             T[np.diag_indices(size)] = np.concatenate([np.full(nx, rr), np.full(size - nx, -rr)])
-            self._static[bump] = T
+            pr = pa = None
+            if self.nP:
+                # less C' M^-1 C, where a pair's rows of C are -1 at z_c and
+                # A_iv at the x columns v
+                T = T[np.ix_(self.keep, self.keep)]
+                d = rr * rr + self.a * self.a
+                pr, pa = rr / d, self.a / d
+                nx, zP = self.nx, self.zP
+                T[:nx, :nx] += self.PT @ (pr[:, None] * self.P)
+                Z = pa[:, None] * self.P
+                T[zP, :nx] += Z
+                T[:nx, zP] += Z.T
+                T[zP, zP] -= pr
+            self._static[bump] = T, pr, pa
         return self._static[bump]
 
     def _assemble(self, wL: np.ndarray, wN: np.ndarray, bump: float):
         """The reduced matrices of a batch at one bump, given the entries wL
         of its Lorentz W^2 blocks and the Nonneg diagonal wN of W^2, and the
-        eliminated terms -g and 1/h of its rows."""
-        K = np.repeat(self.static(bump)[None], len(wL), axis=0)
+        eliminated terms of its rows."""
+        T, pr, pa = self.static(bump)
+        B = len(wL)
+        K = np.repeat(T[None], B, axis=0)
         if self.rows.size:
             K[:, self.rows, self.cols] -= wL
+        if self.nP:
+            pr, pa = np.tile(pr, (B, 1, 1)), np.tile(pa, (B, 1, 1))
         if not self.nN:
-            return K, wN[:, None], wN[:, None]  # nothing eliminated: (B, 1, 0) each
+            return K, _Factors(None, wN[:, None], wN[:, None], pr, pa)  # (B, 1, 0) each
         r = _STATIC_REG * bump
         n1 = self.n1
         ng = np.divide(-1.0, (wN + r)[:, None])
         ih = np.divide(1.0, r - ng[..., :n1])
-        diag = K.reshape(len(wL), -1)[:, :: self.rsize + 1]
+        diag = K.reshape(B, -1)[:, :: self.rsize + 1]
         diag[:, : self.nN - n1] -= ng[:, 0, n1:]
         diag[:, self.y] -= (ih @ self.A1sqT)[:, 0]
-        return K, ng, ih
+        return K, _Factors(None, ng, ih, pr, pa)
 
-    def _reduce(self, R: np.ndarray, ng: np.ndarray, ih: np.ndarray):
+    def _reduce(self, R: np.ndarray, f: _Factors):
         """The reduced right-hand sides of R (..., size), and v = (rx - g rz)/h
-        of the one-row columns; ng and ih broadcast against R's rows."""
+        of the one-row columns; the terms of f broadcast against R's rows."""
         if not self.nN:
-            return R.copy(), R[..., :0]
-        rx = ng * R[..., self.zN]
+            return (self._pair_reduce(R, R, f) if self.nP else R.copy()), R[..., :0]
+        rx = f.ng * R[..., self.zN]
         rx += R[..., : self.nN]
-        v = rx[..., : self.n1] * ih
+        v = rx[..., : self.n1] * f.ih
         Rr = np.concatenate((rx[..., self.n1 :], R[..., self.nN : self.red.stop]), axis=-1)
+        if self.nP:
+            Rr = self._pair_reduce(R, Rr, f)
         Rr[..., self.y] -= v @ self.A1T
         return Rr, v
 
-    def _recover(self, R: np.ndarray, U: np.ndarray, ng: np.ndarray, ih: np.ndarray,
+    def _pair_reduce(self, R: np.ndarray, Rr: np.ndarray, f: _Factors) -> np.ndarray:
+        """Rr (..., red) on the reduced unknowns, less C' M^-1 [rx_c, ry_i] of
+        the pairs."""
+        Rp = np.take(R, self.pidx, axis=-1)
+        rx, ry = Rp[..., : self.nP], Rp[..., self.nP :]
+        Rr = np.take(Rr, self.keep, axis=-1)  # C-ordered rows, which LAPACK solves in place
+        Rr[..., self.zP] += f.pr * rx + f.pa * ry
+        Rr[..., : self.nx] -= (f.pa * rx - f.pr * ry) @ self.P
+        return Rr
+
+    def _recover(self, R: np.ndarray, U: np.ndarray, Rr: np.ndarray, f: _Factors,
                  v: np.ndarray) -> None:
-        """Write dx of the one-row columns and dz of the Nonneg slacks into U
-        (..., size), whose slice `red` holds the reduced solution."""
+        """Write the reduced solution Rr, dx and dy of the pairs, dx of the
+        one-row columns and dz of the Nonneg slacks into U (..., size)."""
+        if self.nP:
+            U[..., self.red][..., self.keep] = Rr
+            Rp = np.take(R, self.pidx, axis=-1)
+            t1 = Rp[..., : self.nP] + Rr[..., self.zP]
+            t2 = Rp[..., self.nP :] - Rr[..., : self.nx] @ self.PT
+            U[..., self.pidx] = np.concatenate((f.pr * t1 + f.pa * t2, f.pa * t1 - f.pr * t2),
+                                               axis=-1)
+        else:
+            U[..., self.red] = Rr
         if not self.nN:
             return
         w = U[..., self.ys] @ self.A1
-        w *= ih
+        w *= f.ih
         np.subtract(v, w, out=U[..., : self.n1])
         dz = np.add(R[..., self.zN], U[..., : self.nN], out=U[..., self.zN])
-        dz *= ng
+        dz *= f.ng
 
     def factor_solve(self, w2: np.ndarray, R: np.ndarray, U: np.ndarray) -> _Factors:
         """Factor each row's matrix, given its W^2 entries w2[i] (in the order
@@ -386,25 +481,25 @@ class _KKT:
         B, nL = len(w2), len(self.rows)
         w2 = w2[:, : nL + self.nN]
         wL, wN = w2[:, :nL], w2[:, nL:]
-        K, ng, ih = self._assemble(wL, wN, _BUMPS[0])
-        Rr, v = self._reduce(R, ng, ih)
+        K, f = self._assemble(wL, wN, _BUMPS[0])
+        Rr, v = self._reduce(R, f)
         finite = _all_finite(w2)
-        lu = [self._factor(Ki, Ri, Ri) if ok else None for ok, Ki, Ri in zip(finite, K, Rr)]
+        f.lu = [self._factor(Ki, Ri, Ri) if ok else None for ok, Ki, Ri in zip(finite, K, Rr)]
         if not (finite.all() and np.isfinite(Rr[:, 0]).all()):
             Rr[~finite] = np.nan
             for i in np.flatnonzero(finite & ~_all_finite(Rr[:, 0])):
-                lu[i] = None
+                f.lu[i] = None
                 row = slice(i, i + 1)
                 for bump in _BUMPS[1:]:
-                    K[row], ng[row], ih[row] = self._assemble(wL[row], wN[row], bump)
-                    Rr[row], v[row] = self._reduce(R[row], ng[row], ih[row])
-                    f = self._factor(K[i], Rr[i], Rr[i])
-                    if f is not None and np.isfinite(Rr[i, 0]).all():
-                        lu[i] = f
+                    K[row], g = self._assemble(wL[row], wN[row], bump)
+                    f.put(row, g)
+                    Rr[row], v[row] = self._reduce(R[row], g)
+                    lu = self._factor(K[i], Rr[i], Rr[i])
+                    if lu is not None and np.isfinite(Rr[i, 0]).all():
+                        f.lu[i] = lu
                         break
-        U[..., self.red] = Rr
-        self._recover(R, U, ng, ih, v)
-        return _Factors(lu, ng, ih)
+        self._recover(R, U, Rr, f, v)
+        return f
 
     @staticmethod
     def _factor(Ki: np.ndarray, Ri: np.ndarray, Ui: np.ndarray):
@@ -422,15 +517,13 @@ class _KKT:
         """Solve each factored row for R[i] into U[i, :size]; NaN where there
         is no factor."""
         R, U = R[:, None], U[:, None]  # stacks of one row keep each product per row
-        ng, ih = factors.ng, factors.ih
-        Rr, v = self._reduce(R, ng, ih)
+        Rr, v = self._reduce(R, factors)
         for f, Ri in zip(factors.lu, Rr):
             if f is None:
                 Ri[...] = np.nan
             else:
                 lapack.dgetrs(f[0], f[1], Ri[0], overwrite_b=True)
-        U[..., self.red] = Rr
-        self._recover(R, U, ng, ih, v)
+        self._recover(R, U, Rr, factors, v)
 
 
 @dataclass

@@ -553,16 +553,31 @@ def _full_kkt(emb, W, row, r):
     return M
 
 
-@pytest.mark.parametrize("make, n1, nN", [
-    (_mixed_program, 3, 5), (_dense_program, 0, 3), (_lorentz_program, 0, 0)])
-@pytest.mark.parametrize("bump", [1.0, 1e4])
-def test_reduced_kkt_solve_matches_full_matrix(monkeypatch, make, n1, nN, bump):
-    rng = np.random.default_rng(11)
-    emb = solver._Embedding(make(rng))
-    assert (emb.n1, emb.nN) == (n1, nN)
+def _pair_program(rng, case, a):
+    """Free, L3, L3, Nonneg and L2 columns (0-1, 2-4, 5-7, 8-9, 10-11; a
+    Lorentz block's radius is its last column) over five dense rows, with
+    one-row columns whose only nonzero is a: "distinct" puts Lorentz columns
+    2, 6 and 10 in rows 0, 1 and 2; "shared" puts Lorentz columns 2 and 3 in
+    row 0; "blocked" puts Lorentz column 2 and Nonneg column 8 in row 0 and
+    Lorentz column 6 in row 1. Returns the program and the paired columns,
+    in program order."""
+    K = ConeProduct([free(2), lorentz(3), lorentz(3), nonneg(2), lorentz(2)])
+    A = rng.normal(size=(5, K.dim))
+    one, paired = {"distinct": ({2: 0, 6: 1, 10: 2}, [2, 6, 10]),
+                   "shared": ({2: 0, 3: 0}, [2]),
+                   "blocked": ({2: 0, 8: 0, 6: 1}, [6])}[case]
+    for j, i in one.items():
+        A[:, j] = 0.0
+        A[i, j] = a
+    return ConicProgram(rng.normal(size=K.dim), A, np.zeros(5), K), paired
+
+
+def _reduced_solves_match_full_matrix(monkeypatch, rng, emb, bump, tol):
+    """Factor-solve and solve a batch of 3 rows at seeded interior iterates
+    and compare each row with a dense solve of its unreduced KKT matrix, to
+    tol relative to the solution's size. A bump above 1 is reached through
+    failing factorizations."""
     kkt = solver._KKT(emb)
-    if nN == 0:
-        assert kkt.rsize == kkt.size  # nothing to eliminate
     B = 3
     W = solver._Scaling(emb.work, _interior(emb.work, rng, B), _interior(emb.work, rng, B))
     if bump > 1.0:
@@ -588,7 +603,95 @@ def test_reduced_kkt_solve_matches_full_matrix(monkeypatch, make, n1, nN, bump):
         M = _full_kkt(emb, W, i, solver._STATIC_REG * bump)
         want = np.linalg.solve(M, np.vstack([R[i], R3[i]]).T).T
         got = np.vstack([U[i, :, : kkt.size], u3[i, : kkt.size]])
-        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), i
+        assert np.abs(got - want).max() <= tol * np.abs(want).max(), i
+    return kkt
+
+
+@pytest.mark.parametrize("make, n1, nN", [
+    (_mixed_program, 3, 5), (_dense_program, 0, 3), (_lorentz_program, 0, 0)])
+@pytest.mark.parametrize("bump", [1.0, 1e4])
+def test_reduced_kkt_solve_matches_full_matrix(monkeypatch, make, n1, nN, bump):
+    rng = np.random.default_rng(11)
+    emb = solver._Embedding(make(rng))
+    assert (emb.n1, emb.nN) == (n1, nN)
+    kkt = _reduced_solves_match_full_matrix(monkeypatch, rng, emb, bump, 1e-9)
+    assert kkt.nP == 0  # no Lorentz column has a single nonzero
+    if nN == 0:
+        assert kkt.rsize == kkt.size  # nothing to eliminate
+
+
+@pytest.mark.parametrize("case", ["distinct", "shared", "blocked"])
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("bump", [1.0, 1e4])
+def test_paired_kkt_solve_matches_full_matrix(monkeypatch, case, a, bump):
+    rng = np.random.default_rng(12)
+    p, paired = _pair_program(rng, case, a)
+    emb = solver._Embedding(p)
+    kkt = _reduced_solves_match_full_matrix(monkeypatch, rng, emb, bump, 1e-10)
+    assert sorted(emb.perm[kkt.pidx[: kkt.nP]].tolist()) == paired
+    # each pair takes its column and its row out of the LU; the slacks stay
+    assert kkt.rsize == kkt.size - emb.nN - emb.n1 - 2 * len(paired)
+    assert kkt.rows.size == 2 * 9 + 4
+
+
+def test_failed_factorization_of_a_pair_program_is_retried_with_a_bump(monkeypatch):
+    # min c.x : A x = b, x in L3 x L3 x N2 x L2 with three pairs; row 1 of
+    # the batch fails its first factorization and goes on at bump 1e2
+    rng = np.random.default_rng(6)
+    p, _ = _pair_program(rng, "distinct", 1.0)
+    x0 = np.concatenate([rng.normal(size=2), [0.3, -0.4, 1.0, 0.5, 0.2, 1.5, 0.7, 1.2, 0.1, 0.8]])
+    s0 = np.concatenate([[0.0, 0.0], [0.1, 0.2, 1.0, -0.3, 0.1, 0.9, 0.4, 0.6, 0.2, 0.5]])
+    c = p.A.T @ rng.normal(size=5) + s0
+    rhs = np.array([p.A @ (x0 * t) for t in (1.0, 0.5, 2.0)])
+    assert solver._KKT(solver._Embedding(p)).nP == 3
+    singles = [solve(ConicProgram(c, p.A, b, p.cone)) for b in rhs]
+    factor = solver._KKT._factor
+    calls = []
+
+    def first_of_row_1_fails(Ki, Ri, Ui):
+        calls.append(1)
+        if len(calls) == 2:  # row 1 in the first iteration, at the static regularization
+            Ui[...] = np.nan
+            return None
+        return factor(Ki, Ri, Ui)
+
+    monkeypatch.setattr(solver._KKT, "_factor", staticmethod(first_of_row_1_fails))
+    batch = solve_batch(ConicProgram(c, p.A, rhs[0], p.cone), rhs)
+    for i, (got, single) in enumerate(zip(batch, singles)):
+        assert single.status is SolveStatus.OPTIMAL
+        assert got.status is SolveStatus.OPTIMAL, i
+        if i != 1:
+            assert got.iterations == single.iterations
+        assert got.objective == pytest.approx(single.objective, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "orthant"])
+def test_cut_program_factors_at_order_207(kind):
+    """The cut program of a 36-variable split (150 x 207) factors 207
+    unknowns on Lorentz(3) products as on the orthant: every gamma_k
+    column with one nonzero pairs with its row, and none is left in the LU."""
+    from conecert.separation import _cut_program
+    from test_separation import _seeded_split
+
+    p = _cut_program(*_seeded_split(1, kind, 36))[0]
+    assert p.A.shape == (150, 207)
+    emb = solver._Embedding(p)
+    kkt = solver._KKT(emb)
+    assert kkt.rsize == 207
+    if kind == "orthant":
+        assert kkt.nP == 0
+        return
+    assert kkt.rsize + 2 * kkt.nP == 351  # the order without the pairs
+    one_row_nonneg = {int(np.flatnonzero(emb.Ahat[:, j])[0]) for j in range(emb.n1)}
+    qualifying = set()
+    for blk, off in p.cone.offsets():
+        if blk.kind is BlockKind.LORENTZ:
+            for j in range(off, off + blk.dim):
+                nz = np.flatnonzero(p.A[:, j])
+                if nz.size == 1 and nz[0] not in one_row_nonneg:
+                    qualifying.add(j)
+    assert len(qualifying) == 72
+    assert set(emb.perm[kkt.pidx[: kkt.nP]].tolist()) == qualifying
 
 
 def test_lorentz_slack_stays_in_the_factored_matrix():
@@ -600,3 +703,9 @@ def test_lorentz_slack_stays_in_the_factored_matrix():
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.iterations == 5
     assert sol.x == pytest.approx([0.5, 0.0, 0.5], abs=1e-6)
+    # one of x1 and x3 pairs with the row; the three slacks stay in the LU
+    # with their whole W^2 block
+    kkt = solver._KKT(solver._Embedding(p))
+    assert kkt.nP == 1
+    assert kkt.rsize == 3 + 1 + 3 - 2
+    assert sorted(set(kkt.rows.tolist())) == [2, 3, 4] and kkt.rows.size == 9
