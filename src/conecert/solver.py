@@ -259,21 +259,23 @@ class _Embedding:
 class _Factors:
     """What `_KKT.solve` needs of each row's factorization: the LU of its
     reduced matrix (None where it failed) and the eliminated terms at the
-    row's regularization r: -1/(w2 + r) per Nonneg slack, 1/h per one-row
-    column, and r/d and a/d per pair, d = r^2 + a^2 (None without pairs),
-    as (B, 1, nN), (B, 1, n1) and (B, 1, nP) stacks."""
+    row's regularization r: -1/(w2 + r) per Nonneg slack and 1/h per
+    one-row column, as (B, 1, nN) and (B, 1, n1) stacks, and the pairs'
+    M^-1 (None without pairs), as a (B, 2 nP, 2 nP) stack, or a (1, .)
+    read-only view of `_KKT.static` while every row is at one bump."""
 
     lu: list | None
     ng: np.ndarray
     ih: np.ndarray
-    pr: np.ndarray | None
-    pa: np.ndarray | None
+    Mi: np.ndarray | None
 
     def put(self, row: slice, other: "_Factors") -> None:
         """Take the eliminated terms of `row` from the one-row `other`."""
         self.ng[row], self.ih[row] = other.ng, other.ih
-        if self.pr is not None:
-            self.pr[row], self.pa[row] = other.pr, other.pa
+        if self.Mi is not None:
+            if not self.Mi.flags.writeable:
+                self.Mi = np.repeat(self.Mi, len(self.ng), axis=0)
+            self.Mi[row] = other.Mi
 
 
 class _KKT:
@@ -296,11 +298,12 @@ class _KKT:
     M = [[r, a], [a, -r]], whose inverse is [[r, a], [a, -r]] / d with
     d = r^2 + a^2 (a 2 x 2 pivot of a quasi-definite matrix; Vanderbei,
     SIAM J. Optim. 5, 1995). The pair couples only to its slack z_c (by -1)
-    and to row i's other columns v (by A_iv), so the term C' M^-1 C that its
-    elimination subtracts (r/d on z_c's diagonal, -a A_iv/d between z_c and
-    v, -r A_iv A_iw/d between columns v and w) depends on r alone and is
-    part of the static matrix; a step reduces the right-hand side and
-    recovers [dx_c, dy_i] in closed form. The reduced unknowns are then `red` less the pairs, indexed by
+    and to row i's other columns v (by A_iv): these are its rows of C. The
+    term C' M^-1 C that its elimination subtracts (r/d on z_c's diagonal,
+    -a A_iv/d between z_c and v, -r A_iv A_iw/d between columns v and w)
+    depends on r alone and is part of the static matrix. A step subtracts
+    C' M^-1 [rx_c, ry_i] from the right-hand side and recovers
+    [dx_c, dy_i] = M^-1 ([rx_c, ry_i] - C u) from the reduced solution u. The reduced unknowns are then `red` less the pairs, indexed by
     `keep`. In every multiplier program gamma_k is an identity block, so on
     Lorentz(3) products every gamma_k column pairs: the cut program of a
     36-variable split factors 207 unknowns instead of 351, as many as its
@@ -339,14 +342,16 @@ class _KKT:
         self.y = slice(nx, nx + mh - nP)  # y in the reduced unknowns
         if nP:
             # the pairs' x and y in the unknowns, the reduced unknowns in
-            # `red`, the paired slacks in the reduced unknowns, and each
-            # pair's a and the coefficients A_iv of its row on the reduced x
+            # `red`, the paired slacks in the reduced unknowns, each pair's
+            # a, and C: -1 at the paired slack (rows ..nP) and the
+            # coefficients A_iv of the pair's row on the reduced x (rows nP..)
             self.pidx = np.concatenate([pcol, n + prow])
             self.keep = np.delete(np.arange(self.red.stop - n1), self.pidx - n1)
             self.zP = nx + mh - nP + slots
             self.a = emb.Ahat[prow, pcol]
-            self.P = emb.Ahat[prow][:, n1 + self.keep[:nx]]
-            self.PT = np.ascontiguousarray(self.P.T)
+            self.C = np.zeros((2 * nP, self.rsize))
+            self.C[np.arange(nP), self.zP] = -1.0
+            self.C[nP:, :nx] = emb.Ahat[prow][:, n1 + self.keep[:nx]]
             self.A1T = self.A1T[:, np.delete(np.arange(mh), prow)]
         self.A1sqT = self.A1T * self.A1T
         rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
@@ -373,8 +378,8 @@ class _KKT:
         return cols[slots], rows, slots
 
     def static(self, bump: float) -> tuple:
-        """The static reduced matrix at one bump, and the pairs' r/d and a/d
-        (None without pairs)."""
+        """The static reduced matrix at one bump, and the pairs' M^-1 as a
+        read-only (1, .) stack (None without pairs)."""
         if bump not in self._static:
             emb = self.emb
             n1, mh = emb.n1, emb.mh
@@ -387,35 +392,35 @@ class _KKT:
             T[emb.cidx[: slots.size] - n1, slots] = -1.0
             T[slots, emb.cidx[: slots.size] - n1] = -1.0
             T[np.diag_indices(size)] = np.concatenate([np.full(nx, rr), np.full(size - nx, -rr)])
-            pr = pa = None
+            Mi = None
             if self.nP:
-                # less C' M^-1 C, where a pair's rows of C are -1 at z_c and
-                # A_iv at the x columns v
-                T = T[np.ix_(self.keep, self.keep)]
+                # M^-1 = [[r, a], [a, -r]] / d per pair, and the reduced
+                # matrix less C' M^-1 C: its rows at the paired slacks and at
+                # the reduced x, from C's two parts
+                nP, nx = self.nP, self.nx
                 d = rr * rr + self.a * self.a
-                pr, pa = rr / d, self.a / d
-                nx, zP = self.nx, self.zP
-                T[:nx, :nx] += self.PT @ (pr[:, None] * self.P)
-                Z = pa[:, None] * self.P
-                T[zP, :nx] += Z
-                T[:nx, zP] += Z.T
-                T[zP, zP] -= pr
-            self._static[bump] = T, pr, pa
+                pr, pa = np.diag(rr / d), np.diag(self.a / d)
+                Mi = np.block([[pr, pa], [pa, -pr]])
+                MC = Mi @ self.C
+                T = T[np.ix_(self.keep, self.keep)]
+                T[self.zP] += MC[:nP]
+                T[:nx] -= self.C[nP:, :nx].T @ MC[nP:]
+                Mi = Mi[None]
+                Mi.flags.writeable = False
+            self._static[bump] = T, Mi
         return self._static[bump]
 
     def _assemble(self, wL: np.ndarray, wN: np.ndarray, bump: float):
         """The reduced matrices of a batch at one bump, given the entries wL
         of its Lorentz W^2 blocks and the Nonneg diagonal wN of W^2, and the
         eliminated terms of its rows."""
-        T, pr, pa = self.static(bump)
+        T, Mi = self.static(bump)
         B = len(wL)
         K = np.repeat(T[None], B, axis=0)
         if self.rows.size:
             K[:, self.rows, self.cols] -= wL
-        if self.nP:
-            pr, pa = np.tile(pr, (B, 1, 1)), np.tile(pa, (B, 1, 1))
         if not self.nN:
-            return K, _Factors(None, wN[:, None], wN[:, None], pr, pa)  # (B, 1, 0) each
+            return K, _Factors(None, wN[:, None], wN[:, None], Mi)  # (B, 1, 0) each
         r = _STATIC_REG * bump
         n1 = self.n1
         ng = np.divide(-1.0, (wN + r)[:, None])
@@ -423,7 +428,7 @@ class _KKT:
         diag = K.reshape(B, -1)[:, :: self.rsize + 1]
         diag[:, : self.nN - n1] -= ng[:, 0, n1:]
         diag[:, self.y] -= (ih @ self.A1sqT)[:, 0]
-        return K, _Factors(None, ng, ih, pr, pa)
+        return K, _Factors(None, ng, ih, Mi)
 
     def _reduce(self, R: np.ndarray, f: _Factors):
         """The reduced right-hand sides of R (..., size), and v = (rx - g rz)/h
@@ -442,11 +447,8 @@ class _KKT:
     def _pair_reduce(self, R: np.ndarray, Rr: np.ndarray, f: _Factors) -> np.ndarray:
         """Rr (..., red) on the reduced unknowns, less C' M^-1 [rx_c, ry_i] of
         the pairs."""
-        Rp = np.take(R, self.pidx, axis=-1)
-        rx, ry = Rp[..., : self.nP], Rp[..., self.nP :]
         Rr = np.take(Rr, self.keep, axis=-1)  # C-ordered rows, which LAPACK solves in place
-        Rr[..., self.zP] += f.pr * rx + f.pa * ry
-        Rr[..., : self.nx] -= (f.pa * rx - f.pr * ry) @ self.P
+        Rr -= np.take(R, self.pidx, axis=-1) @ f.Mi @ self.C
         return Rr
 
     def _recover(self, R: np.ndarray, U: np.ndarray, Rr: np.ndarray, f: _Factors,
@@ -455,11 +457,7 @@ class _KKT:
         one-row columns and dz of the Nonneg slacks into U (..., size)."""
         if self.nP:
             U[..., self.red][..., self.keep] = Rr
-            Rp = np.take(R, self.pidx, axis=-1)
-            t1 = Rp[..., : self.nP] + Rr[..., self.zP]
-            t2 = Rp[..., self.nP :] - Rr[..., : self.nx] @ self.PT
-            U[..., self.pidx] = np.concatenate((f.pr * t1 + f.pa * t2, f.pa * t1 - f.pr * t2),
-                                               axis=-1)
+            U[..., self.pidx] = (np.take(R, self.pidx, axis=-1) - Rr @ self.C.T) @ f.Mi
         else:
             U[..., self.red] = Rr
         if not self.nN:
