@@ -220,7 +220,8 @@ class _Embedding:
     columns in all, and x[pos] puts an embedding x back in program order.
     The slacks are s = x[cidx]: the Lorentz blocks radius-first, grouped by
     dimension in order of first appearance, then the Nonneg coordinates in
-    column order, so that s's Nonneg part is x[:nN]. The embedding cone
+    column order, so that s's Nonneg part is x[:nN]; soc1 lists the slack
+    slots of the one-row Lorentz columns. The embedding cone
     `work` has one more Nonneg coordinate, last, for the pair (kappa, tau)
     of the embedding: s carries kappa there and z tau."""
 
@@ -246,6 +247,7 @@ class _Embedding:
         self.n1, self.nN = len(one), len(lp)
         soc = [i for blks in soc_blocks.values() for blk in blks for i in blk]
         self.cidx = self.pos[soc + lp]
+        self.soc1 = [k for k, j in enumerate(soc) if nnz[j] == 1]
         self.work = _EmbeddingCone([(d, len(b)) for d, b in soc_blocks.items()], self.nN + 1)
         Zrows = np.zeros((len(zero_idx), n))
         Zrows[np.arange(len(zero_idx)), zero_idx] = 1.0
@@ -261,8 +263,8 @@ class _Factors:
     reduced matrix (None where it failed) and the eliminated terms at the
     row's regularization r: -1/(w2 + r) per Nonneg slack and 1/h per
     one-row column, as (B, 1, nN) and (B, 1, n1) stacks, and the pairs'
-    M^-1 (None without pairs), as a (B, 2 nP, 2 nP) stack, or a (1, .)
-    read-only view of `_KKT.static` while every row is at one bump."""
+    M^-1 (None without pairs), as a (B, 2 nP, 2 nP) stack, or the one
+    matrix of `_KKT.static` while every row is at one bump."""
 
     lu: list | None
     ng: np.ndarray
@@ -273,8 +275,8 @@ class _Factors:
         """Take the eliminated terms of `row` from the one-row `other`."""
         self.ng[row], self.ih[row] = other.ng, other.ih
         if self.Mi is not None:
-            if not self.Mi.flags.writeable:
-                self.Mi = np.repeat(self.Mi, len(self.ng), axis=0)
+            if self.Mi.ndim == 2:
+                self.Mi = np.repeat(self.Mi[None], len(self.ng), axis=0)
             self.Mi[row] = other.Mi
 
 
@@ -303,11 +305,11 @@ class _KKT:
     -a A_iv/d between z_c and v, -r A_iv A_iw/d between columns v and w)
     depends on r alone and is part of the static matrix. A step subtracts
     C' M^-1 [rx_c, ry_i] from the right-hand side and recovers
-    [dx_c, dy_i] = M^-1 ([rx_c, ry_i] - C u) from the reduced solution u. The reduced unknowns are then `red` less the pairs, indexed by
-    `keep`. In every multiplier program gamma_k is an identity block, so on
-    Lorentz(3) products every gamma_k column pairs: the cut program of a
-    36-variable split factors 207 unknowns instead of 351, as many as its
-    orthant twin.
+    [dx_c, dy_i] = M^-1 ([rx_c, ry_i] - C u) from the reduced solution u,
+    which holds the unknowns of `red` less the pairs (`keep`). In every
+    multiplier program gamma_k is an identity block, so on Lorentz(3)
+    products every gamma_k column pairs: the cut program of a 36-variable
+    split factors 207 unknowns instead of 351, as many as its orthant twin.
 
     Every eliminated block is diagonal or 2 x 2, so the reduced matrix keeps
     the quasi-definite form for which any symmetric pivot order is stable.
@@ -335,7 +337,7 @@ class _KKT:
         self.n1, self.nN = n1, nN
         self.A1 = np.ascontiguousarray(emb.Ahat[:, :n1])
         self.A1T = emb.AhatT[:n1]
-        pcol, prow, slots = self._pairs(emb) if pl else ((),) * 3
+        pcol, prow, slots = self._pairs(emb) if emb.soc1 else ((),) * 3
         self.nP = nP = len(pcol)
         self.nx = nx = n - n1 - nP  # x in the reduced unknowns
         self.rsize = nx + mh - nP + pl
@@ -346,13 +348,15 @@ class _KKT:
             # a, and C: -1 at the paired slack (rows ..nP) and the
             # coefficients A_iv of the pair's row on the reduced x (rows nP..)
             self.pidx = np.concatenate([pcol, n + prow])
-            self.keep = np.delete(np.arange(self.red.stop - n1), self.pidx - n1)
+            keep = np.ones(self.red.stop - n1, dtype=bool)
+            keep[self.pidx - n1] = False
+            self.keep = np.flatnonzero(keep)
             self.zP = nx + mh - nP + slots
             self.a = emb.Ahat[prow, pcol]
             self.C = np.zeros((2 * nP, self.rsize))
             self.C[np.arange(nP), self.zP] = -1.0
             self.C[nP:, :nx] = emb.Ahat[prow][:, n1 + self.keep[:nx]]
-            self.A1T = self.A1T[:, np.delete(np.arange(mh), prow)]
+            self.A1T = self.A1T[:, keep[n - n1 : n - n1 + mh]]
         self.A1sqT = self.A1T * self.A1T
         rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
         for o, nb, d, *_ in emb.work.groups:
@@ -365,21 +369,21 @@ class _KKT:
     @staticmethod
     def _pairs(emb: _Embedding):
         """The Lorentz columns paired with their rows, with those rows and
-        the columns' slack slots: a column pairs when its only nonzero is in
-        a row with no one-row Nonneg column, and is the first such column of
-        that row in slack order."""
-        cols = emb.cidx[: emb.work.lp.start]  # the column of each Lorentz slack
-        nz = emb.Ahat[:, cols] != 0
-        slots = np.flatnonzero(nz.sum(axis=0) == 1)
-        rows = nz[:, slots].argmax(axis=0)
+        the columns' slack slots: a one-row Lorentz column pairs when its row
+        holds no one-row Nonneg column, and is the first such column of that
+        row in slack order."""
+        slots = np.array(emb.soc1)
+        rows = (emb.Ahat[:, emb.cidx[slots]] != 0).argmax(axis=0)
         ok = ~(emb.Ahat[rows, : emb.n1] != 0).any(axis=1)
-        rows, first = np.unique(rows[ok], return_index=True)
-        slots = slots[ok][first]
-        return cols[slots], rows, slots
+        first = np.full(emb.mh, slots[-1] + 1)
+        np.minimum.at(first, rows[ok], slots[ok])
+        rows = np.flatnonzero(first <= slots[-1])
+        slots = first[rows]
+        return emb.cidx[slots], rows, slots
 
     def static(self, bump: float) -> tuple:
-        """The static reduced matrix at one bump, and the pairs' M^-1 as a
-        read-only (1, .) stack (None without pairs)."""
+        """The static reduced matrix at one bump, and the pairs' M^-1 (None
+        without pairs)."""
         if bump not in self._static:
             emb = self.emb
             n1, mh = emb.n1, emb.mh
@@ -395,18 +399,17 @@ class _KKT:
             Mi = None
             if self.nP:
                 # M^-1 = [[r, a], [a, -r]] / d per pair, and the reduced
-                # matrix less C' M^-1 C: its rows at the paired slacks and at
-                # the reduced x, from C's two parts
+                # matrix less C' (M^-1 C), whose only nonzero rows are at the
+                # paired slacks (C's first nP rows are -1 there) and at the
+                # reduced x (C's last nP rows)
                 nP, nx = self.nP, self.nx
                 d = rr * rr + self.a * self.a
-                pr, pa = np.diag(rr / d), np.diag(self.a / d)
-                Mi = np.block([[pr, pa], [pa, -pr]])
+                pr, pa = rr / d, self.a / d
+                Mi = np.diag(np.concatenate([pr, -pr])) + np.diag(pa, nP) + np.diag(pa, -nP)
                 MC = Mi @ self.C
                 T = T[np.ix_(self.keep, self.keep)]
                 T[self.zP] += MC[:nP]
                 T[:nx] -= self.C[nP:, :nx].T @ MC[nP:]
-                Mi = Mi[None]
-                Mi.flags.writeable = False
             self._static[bump] = T, Mi
         return self._static[bump]
 
