@@ -6,6 +6,7 @@ import pytest
 
 from conecert import solver
 from conecert.cones import ConeBlock, BlockKind, ConeProduct, free, lorentz, nonneg, zero
+from conecert.separation import _cut_program
 from conecert.solver import (
     ConicProgram,
     Solution,
@@ -17,6 +18,7 @@ from conecert.solver import (
 )
 
 from oracles import oracle_lp
+from test_separation import _seeded_split
 
 
 def test_small_lp_optimal():
@@ -635,8 +637,8 @@ def test_paired_kkt_solve_matches_full_matrix(monkeypatch, case, a, bump):
 
 
 def test_failed_factorization_of_a_pair_program_is_retried_with_a_bump(monkeypatch):
-    # min c.x : A x = b, x in L3 x L3 x N2 x L2 with three pairs; row 1 of
-    # the batch fails its first factorization and goes on at bump 1e2
+    # min c.x : A x = b over Free(2) x L3 x L3 x N2 x L2 with three pairs;
+    # row 1 of the batch fails its first factorization and goes on at bump 1e2
     rng = np.random.default_rng(6)
     p, _ = _pair_program(rng, "distinct", 1.0)
     x0 = np.concatenate([rng.normal(size=2), [0.3, -0.4, 1.0, 0.5, 0.2, 1.5, 0.7, 1.2, 0.1, 0.8]])
@@ -670,9 +672,6 @@ def test_cut_program_factors_at_order_207(kind):
     """The cut program of a 36-variable split (150 x 207) factors 207
     unknowns on Lorentz(3) products as on the orthant: every gamma_k
     column with one nonzero pairs with its row, and none is left in the LU."""
-    from conecert.separation import _cut_program
-    from test_separation import _seeded_split
-
     p = _cut_program(*_seeded_split(1, kind, 36))[0]
     assert p.A.shape == (150, 207)
     emb = solver._Embedding(p)
