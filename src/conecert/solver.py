@@ -8,10 +8,12 @@ come out as Farkas-type certificates rather than failures.
 
 `solve_batch` runs a stack of right-hand sides for one (A, K) in lockstep,
 with one objective c for all rows or one per row: every iterate is a (B, .)
-array with one row per problem, and a row leaves the batch as soon as it
-terminates or breaks down. Every operation acts row by row (`np.matvec`,
-`np.vecdot`, matmul on a stack of rows, one LU per row), so a row's result
-does not depend on the rest of the batch, and `solve` is a batch of one.
+array with one row per problem. A row leaves the batch only at the top of
+an iteration: when the screen there finds it terminated, when its last
+step broke down, or after max_iters steps. Every operation acts row by row
+(`np.matvec`, `np.vecdot`, matmul on a stack of rows, one LU per row), so a
+row's result does not depend on the rest of the batch, and `solve` is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -651,39 +653,25 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
                 sol = Solution(SolveStatus.NUMERICAL_LIMIT, iterations=iters)
             out[i] = verify(rhs[i], costs[i], sol)
 
-    def leave(it: _Iterates, gone: np.ndarray, iters: int) -> _Iterates:
-        """Finish the rows in `gone`, which broke down at iteration iters, on
-        their current iterate, and return the other rows."""
-        sub = it.take(gone)
-        finish(sub, screen(sub)[0], iters)
-        return it.take(~gone)
-
-    with np.errstate(all="ignore"):  # rows that break down carry inf/nan until they leave
-        for iters in range(1, opts.max_iters + 1):
+    # A row broke down when its Newton step failed (it then takes no step)
+    # or its step left non-finite entries; it ends at the next top on the
+    # iterate it has.
+    broke = np.zeros(B, dtype=bool)
+    with np.errstate(all="ignore"):  # a row that breaks down carries inf/nan to the next top
+        for iters in range(1, opts.max_iters + 2):
             code, res = screen(it)
-            if code.any():
-                done = code != 0
+            done = (code != 0) | broke | (iters > opts.max_iters)
+            if done.any():
                 finish(it.take(done), code[done], iters - 1)
                 if done.all():
                     break
                 it = it.take(~done)
                 res = tuple(r[~done] for r in res)
-            dxz, dsk, alpha, bad = _newton_step(it, res, work, kkt, e, nm)
-            if bad.any():
-                it = leave(it, bad, iters)
-                if not it.ids.size:
-                    break
-                dxz, dsk, alpha = dxz[~bad], dsk[~bad], alpha[~bad]
-            it.xz += alpha[:, None] * dxz
-            it.sk += alpha[:, None] * dsk
-            tau, kappa = it.xz[:, -1], it.sk[:, -1]
-            bad = ~(_all_finite(it.xz[:, :n]) & np.isfinite(tau) & np.isfinite(kappa))
-            if bad.any():
-                it = leave(it, bad, iters)
-                if not it.ids.size:
-                    break
-        else:
-            finish(it, screen(it)[0], opts.max_iters)
+            dxz, dsk, alpha, broke = _newton_step(it, res, work, kkt, e, nm)
+            np.add(it.xz, alpha[:, None] * dxz, out=it.xz, where=~broke[:, None])
+            np.add(it.sk, alpha[:, None] * dsk, out=it.sk, where=~broke[:, None])
+            broke |= ~(_all_finite(it.xz[:, :n]) & np.isfinite(it.xz[:, -1])
+                       & np.isfinite(it.sk[:, -1]))
     return out
 
 
