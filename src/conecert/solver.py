@@ -633,19 +633,28 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
         code[opt] = 1
         return code, (res, it.sk[:, -1] + cx + by)
 
+    def ray(it: _Iterates, r: int, code: int, iters: int) -> Solution:
+        """The Farkas ray of row r of `it`, screened with code 2 (y scaled to
+        b.y = 1) or 3 (x scaled to c.x = -1)."""
+        i = it.ids[r]
+        if code == 2:
+            y = it.xz[r, n : n + m]
+            return Solution(SolveStatus.PRIMAL_INFEASIBLE, certificate=y / (rhs[i] @ y),
+                            iterations=iters)
+        x = it.xz[r, emb.pos]
+        return Solution(SolveStatus.DUAL_INFEASIBLE, certificate=x / -(costs[i] @ x),
+                        iterations=iters)
+
     def finish(it: _Iterates, code: np.ndarray, iters: int) -> None:
-        """Record the Solution of every row of `it`: a terminated row by its
-        code, any other row as NUMERICAL_LIMIT with its scaled iterate."""
+        """Record the Solution of every row of `it` that the screen has not
+        recorded as a verified ray (code 2 or 3): an optimum by code 1, any
+        other row as NUMERICAL_LIMIT with its scaled iterate."""
         for r, i in enumerate(it.ids):
+            if code[r] > 1:
+                continue
             x, yh, tau = it.xz[r, emb.pos], it.xz[r, n:nm], it.xz[r, -1]
             if code[r] == 1:
                 sol = _iterate_solution(costs[i], p.A, SolveStatus.OPTIMAL, x, yh, tau, m, iters)
-            elif code[r] == 2:
-                sol = Solution(SolveStatus.PRIMAL_INFEASIBLE,
-                               certificate=yh[:m] / (rhs[i] @ yh[:m]), iterations=iters)
-            elif code[r] == 3:
-                sol = Solution(SolveStatus.DUAL_INFEASIBLE, certificate=x / -(costs[i] @ x),
-                               iterations=iters)
             elif tau > 1e-12:
                 sol = _iterate_solution(costs[i], p.A, SolveStatus.NUMERICAL_LIMIT, x, yh, tau,
                                         m, iters)
@@ -660,6 +669,12 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
     with np.errstate(all="ignore"):  # a row that breaks down carries inf/nan to the next top
         for iters in range(1, opts.max_iters + 2):
             code, res = screen(it)
+            for r in np.flatnonzero(code > 1):  # a ray ends its row only once it verifies
+                i, sol = it.ids[r], ray(it, r, code[r], iters - 1)
+                if verify.ray(rhs[i], costs[i], sol):
+                    out[i] = sol
+                else:
+                    code[r] = 0
             done = (code != 0) | broke | (iters > opts.max_iters)
             if done.any():
                 finish(it.take(done), code[done], iters - 1)
@@ -766,13 +781,11 @@ class _Verifier:
         self.cone, self.dual_cone = p.cone, p.cone.dual()
 
     def __call__(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> Solution:
-        """The solution, or NUMERICAL_LIMIT if it fails its check."""
+        """The solution, or NUMERICAL_LIMIT if it is an optimum that fails its
+        check."""
         if sol.status is SolveStatus.OPTIMAL and not self.optimal(b, c, sol):
             return Solution(SolveStatus.NUMERICAL_LIMIT, x=sol.x, y=sol.y, s=sol.s,
                             objective=sol.objective, iterations=sol.iterations)
-        if (sol.status in (SolveStatus.PRIMAL_INFEASIBLE, SolveStatus.DUAL_INFEASIBLE)
-                and not self.ray(b, c, sol)):
-            return Solution(SolveStatus.NUMERICAL_LIMIT, iterations=sol.iterations)
         return sol
 
     def residuals(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> dict:

@@ -263,8 +263,10 @@ def test_verifier_cone_checks_read_the_margin():
 def test_weak_farkas_ray_is_not_infeasibility():
     # D_mu = {lam : mu - lam*a in K*} over K = L4 x L2 x N2 is the one point
     # lam = -2, so the (A.0) program over (lam free, gamma in K*) is feasible
-    # with no strictly feasible point. The IPM's Farkas ray there has b.y = 1
-    # and leaves K* by 0.53, small only relative to its own size.
+    # with no strictly feasible point. The IPM's screen finds a Farkas ray
+    # there with b.y = 1 that leaves K* by 0.53, small only relative to its
+    # own size. The verifier rejects it, and the row iterates on to the
+    # optimum, lam = -2 (at iteration 6, and 13 at the second scale).
     a = np.array([1.0, 0.0, -2.0, 0.0, 2.0, 0.0, 0.0, 2.0])
     mu = np.array([-2.0, 0.0, 4.0, 0.0, -6.0, 3.0, 1.0, -3.0])
     K = ConeProduct([lorentz(4), lorentz(2), nonneg(2)])
@@ -274,7 +276,9 @@ def test_weak_farkas_ray_is_not_infeasibility():
     for scale in (1.0, 1e6):
         p = ConicProgram(np.zeros(9), np.hstack([a[:, None], np.eye(8)]), scale * mu,
                          ConeProduct([free(1)] + list(K.dual().blocks)))
-        assert solve(p).status is SolveStatus.NUMERICAL_LIMIT, scale
+        sol = solve(p)
+        assert sol.status is SolveStatus.OPTIMAL, scale
+        assert sol.x[0] == pytest.approx(-2.0 * scale, rel=1e-8)
 
 
 def _batch_family(rng, unbounded: bool):
