@@ -6,7 +6,8 @@ import pytest
 
 from conecert import solver
 from conecert.cones import ConeBlock, BlockKind, ConeProduct, free, lorentz, nonneg, zero
-from conecert.separation import _cut_program
+from conecert.fixtures import builtin
+from conecert.separation import _cut_program, branches_from_set
 from conecert.solver import (
     ConicProgram,
     Solution,
@@ -398,6 +399,27 @@ def test_batch_rows_with_own_objectives_match_single_solves():
     assert {SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE,
             SolveStatus.DUAL_INFEASIBLE} <= seen
     assert mixed >= 4
+
+
+def test_rows_that_break_down_leave_a_mixed_batch_as_they_leave_alone():
+    """The ex2_2 cut programs at four seeded points share (A, K, b), so one
+    batch with one objective per row runs them together. Rows 0 and 3 break
+    down before max_iters and end NumericalLimit while rows 1 and 2 end
+    Optimal; each row's status, iteration count and x are, bit for bit,
+    those of its own solve."""
+    branches = branches_from_set(builtin("ex2_2").dset)
+    points = 2.0 * np.random.default_rng(3).normal(size=(4, 3))
+    programs = [_cut_program(branches, xhat)[0] for xhat in points]
+    p = programs[0]
+    assert all(np.array_equal(q.A, p.A) and np.array_equal(q.b, p.b) for q in programs)
+    batch = solve_batch(p, np.tile(p.b, (4, 1)), c=np.stack([q.c for q in programs]))
+    limit, optimal = SolveStatus.NUMERICAL_LIMIT, SolveStatus.OPTIMAL
+    assert [sol.status for sol in batch] == [limit, optimal, optimal, limit]
+    for i, (got, q) in enumerate(zip(batch, programs)):
+        single = solve(q)
+        assert got.status is single.status, i
+        assert got.iterations == single.iterations < SolverOptions().max_iters, i
+        assert got.x is not None and np.array_equal(got.x, single.x), i
 
 
 # ---------------------------------------------------------------------------
