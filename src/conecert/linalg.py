@@ -9,10 +9,12 @@ import scipy.linalg
 RANK_RTOL = 1e-10
 
 
-def as_matrix(A) -> np.ndarray:
+def as_matrix(A, name: str = "matrix") -> np.ndarray:
+    """A as a 2-D float array; raises a ValueError naming it unless its
+    entries are all finite."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
     return A
 
 

@@ -27,8 +27,8 @@ class Branch:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
+        object.__setattr__(self, "A", as_matrix(self.A, "A"))
+        object.__setattr__(self, "b", _finite_vector(self.b, "b"))
         if self.A.shape[0] != self.b.size:
             raise ValueError("rhs length does not match the row count")
         if self.A.shape[1] != self.K.dim:
@@ -47,18 +47,25 @@ class SplitDisjunction:
     r0: int
 
     def __post_init__(self):
-        A = np.asarray(self.Atilde, dtype=float)
-        if A.ndim != 2:
-            A = np.atleast_2d(A)
+        A = as_matrix(self.Atilde, "Atilde")
         object.__setattr__(self, "Atilde", A)
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float).ravel())
+        object.__setattr__(self, "b", _finite_vector(self.b, "b"))
+        object.__setattr__(self, "d", _finite_vector(self.d, "d"))
         if A.shape[0] != self.b.size:
             raise ValueError("rhs length does not match the row count")
         if A.shape[1] != self.K.dim or self.d.size != self.K.dim:
             raise ValueError("dimension mismatch between base and split direction")
         if not np.any(self.d):
             raise ValueError("split direction d must be nonzero")
+
+
+def _finite_vector(v, name: str) -> np.ndarray:
+    """v as a flat float array; raises a ValueError naming it unless its
+    entries are all finite."""
+    v = np.asarray(v, dtype=float).ravel()
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} entries must be finite")
+    return v
 
 
 def build_split_set(sd: SplitDisjunction) -> list[Branch]:

@@ -47,6 +47,32 @@ def test_split_dimension_mismatch():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_split_and_branch_data_must_be_finite(bad):
+    """A non-finite entry is rejected when the split or branch is built,
+    with the field named, not later by a solve."""
+    K = ConeProduct([nonneg(2)])
+    A, b, d = np.array([[1.0, 2.0]]), np.array([1.0]), np.array([1.0, 0.0])
+
+    def spoiled(v):
+        v = v.copy()
+        v.flat[-1] = bad
+        return v
+
+    builds = [
+        ("Atilde", lambda: SplitDisjunction(spoiled(A), b, K, d, 0)),
+        ("b", lambda: SplitDisjunction(A, spoiled(b), K, d, 0)),
+        ("d", lambda: SplitDisjunction(A, b, K, spoiled(d), 0)),
+        ("A", lambda: Branch(spoiled(A), K, b)),
+        ("b", lambda: Branch(A, K, spoiled(b))),
+    ]
+    for field, build in builds:
+        with pytest.raises(ValueError, match=f"^{field} entries must be finite"):
+            build()
+    SplitDisjunction(A, b, K, d, 0)
+    Branch(A, K, b)
+
+
 def test_branches_from_set():
     fx = builtin("ex2_4")
     branches = branches_from_set(fx.dset)
