@@ -683,8 +683,9 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
                 it = it.take(~done)
                 res = tuple(r[~done] for r in res)
             dxz, dsk, alpha, broke = _newton_step(it, res, work, kkt, e, nm)
-            np.add(it.xz, alpha[:, None] * dxz, out=it.xz, where=~broke[:, None])
-            np.add(it.sk, alpha[:, None] * dsk, out=it.sk, where=~broke[:, None])
+            step = ~broke[:, None]
+            np.add(it.xz, alpha[:, None] * dxz, out=it.xz, where=step)
+            np.add(it.sk, alpha[:, None] * dsk, out=it.sk, where=step)
             broke |= ~(_all_finite(it.xz[:, :n]) & np.isfinite(it.xz[:, -1])
                        & np.isfinite(it.sk[:, -1]))
     return out
