@@ -309,7 +309,9 @@ def branch_tables(handles: list[SupportHandle], labeled: list,
     the (k, m) stack `directions` that it has not filed. The direction rows
     file their sigma in their handle's cache and their optimal duals in its
     `points`; the labelled rows come back as each handle's branch table and
-    join neither. The one place the branch program is solved."""
+    join neither. Every solve of the branch program goes through here but
+    one: `SupportHandle.feasibility` solves the z = 0 program of the (A.0)
+    decision on its own."""
     keys = _keys(directions)
     todos = [h._uncached(keys, directions) for h in handles]
     groups = [list(labeled) + [("", z) for z in todo.values()] for todo in todos]

@@ -14,7 +14,7 @@ def as_matrix(A, name: str = "matrix") -> np.ndarray:
     entries are all finite."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
-        raise ValueError(f"{name} entries must be finite")
+        raise ValueError(f"{name}: entries must be finite")
     return A
 
 

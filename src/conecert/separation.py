@@ -16,7 +16,7 @@ import numpy as np
 
 from .cones import BlockKind, ConeBlock, ConeProduct, nonneg
 from .linalg import as_matrix
-from .model import DisjunctiveSet, Inequality
+from .model import DisjunctiveSet, Inequality, _finite
 from .solver import ConicProgram, SolveStatus, SolverOptions, solve
 
 
@@ -28,7 +28,7 @@ class Branch:
 
     def __post_init__(self):
         object.__setattr__(self, "A", as_matrix(self.A, "A"))
-        object.__setattr__(self, "b", _finite_vector(self.b, "b"))
+        object.__setattr__(self, "b", _finite(self.b, "b"))
         if self.A.shape[0] != self.b.size:
             raise ValueError("rhs length does not match the row count")
         if self.A.shape[1] != self.K.dim:
@@ -49,23 +49,14 @@ class SplitDisjunction:
     def __post_init__(self):
         A = as_matrix(self.Atilde, "Atilde")
         object.__setattr__(self, "Atilde", A)
-        object.__setattr__(self, "b", _finite_vector(self.b, "b"))
-        object.__setattr__(self, "d", _finite_vector(self.d, "d"))
+        object.__setattr__(self, "b", _finite(self.b, "b"))
+        object.__setattr__(self, "d", _finite(self.d, "d"))
         if A.shape[0] != self.b.size:
             raise ValueError("rhs length does not match the row count")
         if A.shape[1] != self.K.dim or self.d.size != self.K.dim:
             raise ValueError("dimension mismatch between base and split direction")
         if not np.any(self.d):
             raise ValueError("split direction d must be nonzero")
-
-
-def _finite_vector(v, name: str) -> np.ndarray:
-    """v as a flat float array; raises a ValueError naming it unless its
-    entries are all finite."""
-    v = np.asarray(v, dtype=float).ravel()
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} entries must be finite")
-    return v
 
 
 def build_split_set(sd: SplitDisjunction) -> list[Branch]:

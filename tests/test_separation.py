@@ -67,7 +67,7 @@ def test_split_and_branch_data_must_be_finite(bad):
         ("b", lambda: Branch(A, K, spoiled(b))),
     ]
     for field, build in builds:
-        with pytest.raises(ValueError, match=f"^{field} entries must be finite"):
+        with pytest.raises(ValueError, match=f"^{field}: entries must be finite"):
             build()
     SplitDisjunction(A, b, K, d, 0)
     Branch(A, K, b)
