@@ -10,7 +10,6 @@ from enum import Enum
 import numpy as np
 
 from .cones import BlockKind, ConeBlock, ConeProduct
-from .linalg import as_matrix
 
 FORMAT_VERSION = 1
 
@@ -35,11 +34,19 @@ class Lattice:
     k_min: int
     k_max: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "base", _finite(self.base, "base"))
+        object.__setattr__(self, "step", _finite(self.step, "step"))
+
 
 @dataclass(frozen=True)
 class RhsFamily:
     explicit: tuple
     lattice: Lattice | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "explicit", tuple(
+            _finite(b, f"explicit[{i}]") for i, b in enumerate(self.explicit)))
 
     def expand_labeled(self) -> list[tuple[str, np.ndarray]]:
         """Deduplicated expansion with labels. Explicit entries come first in
@@ -77,7 +84,8 @@ class DisjunctiveSet:
     B: RhsFamily
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A))
+        A = _finite(self.A, "A").reshape(np.shape(self.A))
+        object.__setattr__(self, "A", np.atleast_2d(A))
         if not self.K.is_regular():
             raise ProblemFormatError("cone: must be regular (Nonneg/Lorentz blocks only)")
         m, n = self.A.shape
@@ -106,8 +114,11 @@ class Inequality:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float).ravel())
-        object.__setattr__(self, "eta0", float(self.eta0))
+        object.__setattr__(self, "mu", _finite(self.mu, "mu"))
+        eta0 = _finite(self.eta0, "eta0")
+        if eta0.size != 1:
+            raise ProblemFormatError("eta0: expected one number")
+        object.__setattr__(self, "eta0", float(eta0[0]))
 
 
 @dataclass
@@ -276,8 +287,8 @@ def load_problem(text: str) -> Problem:
 
 
 def _finite(v, name: str) -> np.ndarray:
-    """The numbers of a JSON value as a flat float array; raises a
-    ProblemFormatError naming the field unless they are all finite."""
+    """The numbers of a JSON value or an array as a flat float array; raises
+    a ProblemFormatError naming the field unless they are all finite."""
     try:
         arr = np.asarray(v, dtype=float).ravel()
     except (TypeError, ValueError) as exc:

@@ -78,6 +78,7 @@ class Solution:
 # in turn when a factorization fails.
 _STATIC_REG = 1e-10
 _BUMPS = (1.0, 1e2, 1e4, 1e6)
+_NO_INDEX = np.zeros(0, dtype=int)
 
 
 def _inf_norms(X: np.ndarray) -> np.ndarray:
@@ -223,13 +224,14 @@ class _Embedding:
     The slacks are s = x[cidx]: the Lorentz blocks radius-first, grouped by
     dimension in order of first appearance, then the Nonneg coordinates in
     column order, so that s's Nonneg part is x[:nN]; soc1 lists the slack
-    slots of the one-row Lorentz columns. The embedding cone
+    slots of the one-row Lorentz columns and `free` the program's Free
+    columns, in program order. The embedding cone
     `work` has one more Nonneg coordinate, last, for the pair (kappa, tau)
     of the embedding: s carries kappa there and z tau."""
 
     def __init__(self, p: ConicProgram):
         n = p.cone.dim
-        zero_idx, lp_idx, rest = [], [], []
+        zero_idx, free_idx, lp_idx, rest = [], [], [], []
         soc_blocks: dict[int, list[list[int]]] = {}
         for blk, off in p.cone.offsets():
             idx = list(range(off, off + blk.dim))
@@ -239,6 +241,8 @@ class _Embedding:
             rest += idx
             if blk.kind is BlockKind.ZERO:
                 zero_idx += idx
+            elif blk.kind is BlockKind.FREE:
+                free_idx += idx
             elif blk.kind is BlockKind.LORENTZ:
                 soc_blocks.setdefault(blk.dim, []).append([idx[-1]] + idx[:-1])
         nnz = (p.A != 0).sum(axis=0).tolist()  # the Zero rows miss Nonneg columns
@@ -250,6 +254,7 @@ class _Embedding:
         soc = [i for blks in soc_blocks.values() for blk in blks for i in blk]
         self.cidx = self.pos[soc + lp]
         self.soc1 = [k for k, j in enumerate(soc) if nnz[j] == 1]
+        self.free = free_idx
         self.work = _EmbeddingCone([(d, len(b)) for d, b in soc_blocks.items()], self.nN + 1)
         Zrows = np.zeros((len(zero_idx), n))
         Zrows[np.arange(len(zero_idx)), zero_idx] = 1.0
@@ -263,19 +268,23 @@ class _Embedding:
 class _Factors:
     """What `_KKT.solve` needs of each row's factorization: the LU of its
     reduced matrix (None where it failed) and the eliminated terms at the
-    row's regularization r: -1/(w2 + r) per Nonneg slack and 1/h per
-    one-row column, as (B, 1, nN) and (B, 1, n1) stacks, and the pairs'
-    M^-1 (None without pairs), as a (B, 2 nP, 2 nP) stack, or the one
-    matrix of `_KKT.static` while every row is at one bump."""
+    row's regularization r: -1/(w2 + r) per Nonneg slack, 1/h per
+    one-row column and 1/D per bound row (None without bound rows), as
+    (B, 1, nN), (B, 1, n1) and (B, 1, nB) stacks, and the pairs' M^-1 (None
+    without pairs), as a (B, 2 nP, 2 nP) stack, or the one matrix of
+    `_KKT.static` while every row is at one bump."""
 
     lu: list | None
     ng: np.ndarray
     ih: np.ndarray
     Mi: np.ndarray | None
+    iD: np.ndarray | None = None
 
     def put(self, row: slice, other: "_Factors") -> None:
         """Take the eliminated terms of `row` from the one-row `other`."""
         self.ng[row], self.ih[row] = other.ng, other.ih
+        if self.iD is not None:
+            self.iD[row] = other.iD
         if self.Mi is not None:
             if self.Mi.ndim == 2:
                 self.Mi = np.repeat(self.Mi[None], len(self.ng), axis=0)
@@ -308,10 +317,23 @@ class _KKT:
     depends on r alone and is part of the static matrix. A step subtracts
     C' M^-1 [rx_c, ry_i] from the right-hand side and recovers
     [dx_c, dy_i] = M^-1 ([rx_c, ry_i] - C u) from the reduced solution u,
-    which holds the unknowns of `red` less the pairs (`keep`). In every
-    multiplier program gamma_k is an identity block, so on Lorentz(3)
-    products every gamma_k column pairs: the cut program of a 36-variable
-    split factors 207 unknowns instead of 351, as many as its orthant twin.
+    which holds the unknowns of `red` less the pairs and the bound rows
+    (`keep`). In every multiplier program gamma_k is an identity block, so
+    on Lorentz(3) products every gamma_k column pairs.
+
+    A bound row i holds one-row Nonneg columns and one other nonzero a, in
+    a Free column v (a row holding a one-row Nonneg column never pairs).
+    After the one-row columns leave, y_i couples only to x_v, and its
+    diagonal D = -(r + sum a_c^2/h_c) < 0 is a pivot of the negative block,
+    so y_i leaves too: a^2/|D| is added to v's diagonal, a ry_i/D is
+    subtracted from rx_v, and dy_i = (ry_i - a dx_v)/D is recovered from the
+    reduced solution. Several bound rows may share v. D depends on the
+    iterate, so these terms are written in each iteration, with the
+    one-row columns'. Every box row |mu_i| <= 1, |eta0| <= 1 and every
+    split-slack row of a cut program is a bound row, so the cut program of
+    a 36-variable split factors 131 unknowns on the orthant and on
+    Lorentz(3) products alike, instead of 207 with the pairs alone and 351
+    with neither.
 
     Every eliminated block is diagonal or 2 x 2, so the reduced matrix keeps
     the quasi-definite form for which any symmetric pivot order is stable.
@@ -339,30 +361,42 @@ class _KKT:
         self.n1, self.nN = n1, nN
         self.A1 = np.ascontiguousarray(emb.Ahat[:, :n1])
         self.A1T = emb.AhatT[:n1]
-        pcol, prow, slots = self._pairs(emb) if emb.soc1 else ((),) * 3
-        self.nP = nP = len(pcol)
+        pcol, prow, slots = self._pairs(emb) if emb.soc1 else (_NO_INDEX,) * 3
+        brow = self._bound_rows(emb) if emb.free and n1 else _NO_INDEX
+        self.nP, self.nB = nP, nB = len(pcol), len(brow)
         self.nx = nx = n - n1 - nP  # x in the reduced unknowns
-        self.rsize = nx + mh - nP + pl
-        self.y = slice(nx, nx + mh - nP)  # y in the reduced unknowns
-        if nP:
-            # the pairs' x and y in the unknowns, the reduced unknowns in
-            # `red`, the paired slacks in the reduced unknowns, each pair's
-            # a, and C: -1 at the paired slack (rows ..nP) and the
-            # coefficients A_iv of the pair's row on the reduced x (rows nP..)
-            self.pidx = np.concatenate([pcol, n + prow])
+        ny = mh - nP - nB  # y in the reduced unknowns
+        self.rsize = nx + ny + pl
+        self.y = slice(nx, nx + ny)
+        if nP or nB:
+            # the unknowns of `red` that stay in the reduced matrix
             keep = np.ones(self.red.stop - n1, dtype=bool)
-            keep[self.pidx - n1] = False
+            keep[np.concatenate([pcol, n + prow, n + brow]) - n1] = False
             self.keep = np.flatnonzero(keep)
-            self.zP = nx + mh - nP + slots
+            self.A1T = self.A1T[:, keep[n - n1 : n - n1 + mh]]
+        if nP:
+            # the pairs' x and y in the unknowns, the paired slacks in the
+            # reduced unknowns, each pair's a, and C: -1 at the paired slack
+            # (rows ..nP) and the coefficients A_iv of the pair's row on the
+            # reduced x (rows nP..)
+            self.pidx = np.concatenate([pcol, n + prow])
+            self.zP = nx + ny + slots
             self.a = emb.Ahat[prow, pcol]
             self.C = np.zeros((2 * nP, self.rsize))
             self.C[np.arange(nP), self.zP] = -1.0
             self.C[nP:, :nx] = emb.Ahat[prow][:, n1 + self.keep[:nx]]
-            self.A1T = self.A1T[:, keep[n - n1 : n - n1 + mh]]
+        if nB:
+            # the bound rows' y in the unknowns, their one-row coefficients
+            # and their coefficient a on the reduced x
+            self.yb = n + brow
+            self.A1Tb = emb.AhatT[:n1, brow]
+            self.A1sqTb = self.A1Tb * self.A1Tb
+            self.Bv = emb.Ahat[brow][:, n1 + self.keep[:nx]]
+            self.Bv2 = self.Bv * self.Bv
         self.A1sqT = self.A1T * self.A1T
         rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
         for o, nb, d, *_ in emb.work.groups:
-            idx = nx + mh - nP + o + np.arange(nb * d).reshape(nb, d)
+            idx = nx + ny + o + np.arange(nb * d).reshape(nb, d)
             rows.append(np.repeat(idx[:, :, None], d, axis=2).ravel())
             cols.append(np.repeat(idx[:, None, :], d, axis=1).ravel())
         self.rows, self.cols = np.concatenate(rows), np.concatenate(cols)
@@ -383,6 +417,15 @@ class _KKT:
         slots = first[rows]
         return emb.cidx[slots], rows, slots
 
+    @staticmethod
+    def _bound_rows(emb: _Embedding) -> np.ndarray:
+        """The rows that hold a one-row Nonneg column and exactly one other
+        nonzero, in a Free column."""
+        nz = emb.Ahat != 0
+        rows = np.flatnonzero(nz[:, : emb.n1].any(axis=1) & (nz[:, emb.n1 :].sum(axis=1) == 1))
+        cols = nz[rows, emb.n1 :].argmax(axis=1) + emb.n1
+        return rows[np.isin(cols, emb.pos[emb.free])]
+
     def static(self, bump: float) -> tuple:
         """The static reduced matrix at one bump, and the pairs' M^-1 (None
         without pairs)."""
@@ -399,6 +442,8 @@ class _KKT:
             T[slots, emb.cidx[: slots.size] - n1] = -1.0
             T[np.diag_indices(size)] = np.concatenate([np.full(nx, rr), np.full(size - nx, -rr)])
             Mi = None
+            if self.nP or self.nB:
+                T = T[np.ix_(self.keep, self.keep)]
             if self.nP:
                 # M^-1 = [[r, a], [a, -r]] / d per pair, and the reduced
                 # matrix less C' (M^-1 C), whose only nonzero rows are at the
@@ -409,7 +454,6 @@ class _KKT:
                 pr, pa = rr / d, self.a / d
                 Mi = np.diag(np.concatenate([pr, -pr])) + np.diag(pa, nP) + np.diag(pa, -nP)
                 MC = Mi @ self.C
-                T = T[np.ix_(self.keep, self.keep)]
                 T[self.zP] += MC[:nP]
                 T[:nx] -= self.C[nP:, :nx].T @ MC[nP:]
             self._static[bump] = T, Mi
@@ -433,11 +477,16 @@ class _KKT:
         diag = K.reshape(B, -1)[:, :: self.rsize + 1]
         diag[:, : self.nN - n1] -= ng[:, 0, n1:]
         diag[:, self.y] -= (ih @ self.A1sqT)[:, 0]
-        return K, _Factors(None, ng, ih, Mi)
+        if not self.nB:
+            return K, _Factors(None, ng, ih, Mi)
+        iD = np.divide(1.0, -r - ih @ self.A1sqTb)
+        diag[:, : self.nx] -= (iD @ self.Bv2)[:, 0]
+        return K, _Factors(None, ng, ih, Mi, iD)
 
     def _reduce(self, R: np.ndarray, f: _Factors):
-        """The reduced right-hand sides of R (..., size), and v = (rx - g rz)/h
-        of the one-row columns; the terms of f broadcast against R's rows."""
+        """The reduced right-hand sides of R (..., size), and v: (rx - g rz)/h
+        of the one-row columns, then ry/D of the bound rows; the terms of f
+        broadcast against R's rows."""
         if not self.nN:
             return (self._pair_reduce(R, R, f) if self.nP else R.copy()), R[..., :0]
         rx = f.ng * R[..., self.zN]
@@ -446,8 +495,16 @@ class _KKT:
         Rr = np.concatenate((rx[..., self.n1 :], R[..., self.nN : self.red.stop]), axis=-1)
         if self.nP:
             Rr = self._pair_reduce(R, Rr, f)
+        elif self.nB:
+            Rr = np.take(Rr, self.keep, axis=-1)
         Rr[..., self.y] -= v @ self.A1T
-        return Rr, v
+        if not self.nB:
+            return Rr, v
+        wy = np.take(R, self.yb, axis=-1)
+        wy -= v @ self.A1Tb
+        wy *= f.iD
+        Rr[..., : self.nx] -= wy @ self.Bv
+        return Rr, np.concatenate((v, wy), axis=-1)
 
     def _pair_reduce(self, R: np.ndarray, Rr: np.ndarray, f: _Factors) -> np.ndarray:
         """Rr (..., red) on the reduced unknowns, less C' M^-1 [rx_c, ry_i] of
@@ -458,15 +515,22 @@ class _KKT:
 
     def _recover(self, R: np.ndarray, U: np.ndarray, Rr: np.ndarray, f: _Factors,
                  v: np.ndarray) -> None:
-        """Write the reduced solution Rr, dx and dy of the pairs, dx of the
-        one-row columns and dz of the Nonneg slacks into U (..., size)."""
-        if self.nP:
+        """Write the reduced solution Rr, dx and dy of the pairs, dy of the
+        bound rows, dx of the one-row columns and dz of the Nonneg slacks
+        into U (..., size)."""
+        if self.nP or self.nB:
             U[..., self.red][..., self.keep] = Rr
-            U[..., self.pidx] = (np.take(R, self.pidx, axis=-1) - Rr @ self.C.T) @ f.Mi
         else:
             U[..., self.red] = Rr
+        if self.nP:
+            U[..., self.pidx] = (np.take(R, self.pidx, axis=-1) - Rr @ self.C.T) @ f.Mi
         if not self.nN:
             return
+        if self.nB:
+            dy = Rr[..., : self.nx] @ self.Bv.T
+            dy *= f.iD
+            U[..., self.yb] = v[..., self.n1 :] - dy
+            v = v[..., : self.n1]
         w = U[..., self.ys] @ self.A1
         w *= f.ih
         np.subtract(v, w, out=U[..., : self.n1])

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from conecert.analysis import assumption2_check
+from conecert.analysis import assumption2_check, full_report
 from conecert.cones import ConeProduct, lorentz, nonneg
 from conecert.model import (
     DisjunctiveSet,
@@ -118,6 +119,25 @@ def test_load_rejects_malformed_values(path, value, field):
     with pytest.raises(ProblemFormatError) as exc:
         load_problem(json.dumps(doc))
     assert str(exc.value).startswith(field + ":")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_model_data_must_be_finite(bad):
+    # checked where each object is built, not first inside the solver
+    dset = builtin("ex2_1").dset
+    with pytest.raises(ProblemFormatError, match="^mu: entries must be finite"):
+        full_report(dset, Inequality([bad, 0.0, 0.0], 1.0))
+    builds = [
+        ("eta0", lambda: Inequality([1.0, 0.0, 0.0], bad)),
+        ("base", lambda: Lattice(np.array([bad]), np.array([1.0]), 0, 1)),
+        ("step", lambda: Lattice(np.array([0.0]), np.array([bad]), 0, 1)),
+        ("explicit[1]", lambda: RhsFamily((np.array([0.0]), np.array([bad])))),
+        ("A", lambda: DisjunctiveSet(np.array([[1.0, bad]]), ConeProduct([nonneg(2)]),
+                                     RhsFamily((np.array([1.0]),)))),
+    ]
+    for field, build in builds:
+        with pytest.raises(ProblemFormatError, match=rf"^{re.escape(field)}: entries must be finite"):
+            build()
 
 
 def test_load_accepts_integral_float_dim():

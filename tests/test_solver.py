@@ -693,20 +693,108 @@ def test_failed_factorization_of_a_pair_program_is_retried_with_a_bump(monkeypat
         assert got.objective == pytest.approx(single.objective, rel=1e-6, abs=1e-6)
 
 
+def _bound_program(rng, case, a):
+    """Free, L3, Nonneg and L2 columns (0-1, 2-4, 5-7, 8-9; a Lorentz
+    block's radius is its last column) over five dense rows, where row 0
+    holds only a in Free column 0 and 1 in the one-row Nonneg column 5.
+    "single" leaves it at that; "shared" also makes row 1 hold only -a in
+    Free column 0 and 1 in the one-row Nonneg columns 6 and 7; "paired" puts
+    the only nonzero a of Lorentz column 2 in the dense row 1, whose pair
+    couples to Free column 0; "blocked" adds a 1 in Free column 1 to row 0,
+    which then has two other nonzeros; "lorentz" moves row 0's a from Free
+    column 0 to Lorentz column 3. Returns the program and its bound rows."""
+    K = ConeProduct([free(2), lorentz(3), nonneg(3), lorentz(2)])
+    A = rng.normal(size=(5, K.dim))
+    A[:, 5] = 0.0
+    A[0] = 0.0
+    A[0, [0, 5]] = a, 1.0
+    bound = {"single": [0], "shared": [0, 1], "paired": [0], "blocked": [], "lorentz": []}[case]
+    if case == "shared":
+        A[:, 6:8] = 0.0
+        A[1] = 0.0
+        A[1, [0, 6, 7]] = -a, 1.0, 1.0
+    elif case == "paired":
+        A[:, 2] = 0.0
+        A[1, 2] = a
+    elif case == "blocked":
+        A[0, 1] = 1.0
+    elif case == "lorentz":
+        A[0, [0, 3]] = 0.0, a
+    return ConicProgram(rng.normal(size=K.dim), A, np.zeros(5), K), bound
+
+
+@pytest.mark.parametrize("case", ["single", "shared", "paired", "blocked", "lorentz"])
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("bump", [1.0, 1e4])
+def test_bound_row_kkt_solve_matches_full_matrix(monkeypatch, case, a, bump):
+    rng = np.random.default_rng(13)
+    p, bound = _bound_program(rng, case, a)
+    emb = solver._Embedding(p)
+    kkt = _reduced_solves_match_full_matrix(monkeypatch, rng, emb, bump, 1e-10)
+    assert kkt.nB == len(bound)
+    if bound:
+        assert (kkt.yb - emb.n).tolist() == bound
+    assert kkt.nP == (case == "paired")
+    if bound:  # Free column 0 in the reduced unknowns
+        v = kkt.keep.tolist().index(emb.pos[0] - emb.n1)
+        assert kkt.Bv[0, v] == a
+        if kkt.nP:  # the pair's row couples to it too
+            assert kkt.C[1, v] != 0.0
+    # each bound row takes its y out of the LU
+    assert kkt.rsize == kkt.size - emb.nN - emb.n1 - 2 * kkt.nP - len(bound)
+
+
+def test_failed_factorization_of_a_bound_row_program_is_retried_with_a_bump(monkeypatch):
+    # min c.x : A x = b over Free(2) x L3 x N3 x L2 with a bound row and a
+    # pair; row 1 of the batch fails its first factorization and goes on at
+    # bump 1e2
+    rng = np.random.default_rng(7)
+    p, _ = _bound_program(rng, "paired", 1.0)
+    x0 = np.concatenate([rng.normal(size=2), [0.3, -0.4, 1.0, 0.5, 0.2, 1.5, 0.7, 1.2]])
+    s0 = np.concatenate([[0.0, 0.0], [0.1, 0.2, 1.0, 0.9, 0.4, 0.6, 0.2, 0.5]])
+    c = p.A.T @ rng.normal(size=5) + s0
+    rhs = np.array([p.A @ (x0 * t) for t in (1.0, 0.5, 2.0)])
+    kkt = solver._KKT(solver._Embedding(p))
+    assert (kkt.nB, kkt.nP) == (1, 1)
+    singles = [solve(ConicProgram(c, p.A, b, p.cone)) for b in rhs]
+    factor = solver._KKT._factor
+    calls = []
+
+    def first_of_row_1_fails(Ki, Ri, Ui):
+        calls.append(1)
+        if len(calls) == 2:  # row 1 in the first iteration, at the static regularization
+            Ui[...] = np.nan
+            return None
+        return factor(Ki, Ri, Ui)
+
+    monkeypatch.setattr(solver._KKT, "_factor", staticmethod(first_of_row_1_fails))
+    batch = solve_batch(ConicProgram(c, p.A, rhs[0], p.cone), rhs)
+    for i, (got, single) in enumerate(zip(batch, singles)):
+        assert single.status is SolveStatus.OPTIMAL
+        assert got.status is SolveStatus.OPTIMAL, i
+        if i != 1:
+            assert got.iterations == single.iterations
+        assert got.objective == pytest.approx(single.objective, rel=1e-6, abs=1e-6)
+
+
 @pytest.mark.parametrize("kind", ["lorentz", "orthant"])
-def test_cut_program_factors_at_order_207(kind):
-    """The cut program of a 36-variable split (150 x 207) factors 207
-    unknowns on Lorentz(3) products as on the orthant: every gamma_k
-    column with one nonzero pairs with its row, and none is left in the LU."""
+def test_cut_program_factors_at_order_131(kind):
+    """The cut program of a 36-variable split (150 x 207) factors 131
+    unknowns on Lorentz(3) products as on the orthant. 76 rows leave as
+    bound rows: the split-slack row of each branch (rows 36 and 74) and the
+    74 box rows |mu_i| <= 1, |eta0| <= 1 (rows 76 to 149). On Lorentz(3)
+    every gamma_k column with one nonzero also pairs with its row, and none
+    is left in the LU."""
     p = _cut_program(*_seeded_split(1, kind, 36))[0]
     assert p.A.shape == (150, 207)
     emb = solver._Embedding(p)
     kkt = solver._KKT(emb)
-    assert kkt.rsize == 207
+    assert kkt.rsize == 131
+    assert (kkt.yb - emb.n).tolist() == [36, 74, *range(76, 150)]
     if kind == "orthant":
         assert kkt.nP == 0
         return
-    assert kkt.rsize + 2 * kkt.nP == 351  # the order without the pairs
+    assert kkt.rsize + 2 * kkt.nP + kkt.nB == 351  # the order without pairs and bound rows
     one_row_nonneg = {int(np.flatnonzero(emb.Ahat[:, j])[0]) for j in range(emb.n1)}
     qualifying = set()
     for blk, off in p.cone.offsets():
@@ -717,6 +805,15 @@ def test_cut_program_factors_at_order_207(kind):
                     qualifying.add(j)
     assert len(qualifying) == 72
     assert set(emb.perm[kkt.pidx[: kkt.nP]].tolist()) == qualifying
+
+
+def test_branch_programs_have_no_bound_row():
+    # a DisjunctiveSet's cone is regular, so its branch programs have no Free
+    # column, and no row leaves as a bound row
+    for name in ("ex2_1", "ex4_1", "cmir"):
+        for br in branches_from_set(builtin(name).dset):
+            emb = solver._Embedding(ConicProgram(np.zeros(br.K.dim), br.A, br.b, br.K))
+            assert not emb.free and solver._KKT(emb).nB == 0
 
 
 def test_lorentz_slack_stays_in_the_factored_matrix():
