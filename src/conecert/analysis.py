@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import BlockKind, ConeBlock, ConeProduct, sample_extreme_rays
-from .linalg import least_squares_solve, null_space_basis
+from .linalg import least_squares_polish, least_squares_solve, null_space_basis
 from .model import (
     MARGIN_TOL,
     CertificateReport,
@@ -580,16 +580,14 @@ def _verify_point_sum(th: ThetaResult, eta0: float, tight: list[BranchValue], xs
     largest violation of K."""
     dset, inf_sigma = th.handle.dset, th.inf_sigma
     M = np.vstack([dset.A, th.handle.mu.reshape(1, -1)])
-    points = []
-    for row, x in zip(tight, xs):
-        corr, _ = least_squares_solve(M, np.concatenate([row.b, [eta0]]) - M @ x)
-        points.append(x + corr)
+    V = np.array([np.append(row.b, eta0) for row in tight])
+    points = least_squares_polish(M, np.array(xs), V)
     total = np.sum(points, axis=0)
-    cone_viol = max(0.0, -float(np.min(dset.K.interior_margin(np.array(points)))))
+    cone_viol = max(0.0, -float(np.min(dset.K.interior_margin(points))))
     margin = dset.K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
     if margin > MARGIN_TOL and margin > 10.0 * cone_viol:
         return Status.HOLDS, {
-            "points": points,
+            "points": list(points),
             "branches": [row.label for row in tight],
             "sum": total,
             "margin": margin,
@@ -780,24 +778,30 @@ def _assumption2(dset: DisjunctiveSet, table: list, opts: AnalysisOptions):
     margin(x) <= <s,x> = -b.y for x in the branch. An s under tol*|A||y| is
     cancellation noise. Inconclusive otherwise, as after a solver limit."""
     A, K, tol = dset.A, dset.K, 100.0 * max(opts.solver.feas_tol, opts.solver.gap_tol)
-    margin, witness, rows = -math.inf, {}, {}
-    for r in table:
-        if r.status == "infeasible":
-            rows[r.label] = "infeasible"
-        elif r.status == "optimal":
-            x = r.x + least_squares_solve(A, r.b - A @ r.x)[0]
-            value = K.interior_margin(x) / max(np.linalg.norm(x), 1e-300)
+    margin, witness, exposed = -math.inf, {}, {}
+    optimal = [i for i, r in enumerate(table) if r.status == "optimal"]
+    if optimal:
+        # every optimal row at once: x polished, its margin, and y scaled
+        rows = [table[i] for i in optimal]
+        Bs, Y = np.array([r.b for r in rows]), np.array([r.y for r in rows])
+        X = least_squares_polish(A, np.array([r.x for r in rows]), Bs)
+        values = K.interior_margin(X) / np.maximum(np.linalg.norm(X, axis=1), 1e-300)
+        scale = np.abs(np.matvec(A.T, Y)).max(axis=1, initial=0.0)
+        noise = tol * np.abs(A).max(initial=0.0) * np.abs(Y).max(axis=1, initial=0.0)
+        Y /= np.maximum(scale, 1e-300)[:, None]
+        S = -np.matvec(A.T, Y)
+        exposes = ((scale > noise) & (K.dual().interior_margin(S) >= -tol)
+                   & (np.abs(np.vecdot(Bs, Y)) <= tol))
+        for i, r, x, value, y, s, e in zip(optimal, rows, X, values, Y, S, exposes):
             if value > margin:
                 margin, witness = value, {"witness": x, "branch": r.label}
-            scale = float(np.abs(A.T @ r.y).max(initial=0.0))
-            noise = tol * np.abs(A).max(initial=0.0) * np.abs(r.y).max(initial=0.0)
-            y = r.y / max(scale, 1e-300)
-            if scale > noise and K.dual().contains(-A.T @ y, tol) and abs(r.b @ y) <= tol:
-                rows[r.label] = {"y": y, "s": -A.T @ y}
+            if e:
+                exposed[i] = {"y": y, "s": s}
     if margin > MARGIN_TOL:
         return Status.HOLDS, witness, margin
-    if len(rows) == len(table):
-        return Status.FAILS, {"branches": rows}, margin
+    if all(r.status == "infeasible" or i in exposed for i, r in enumerate(table)):
+        return Status.FAILS, {"branches": {r.label: exposed.get(i, "infeasible")
+                                           for i, r in enumerate(table)}}, margin
     return Status.INCONCLUSIVE, {}, margin
 
 

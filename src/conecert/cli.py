@@ -86,7 +86,7 @@ def _select_inequalities(problem: Problem, selector: str | None):
 
 def _emit(doc, as_json: bool):
     if as_json:
-        print(json.dumps(_plain(doc), indent=2))
+        print(json.dumps(_plain(doc), indent=2, allow_nan=False))
     else:
         _emit_text(doc)
 
@@ -142,7 +142,7 @@ def cmd_report(args) -> int:
                 print(f"  {e.name:28s} {e.status.value:14s} {vals}")
             print(f"  final verdict: {rep.final_verdict}")
     if args.json:
-        print(json.dumps(out, indent=2))  # to_dict's values are plain already
+        print(json.dumps(out, indent=2, allow_nan=False))  # to_dict's values are plain already
     return EXIT_OK
 
 

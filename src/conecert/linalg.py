@@ -36,3 +36,12 @@ def least_squares_solve(M, v) -> tuple[np.ndarray, float]:
     x, _, _, _ = np.linalg.lstsq(M, v, rcond=RANK_RTOL)
     residual = float(np.linalg.norm(M @ x - v))
     return x, residual
+
+
+def least_squares_polish(M, X, V) -> np.ndarray:
+    """Each row x of X moved onto {x : M x = v}, v its row of V, by the
+    minimum-norm least-squares correction that `least_squares_solve` gives
+    for M d = v - M x: all rows with one pseudo-inverse, at the same rank
+    rule."""
+    M = as_matrix(M)
+    return X + np.matvec(np.linalg.pinv(M, rtol=RANK_RTOL), V - np.matvec(M, X))

@@ -4,6 +4,7 @@ and the JSON problem/report file formats (format_version 1)."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -163,7 +164,7 @@ class CertificateReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def _plain(v):
@@ -172,19 +173,21 @@ def _plain(v):
     if isinstance(v, (list, tuple)):
         return [_plain(x) for x in v]
     if isinstance(v, np.ndarray):
-        return [float(x) for x in v.ravel()]
+        return [_number(f) for f in v.astype(float).ravel().tolist()]
     if isinstance(v, (np.floating, float)):
-        f = float(v)
-        if f == float("inf"):
-            return "inf"
-        if f == float("-inf"):
-            return "-inf"
-        return f
+        return _number(float(v))
     if isinstance(v, (np.integer,)):
         return int(v)
     if isinstance(v, Status):
         return v.value
     return v
+
+
+def _number(f: float):
+    """f, or its name for a non-finite f, which JSON has no number for."""
+    if math.isfinite(f):
+        return f
+    return "nan" if math.isnan(f) else ("inf" if f > 0 else "-inf")
 
 
 # ---------------------------------------------------------------------------
@@ -332,4 +335,4 @@ def save_problem(problem: Problem) -> str:
             "kmin": lat.k_min,
             "kmax": lat.k_max,
         }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)

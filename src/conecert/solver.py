@@ -14,6 +14,14 @@ step broke down, or after max_iters steps. Every operation acts row by row
 (`np.matvec`, `np.vecdot`, matmul on a stack of rows, one LU per row), so a
 row's result does not depend on the rest of the batch, and `solve` is a
 batch of one.
+
+The rows that end at one iteration are scaled back to the program and
+checked by the verifier as one stack, but each Solution owns fresh row
+arrays and its objective is a 1-D dot on them. A dot on a row view of a
+stack may round differently: `np.vecdot` on a stack need not round like a
+1-D dot, and an OpenBLAS dot can round differently when the row starts at
+another alignment, so the objective would depend on the row's place in the
+batch.
 """
 
 from __future__ import annotations
@@ -711,20 +719,30 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
 
     def finish(it: _Iterates, code: np.ndarray, iters: int) -> None:
         """Record the Solution of every row of `it` that the screen has not
-        recorded as a verified ray (code 2 or 3): an optimum by code 1, any
-        other row as NUMERICAL_LIMIT with its scaled iterate."""
-        for r, i in enumerate(it.ids):
-            if code[r] > 1:
-                continue
-            x, yh, tau = it.xz[r, emb.pos], it.xz[r, n:nm], it.xz[r, -1]
-            if code[r] == 1:
-                sol = _iterate_solution(costs[i], p.A, SolveStatus.OPTIMAL, x, yh, tau, m, iters)
-            elif tau > 1e-12:
-                sol = _iterate_solution(costs[i], p.A, SolveStatus.NUMERICAL_LIMIT, x, yh, tau,
-                                        m, iters)
-            else:
-                sol = Solution(SolveStatus.NUMERICAL_LIMIT, iterations=iters)
-            out[i] = verify(rhs[i], costs[i], sol)
+        recorded as a verified ray (code 2 or 3): its iterate scaled back to
+        the program, x/tau, y = -yh/tau and s = c - A'y, Optimal by code 1
+        once the verifier accepts it and NUMERICAL_LIMIT otherwise, or
+        NUMERICAL_LIMIT with no iterate when tau has vanished."""
+        tau = it.xz[:, -1]
+        scaled = (code <= 1) & (tau > 1e-12)
+        for i in it.ids[(code <= 1) & ~scaled]:
+            out[i] = Solution(SolveStatus.NUMERICAL_LIMIT, iterations=iters)
+        if not scaled.any():
+            return
+        ids, xz, t = it.ids[scaled], it.xz[scaled], tau[scaled, None]
+        X, Y = xz[:, emb.pos] / t, xz[:, n : n + m] / -t
+        C = costs[ids]
+        S = C - np.matvec(p.A.T, Y)
+        for i, x, y, s in zip(ids, X, Y, S):
+            x = x.copy()
+            out[i] = Solution(SolveStatus.NUMERICAL_LIMIT, x=x, y=y.copy(), s=s.copy(),
+                              objective=float(costs[i] @ x), iterations=iters)
+        opt = np.flatnonzero(code[scaled] == 1)
+        if opt.size:
+            objective = np.array([out[i].objective for i in ids[opt]])
+            ok = verify.optimal_stack(rhs[ids[opt]], C[opt], X[opt], Y[opt], S[opt], objective)
+            for i in ids[opt[ok]]:
+                out[i].status = SolveStatus.OPTIMAL
 
     # A row broke down when its Newton step failed (it then takes no step)
     # or its step left non-finite entries; it ends at the next top on the
@@ -819,25 +837,16 @@ def _newton_step(it: _Iterates, res: tuple, work: _EmbeddingCone, kkt: _KKT,
     return du, ds, alpha, ~ok
 
 
-def _iterate_solution(c: np.ndarray, A: np.ndarray, status: SolveStatus, x, yh, tau,
-                      m: int, iters: int) -> Solution:
-    """The iterate scaled back to the original program min <c,x> : Ax = b,
-    x in K: x/tau, the dual y = -yh/tau and its slack c - A'y."""
-    xt = x / tau
-    y = -yh[:m] / tau
-    return Solution(status, x=xt, y=y, s=c - A.T @ y, objective=float(c @ xt),
-                    iterations=iters)
-
-
 class _Verifier:
     """Independent checks, on the original program (c, A, K) of a row (b, c),
     of the status the row ends with, at loose = 100*max(feas_tol, gap_tol)
-    scaled by the data. An optimum must meet its KKT conditions. A primal
-    infeasibility ray y, normalized to b.y = 1, needs -A'y in K* within
-    loose*|A|/|b|; a dual infeasibility ray x, normalized to c.x = -1, needs
-    |Ax| <= loose*|A|/|c| and x in K within loose/|c|. Rays are homogeneous,
-    so these bounds scale with the data: multiplying b or c by s leaves each
-    check unchanged."""
+    scaled by the data. An optimum must meet its KKT conditions; the
+    candidate optima of a batch are checked as one stack, and the one-row
+    entry points are stacks of one. A primal infeasibility ray y, normalized
+    to b.y = 1, needs -A'y in K* within loose*|A|/|b|; a dual infeasibility
+    ray x, normalized to c.x = -1, needs |Ax| <= loose*|A|/|c| and x in K
+    within loose/|c|. Rays are homogeneous, so these bounds scale with the
+    data: multiplying b or c by s leaves each check unchanged."""
 
     def __init__(self, p: ConicProgram, opts: SolverOptions):
         self.A = p.A
@@ -854,27 +863,34 @@ class _Verifier:
         return sol
 
     def residuals(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> dict:
-        if sol.x is None or sol.y is None or sol.s is None:
-            raise ValueError("solution carries no iterates to check")
-        A, x, y, s = self.A, sol.x, sol.y, sol.s
+        rec = self.residual_stack(*_stack_of_one(b, c, sol))
+        return {k: float(v[0]) for k, v in rec.items()}
+
+    def optimal(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> bool:
+        return bool(self.optimal_stack(*_stack_of_one(b, c, sol), np.array([sol.objective]))[0])
+
+    def residual_stack(self, b, c, x, y, s) -> dict:
+        """The residuals of k candidate optima, given as (k, .) stacks of
+        their data b, c and iterates x, y, s: one (k,) array each."""
         return {
-            "primal_residual": float(np.abs(A @ x - b).max(initial=0.0)),
-            "dual_residual": float(np.abs(A.T @ y + s - c).max(initial=0.0)),
-            "gap": float(abs(c @ x - b @ y)),
+            "primal_residual": _inf_norms(np.matvec(self.A, x) - b),
+            "dual_residual": _inf_norms(np.matvec(self.A.T, y) + s - c),
+            "gap": np.abs(np.vecdot(c, x) - np.vecdot(b, y)),
             "cone_violation": _violation(self.cone, x),
             "dual_cone_violation": _violation(self.dual_cone, s),
         }
 
-    def optimal(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> bool:
-        rec = self.residuals(b, c, sol)
-        scale, loose = 1.0 + np.abs(b).max(initial=0.0), self.loose
-        scale_c = 1.0 + np.abs(c).max(initial=0.0)
+    def optimal_stack(self, b, c, x, y, s, objective) -> np.ndarray:
+        """Whether each of k candidate optima (as in `residual_stack`, with
+        their (k,) objectives) meets its KKT conditions."""
+        rec, loose = self.residual_stack(b, c, x, y, s), self.loose
+        scale, scale_c = 1.0 + _inf_norms(b), 1.0 + _inf_norms(c)
         return (
-            rec["primal_residual"] <= loose * scale
-            and rec["dual_residual"] <= loose * scale_c
-            and rec["cone_violation"] <= loose * scale
-            and rec["dual_cone_violation"] <= loose * scale_c
-            and rec["gap"] <= loose * (1.0 + abs(sol.objective))
+            (rec["primal_residual"] <= loose * scale)
+            & (rec["dual_residual"] <= loose * scale_c)
+            & (rec["cone_violation"] <= loose * scale)
+            & (rec["dual_cone_violation"] <= loose * scale_c)
+            & (rec["gap"] <= loose * (1.0 + np.abs(objective)))
         )
 
     def ray(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> bool:
@@ -895,8 +911,16 @@ class _Verifier:
                     and _violation(self.cone, x) * size_c <= self.loose)
 
 
-def _violation(cone: ConeProduct, v: np.ndarray) -> float:
-    """How far v lies outside the cone: 0 inside, -margin outside, and nan
-    for a vector with a nan (max(0.0, nan) would return 0.0)."""
+def _stack_of_one(b, c, sol: Solution) -> list[np.ndarray]:
+    """b, c and the iterates x, y, s of sol, each as a stack of one row."""
+    if sol.x is None or sol.y is None or sol.s is None:
+        raise ValueError("solution carries no iterates to check")
+    return [np.asarray(v, dtype=float)[None] for v in (b, c, sol.x, sol.y, sol.s)]
+
+
+def _violation(cone: ConeProduct, v: np.ndarray):
+    """How far v, or each row of a (k, dim) stack, lies outside the cone: 0
+    inside, -margin outside, and nan for a vector with a nan (max(0.0, nan)
+    would return 0.0)."""
     margin = cone.interior_margin(v)
-    return 0.0 if margin >= 0.0 else -margin
+    return np.where(margin >= 0.0, 0.0, -margin)

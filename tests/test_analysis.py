@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from conecert.analysis import (
 )
 from conecert.cones import ConeProduct, lorentz, nonneg, sample_extreme_rays
 from conecert.fixtures import builtin, names
-from conecert.model import DisjunctiveSet, Inequality, RhsFamily, Status
+from conecert.linalg import least_squares_solve
+from conecert.model import MARGIN_TOL, DisjunctiveSet, Inequality, RhsFamily, Status
 
 from oracles import oracle_lp
 
@@ -736,6 +738,114 @@ def test_assumption2_fails_only_on_a_verified_exposing_vector(name):
             -dset.A.T @ doctored.y, 1e-3)
         rigged = [doctored if r is row else r for r in table]
         assert analysis._assumption2(dset, rigged, opts)[0] is Status.INCONCLUSIVE
+
+
+# ---------------------------------------------------------------------------
+# polishing: every row at once, against the per-row least-squares loop
+
+
+def _assumption2_per_row(dset: DisjunctiveSet, table: list, opts: AnalysisOptions):
+    """Reference for `analysis._assumption2`: each optimal row polished and
+    checked on its own, with one `least_squares_solve` per row."""
+    A, K, tol = dset.A, dset.K, 100.0 * max(opts.solver.feas_tol, opts.solver.gap_tol)
+    margin, witness, rows = -math.inf, {}, {}
+    for r in table:
+        if r.status == "infeasible":
+            rows[r.label] = "infeasible"
+        elif r.status == "optimal":
+            x = r.x + least_squares_solve(A, r.b - A @ r.x)[0]
+            value = K.interior_margin(x) / max(np.linalg.norm(x), 1e-300)
+            if value > margin:
+                margin, witness = value, {"witness": x, "branch": r.label}
+            scale = float(np.abs(A.T @ r.y).max(initial=0.0))
+            noise = tol * np.abs(A).max(initial=0.0) * np.abs(r.y).max(initial=0.0)
+            y = r.y / max(scale, 1e-300)
+            if scale > noise and K.dual().contains(-A.T @ y, tol) and abs(r.b @ y) <= tol:
+                rows[r.label] = {"y": y, "s": -A.T @ y}
+    if margin > MARGIN_TOL:
+        return Status.HOLDS, witness, margin
+    if len(rows) == len(table):
+        return Status.FAILS, {"branches": rows}, margin
+    return Status.INCONCLUSIVE, {}, margin
+
+
+def _point_sum_per_row(th, eta0: float, tight: list):
+    """Reference for `analysis._verify_point_sum` on the tight rows' own
+    points: its status, the points polished by one `least_squares_solve`
+    per row, and the margin of their sum."""
+    dset = th.handle.dset
+    M = np.vstack([dset.A, th.handle.mu.reshape(1, -1)])
+    points = [r.x + least_squares_solve(M, np.append(r.b, eta0) - M @ r.x)[0] for r in tight]
+    total = np.sum(points, axis=0)
+    cone_viol = max(0.0, -float(np.min(dset.K.interior_margin(np.array(points)))))
+    margin = dset.K.interior_margin(total) / max(np.linalg.norm(total), 1e-300)
+    status = Status.HOLDS if margin > MARGIN_TOL and margin > 10.0 * cone_viol else Status.INCONCLUSIVE
+    return status, points, margin
+
+
+def _rel_close(got, want, rel: float = 1e-12) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if not np.all(np.isfinite(want)):
+        return np.array_equal(got, want)
+    return np.abs(got - want).max(initial=0.0) <= rel * np.abs(want).max(initial=0.0)
+
+
+def _margin_close(got: float, want: float) -> bool:
+    """Normalized margins (interior_margin(x)/|x|, of size at most about 1)
+    agree to 1e-12, or are the same non-finite value."""
+    return abs(got - want) <= 1e-12 if math.isfinite(want) else got == want
+
+
+def test_stacked_polishing_matches_the_per_row_loop():
+    """`_assumption2` and `_verify_point_sum` polish all their rows with one
+    pseudo-inverse; the witness, the points and the margins match the
+    per-row least-squares loop to 1e-12 relative (the normalized margins to
+    1e-12), with identical statuses,
+    on every fixture report and the cmir grid (f in {0.1, 0.5, 0.9}, M in
+    {6, 12})."""
+    opts = AnalysisOptions()
+    cases = [(fx.dset, fi.inequality) for fx in map(builtin, names())
+             for fi in fx.inequalities]
+    assert len(cases) == 13
+    for f in (0.1, 0.5, 0.9):
+        for M in (6, 12):
+            fx = builtin("cmir", f=f, M=M)
+            cases += [(fx.dset, fi.inequality) for fi in fx.inequalities]
+    seen, statuses = set(), Counter()
+    for dset, ineq in cases:
+        if id(dset) not in seen:
+            seen.add(id(dset))
+            table = _zero_table(dset)
+            got, want = analysis._assumption2(dset, table, opts), _assumption2_per_row(dset, table, opts)
+            assert got[0] is want[0] and _margin_close(got[2], want[2]), dset.A
+            statuses["assumption2", got[0]] += 1
+            if got[0] is Status.HOLDS:
+                assert got[1]["branch"] == want[1]["branch"]
+                assert _rel_close(got[1]["witness"], want[1]["witness"])
+            elif got[0] is Status.FAILS:
+                rows, want_rows = got[1]["branches"], want[1]["branches"]
+                assert list(rows) == list(want_rows)
+                for label, row in rows.items():
+                    if row == "infeasible":
+                        assert want_rows[label] == "infeasible"
+                    else:
+                        assert _rel_close(row["y"], want_rows[label]["y"])
+                        assert _rel_close(row["s"], want_rows[label]["s"])
+        th = theta(dset, ineq.mu)
+        eta0 = float(ineq.eta0)
+        tight = analysis._tight_rows(th, eta0)
+        if not tight:
+            continue
+        status, witness = analysis._verify_point_sum(th, eta0, tight, [r.x for r in tight])
+        want_status, points, margin = _point_sum_per_row(th, eta0, tight)
+        assert status is want_status and _margin_close(witness["margin"], margin), ineq.name
+        statuses["points", status] += 1
+        if status is Status.HOLDS:
+            assert len(witness["points"]) == len(points)
+            for got_x, want_x in zip(witness["points"], points):
+                assert _rel_close(got_x, want_x), ineq.name
+    assert statuses["assumption2", Status.HOLDS] >= 10 and statuses["assumption2", Status.FAILS] >= 2
+    assert statuses["points", Status.HOLDS] >= 15 and statuses["points", Status.INCONCLUSIVE] >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,48 @@ def test_zero_mu_in_a_file_is_rejected(tmp_path, capsys, command):
     assert err == "error: mu must be nonzero\n"
 
 
+def _strict_json(text: str):
+    """The document, read by a parser that rejects NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in the JSON output")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "ex4_1.json", "--max-iters", "3"),
+    ("theta", "cmir.json", "--max-iters", "2"),
+    ("support", "cmir.json", "--inequality", "cmir_cut", "--max-iters", "2"),
+    ("separate", "ex2_1.json", "--point", "1,0,0.5", "--max-iters", "2"),
+    ("demo", "ex4_1", "--max-iters", "2"),
+    ("equations", "cmir.json"),
+])
+def test_json_output_parses_strictly_at_a_solver_limit(capsys, argv):
+    """At a low iteration cap some values are nan or infinite; --json writes
+    them as strings, so a strict parser reads every subcommand's output.
+    report, theta and support wrote bare NaN tokens here before."""
+    command, target, *rest = argv
+    if target.endswith(".json"):
+        target = str(DATA / target)
+    _, out, _ = run(capsys, command, target, *rest, "--json")
+    assert out
+    _strict_json(out)
+    if command in ("report", "theta", "support"):
+        assert '"nan"' in out
+
+
+def test_plain_writes_non_finite_numbers_as_strings():
+    nan, inf = float("nan"), float("inf")
+    doc = {"a": nan, "b": [inf, -inf, np.float64(nan)], "c": np.array([[1.0, nan], [-inf, 2.0]]),
+           "d": np.array([True, False])}
+    assert _plain(doc) == {"a": "nan", "b": ["inf", "-inf", "nan"],
+                           "c": [1.0, "nan", "-inf", 2.0], "d": [1.0, 0.0]}
+    _strict_json(json.dumps(_plain(doc), allow_nan=False))
+    fx = builtin("ex2_1")
+    rep = full_report(fx.dset, fx.inequalities[0].inequality)
+    rep.entries[0].values["nan"] = nan
+    assert _strict_json(rep.to_json())["checks"][0]["values"]["nan"] == "nan"
+
+
 def test_equations_command(capsys):
     code, out, _ = run(capsys, "equations", str(DATA / "cmir.json"), "--json")
     assert code == 0

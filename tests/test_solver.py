@@ -257,6 +257,50 @@ def test_verifier_cone_checks_read_the_margin():
         assert check(p.b, p.c, doctored).status is SolveStatus.NUMERICAL_LIMIT
 
 
+def test_stacked_check_rejects_only_the_doctored_row():
+    """The optimality check runs on a stack of candidate optima and reads
+    each row alone. With exactly one row doctored (a nan in x, a primal
+    residual above loose, or s outside K*), that row alone is rejected and
+    every other row's residuals are, bit for bit, those of the clean stack;
+    the one-row entry points give each row's residuals of the stack."""
+    rng = np.random.default_rng(5)
+    c, A, K, rhs = _batch_family(rng, unbounded=False)
+    C = c + rng.normal(size=(len(rhs), A.shape[0])) @ A
+    p = ConicProgram(c, A, rhs[0], K)
+    sols = solve_batch(p, rhs, c=C)
+    rows = [i for i, sol in enumerate(sols) if sol.status is SolveStatus.OPTIMAL]
+    assert len(rows) >= 3
+    b, cs = rhs[rows], C[rows]
+    x, y, s = (np.array([getattr(sols[i], f) for i in rows]) for f in ("x", "y", "s"))
+    objective = np.array([sols[i].objective for i in rows])
+    check = solver._Verifier(p, SolverOptions())
+    clean = check.residual_stack(b, cs, x, y, s)
+    assert check.optimal_stack(b, cs, x, y, s, objective).all()
+    for r, i in enumerate(rows):
+        assert check.residuals(b[r], cs[r], sols[i]) == {k: v[r] for k, v in clean.items()}
+    j = next(off for blk, off in K.offsets() if blk.kind is BlockKind.NONNEG)
+    for r in range(len(rows)):
+        for doctor in ("nan in x", "primal residual", "s outside K*"):
+            bd, cd, xd, sd = b.copy(), cs.copy(), x.copy(), s.copy()
+            if doctor == "nan in x":
+                xd[r, j] = math.nan
+            elif doctor == "primal residual":
+                bd[r, 0] += 10.0 * check.loose * (1.0 + np.abs(b[r]).max())
+            else:
+                # c moves with s, so that only the cone check can reject
+                step = s[r, j] + 1.0
+                sd[r, j] -= step
+                cd[r, j] -= step
+            got = check.residual_stack(bd, cd, xd, y, sd)
+            ok = check.optimal_stack(bd, cd, xd, y, sd, objective)
+            assert ok.tolist() == [k != r for k in range(len(rows))], (r, doctor)
+            for key, v in got.items():
+                assert np.array_equal(np.delete(v, r), np.delete(clean[key], r)), (r, doctor, key)
+            if doctor == "s outside K*":
+                assert got["dual_residual"][r] <= check.loose * (1.0 + np.abs(cd[r]).max())
+                assert got["dual_cone_violation"][r] == pytest.approx(1.0)
+
+
 # ---------------------------------------------------------------------------
 # lockstep batches
 
