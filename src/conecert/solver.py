@@ -103,25 +103,29 @@ class _EmbeddingCone:
     """Cone of the embedded slack variables, acting on (B, dim) batches: the
     Lorentz blocks stored radius-first and grouped by dimension, then n_l
     nonnegative scalars. A group of nb blocks of dimension d is a
-    contiguous slice that `blocks` reshapes to (B, nb, d)."""
+    contiguous slice that `blocks` reshapes to (B, nb, d). Without Lorentz
+    groups every operation is the elementwise one of the orthant."""
 
     def __init__(self, soc_groups: list[tuple[int, int]], n_l: int):
-        self.groups = []  # (offset, nb, d, J, diag(J)) with J = (1, -1, ..., -1)
+        # (offset, nb, d, J, diag(J), the group's slice) with J = (1, -1, ..., -1)
+        self.groups = []
         off = 0
         for d, nb in soc_groups:
             J = -np.ones(d)
             J[0] = 1.0
-            self.groups.append((off, nb, d, J, np.diag(J)))
+            self.groups.append((off, nb, d, J, np.diag(J), slice(off, off + nb * d)))
             off += nb * d
         self.lp = slice(off, off + n_l)
         self.dim = off + n_l
-        self.edges = np.concatenate([np.arange(o, o + nb * d, d) for o, nb, d, *_ in self.groups]
-                                    + [np.arange(off, self.dim)]).astype(int)
+        # the Nonneg coordinates and the Lorentz radii
+        self.edges = self.lp if not self.groups else np.concatenate(
+            [np.arange(o, o + nb * d, d) for o, nb, d, *_ in self.groups]
+            + [np.arange(off, self.dim)]).astype(int)
         self.degree = n_l + sum(nb for _, nb in soc_groups)
 
     def blocks(self, u: np.ndarray) -> list[np.ndarray]:
         """(B, nb, d) views of the Lorentz groups of a (B, dim) batch."""
-        return [u[:, off : off + nb * d].reshape(-1, nb, d) for off, nb, d, *_ in self.groups]
+        return [u[:, sl].reshape(-1, nb, d) for _, nb, d, _, _, sl in self.groups]
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
@@ -132,22 +136,40 @@ class _EmbeddingCone:
 
     def step_max(self, u: np.ndarray, du: np.ndarray) -> np.ndarray:
         """sup {alpha >= 0 : u + alpha*du in cone} per row, for u strictly inside."""
-        # where a Nonneg coordinate or a Lorentz radius reaches 0
-        roots = [-u[:, self.edges] / du[:, self.edges]]
-        for (_, _, _, J, _), U, D in zip(self.groups, self.blocks(u), self.blocks(du)):
-            # The Lorentz form c0 + 2 b a + c2 a^2 of u + a du is positive at
-            # a = 0; its least positive root, c0 / (sqrt(b^2 - c0 c2) - b),
-            # is where the block leaves the cone.
-            JD = D * J
-            b = np.vecdot(U, JD)
-            c0 = np.vecdot(U, U * J)
-            roots.append(c0 / (np.sqrt(b * b - c0 * np.vecdot(D, JD)) - b))
-        a = np.concatenate(roots, axis=1)
-        return np.minimum.reduce(a, axis=1, where=a > 0, initial=np.inf)
+        return self.stepper(u)(du)
+
+    def stepper(self, u: np.ndarray):
+        """step_max(u, .) as a function of du, with the terms of u computed
+        once."""
+        nu = -u[:, self.edges]
+        # per group: J, nb, d, its slice, U and the Lorentz form U'JU
+        form = [(J, nb, d, sl, U, np.vecdot(U, U * J))
+                for (_, nb, d, J, _, sl), U in zip(self.groups, self.blocks(u))]
+
+        def step(du: np.ndarray) -> np.ndarray:
+            # where a Nonneg coordinate or a Lorentz radius reaches 0
+            a = nu / du[:, self.edges]
+            if form:
+                roots = [a]
+                for J, nb, d, sl, U, c0 in form:
+                    # The Lorentz form c0 + 2 b a + c2 a^2 of u + a du is
+                    # positive at a = 0; its least positive root,
+                    # c0 / (sqrt(b^2 - c0 c2) - b), is where the block leaves
+                    # the cone.
+                    D = du[:, sl].reshape(-1, nb, d)
+                    JD = D * J
+                    b = np.vecdot(U, JD)
+                    roots.append(c0 / (np.sqrt(b * b - c0 * np.vecdot(D, JD)) - b))
+                a = np.concatenate(roots, axis=1)
+            return np.minimum.reduce(a, axis=1, where=a > 0, initial=np.inf)
+
+        return step
 
     def jprod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = u * v
-        for U, V, O in zip(self.blocks(u), self.blocks(v), self.blocks(out)):
+        for _, nb, d, _, _, sl in self.groups:
+            U, V = u[:, sl].reshape(-1, nb, d), v[:, sl].reshape(-1, nb, d)
+            O = out[:, sl].reshape(-1, nb, d)
             O[..., 0] = np.vecdot(U, V)
             O[..., 1:] = U[..., :1] * V[..., 1:] + V[..., :1] * U[..., 1:]
         return out
@@ -156,8 +178,9 @@ class _EmbeddingCone:
         """Solve lam o q = d for q (lam strictly inside). Degenerate iterates
         may overflow here; callers check finiteness."""
         out = d / lam
-        for (_, _, _, J, _), L, D, Q in zip(self.groups, self.blocks(lam), self.blocks(d),
-                                         self.blocks(out)):
+        for _, nb, dim, J, _, sl in self.groups:
+            L, D = lam[:, sl].reshape(-1, nb, dim), d[:, sl].reshape(-1, nb, dim)
+            Q = out[:, sl].reshape(-1, nb, dim)
             JL = L * J
             q0 = np.vecdot(JL, D) / np.vecdot(JL, L)
             Q[..., 0] = q0
@@ -172,55 +195,74 @@ class _Scaling:
     form eta (2 v v' - J), v = h / sqrt(2 h0)). Then
     W^-1 = (Jh (Jh)' / h0 - J) / eta and W^2 = eta^2 (2 wbar wbar' - J)
     (Vandenberghe, "The CVXOPT linear and quadratic cone program solvers",
-    2010). W^2 is also kept as dense blocks, which the KKT matrix needs."""
+    2010). W^2 is also kept as dense blocks, which the KKT matrix needs.
+    Without Lorentz groups W is the diagonal w, and each product is one
+    elementwise operation on the whole row."""
 
     def __init__(self, work: _EmbeddingCone, s: np.ndarray, z: np.ndarray):
         self.work = work
         self.w = np.sqrt(s[:, work.lp] / z[:, work.lp])
         self.w2 = self.w * self.w
-        self.groups = []  # (eta, h, h*eta/h0, eta*J, dense W^2) per group, eta as (B, nb, 1)
-        for (_, _, _, J, DJ), S, Z in zip(work.groups, work.blocks(s), work.blocks(z)):
+        # per group: its slice and shape, eta as (B, nb, 1), h, h*eta/h0,
+        # eta*J, J*h and the dense W^2 blocks
+        self.groups = []
+        for _, nb, d, J, DJ, sl in work.groups:
+            S, Z = s[:, sl].reshape(-1, nb, d), z[:, sl].reshape(-1, nb, d)
+            ZJ = Z * J
             gs = np.sqrt(np.maximum(np.vecdot(S, S * J), 1e-300))[..., None]
-            gz = np.sqrt(np.maximum(np.vecdot(Z, Z * J), 1e-300))[..., None]
+            gz = np.sqrt(np.maximum(np.vecdot(Z, ZJ), 1e-300))[..., None]
             cos = np.vecdot(S, Z)[..., None] / (gs * gz)
             gamma = np.sqrt(np.maximum((1.0 + cos) / 2.0, 1e-150))
-            wbar = (S / gs + Z * J / gz) / (2.0 * gamma)
+            wbar = (S / gs + ZJ / gz) / (2.0 * gamma)
             eta = np.sqrt(gs / gz)
             h = wbar.copy()
             h[..., 0] += 1.0
             w2 = (eta * eta)[..., None] * (2.0 * wbar[..., :, None] * wbar[..., None, :] - DJ)
-            self.groups.append((eta, h, h * (eta / h[..., :1]), eta * J, w2))
+            self.groups.append((sl, (-1, nb, d), eta, h, h * (eta / h[..., :1]), eta * J,
+                                h * J, w2))
 
     def mul(self, u: np.ndarray) -> np.ndarray:
+        if not self.groups:
+            return self.w * u
         out = np.empty_like(u)
-        out[:, self.work.lp] = self.w * u[:, self.work.lp]
-        for (_, h, g, etaJ, _), U, O in zip(self.groups, self.work.blocks(u),
-                                            self.work.blocks(out)):
+        lp = self.work.lp
+        np.multiply(self.w, u[:, lp], out=out[:, lp])
+        for sl, shape, _, h, g, etaJ, _, _ in self.groups:
+            U, O = u[:, sl].reshape(shape), out[:, sl].reshape(shape)
             np.multiply(g, np.vecdot(h, U)[..., None], out=O)
             O -= etaJ * U
         return out
 
     def inv(self, u: np.ndarray) -> np.ndarray:
+        if not self.groups:
+            return u / self.w
         out = np.empty_like(u)
-        out[:, self.work.lp] = u[:, self.work.lp] / self.w
-        blocks = zip(self.work.groups, self.groups, self.work.blocks(u), self.work.blocks(out))
-        for (_, _, _, J, _), (eta, h, _, _, _), U, O in blocks:
-            Jh = h * J
-            O[...] = (Jh * (np.vecdot(Jh, U)[..., None] / h[..., :1]) - U * J) / eta
+        lp = self.work.lp
+        np.divide(u[:, lp], self.w, out=out[:, lp])
+        for (_, _, _, J, *_), (sl, shape, eta, h, _, _, Jh, _) in zip(self.work.groups,
+                                                                      self.groups):
+            U = u[:, sl].reshape(shape)
+            out[:, sl].reshape(shape)[...] = (Jh * (np.vecdot(Jh, U)[..., None] / h[..., :1])
+                                              - U * J) / eta
         return out
 
     def sq(self, u: np.ndarray) -> np.ndarray:
+        if not self.groups:
+            return self.w2 * u
         out = np.empty_like(u)
-        out[:, self.work.lp] = self.w2 * u[:, self.work.lp]
-        for g, U, O in zip(self.groups, self.work.blocks(u), self.work.blocks(out)):
-            np.matvec(g[4], U, out=O)
+        lp = self.work.lp
+        np.multiply(self.w2, u[:, lp], out=out[:, lp])
+        for sl, shape, *_, w2 in self.groups:
+            np.matvec(w2, u[:, sl].reshape(shape), out=out[:, sl].reshape(shape))
         return out
 
     def sq_entries(self) -> np.ndarray:
         """The entries of the block-diagonal W^2 of each row: the dense blocks
         of the Lorentz groups, then the Nonneg diagonal."""
+        if not self.groups:
+            return self.w2
         B = len(self.w)
-        return np.concatenate([g[4].reshape(B, -1) for g in self.groups] + [self.w2], axis=1)
+        return np.concatenate([g[-1].reshape(B, -1) for g in self.groups] + [self.w2], axis=1)
 
 
 class _Embedding:
@@ -253,7 +295,8 @@ class _Embedding:
                 free_idx += idx
             elif blk.kind is BlockKind.LORENTZ:
                 soc_blocks.setdefault(blk.dim, []).append([idx[-1]] + idx[:-1])
-        nnz = (p.A != 0).sum(axis=0).tolist()  # the Zero rows miss Nonneg columns
+        # the Zero rows miss Nonneg columns
+        nnz = (p.A != 0).sum(axis=0, dtype=np.int32).tolist()
         one = [j for j in lp_idx if nnz[j] == 1]
         lp = one + [j for j in lp_idx if nnz[j] != 1]
         self.perm = np.array(lp + rest, dtype=int)
@@ -264,9 +307,15 @@ class _Embedding:
         self.soc1 = [k for k, j in enumerate(soc) if nnz[j] == 1]
         self.free = free_idx
         self.work = _EmbeddingCone([(d, len(b)) for d, b in soc_blocks.items()], self.nN + 1)
-        Zrows = np.zeros((len(zero_idx), n))
-        Zrows[np.arange(len(zero_idx)), zero_idx] = 1.0
-        self.Ahat = np.vstack([p.A, Zrows])[:, self.perm]
+        self.Ahat = p.A[:, self.perm]
+        if zero_idx:
+            Zrows = np.zeros((len(zero_idx), n))
+            Zrows[np.arange(len(zero_idx)), zero_idx] = 1.0
+            self.Ahat = np.vstack([p.A, Zrows])[:, self.perm]
+        self.nz = self.Ahat != 0
+        # max |A| and max |Ahat|, which has a 1 in each Zero row
+        self.amax_A = np.abs(p.A).max(initial=0.0)
+        self.amax = max(self.amax_A, 1.0) if zero_idx else self.amax_A
         self.AhatT = np.ascontiguousarray(self.Ahat.T)
         self.n = n
         self.mh = self.Ahat.shape[0]
@@ -376,12 +425,17 @@ class _KKT:
         ny = mh - nP - nB  # y in the reduced unknowns
         self.rsize = nx + ny + pl
         self.y = slice(nx, nx + ny)
+        # the unknowns of `red` that stay in the reduced matrix, and where
+        # a right-hand side holds them: `red` itself without pairs and bound
+        # rows, else one gather
+        keep = np.ones(self.red.stop - n1, dtype=bool)
+        keep[np.concatenate([pcol, n + prow, n + brow]) - n1] = False
+        self.keep = np.flatnonzero(keep)
+        self.kidx = n1 + self.keep if nP or nB else self.red
+        xk = n1 + self.keep[:nx]  # the reduced x and y as columns and rows of Ahat
+        yk = self.keep[nx : nx + ny] - (n - n1)
         if nP or nB:
-            # the unknowns of `red` that stay in the reduced matrix
-            keep = np.ones(self.red.stop - n1, dtype=bool)
-            keep[np.concatenate([pcol, n + prow, n + brow]) - n1] = False
-            self.keep = np.flatnonzero(keep)
-            self.A1T = self.A1T[:, keep[n - n1 : n - n1 + mh]]
+            self.A1T = self.A1T[:, yk]
         if nP:
             # the pairs' x and y in the unknowns, the paired slacks in the
             # reduced unknowns, each pair's a, and C: -1 at the paired slack
@@ -392,14 +446,14 @@ class _KKT:
             self.a = emb.Ahat[prow, pcol]
             self.C = np.zeros((2 * nP, self.rsize))
             self.C[np.arange(nP), self.zP] = -1.0
-            self.C[nP:, :nx] = emb.Ahat[prow][:, n1 + self.keep[:nx]]
+            self.C[nP:, :nx] = emb.Ahat[prow][:, xk]
         if nB:
             # the bound rows' y in the unknowns, their one-row coefficients
             # and their coefficient a on the reduced x
             self.yb = n + brow
             self.A1Tb = emb.AhatT[:n1, brow]
             self.A1sqTb = self.A1Tb * self.A1Tb
-            self.Bv = emb.Ahat[brow][:, n1 + self.keep[:nx]]
+            self.Bv = emb.Ahat[brow][:, xk]
             self.Bv2 = self.Bv * self.Bv
         self.A1sqT = self.A1T * self.A1T
         rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
@@ -408,7 +462,20 @@ class _KKT:
             rows.append(np.repeat(idx[:, :, None], d, axis=2).ravel())
             cols.append(np.repeat(idx[:, None, :], d, axis=1).ravel())
         self.rows, self.cols = np.concatenate(rows), np.concatenate(cols)
+        self.flat = self.rows * self.rsize + self.cols  # the W^2 entries in a flat matrix
+        # the part of the reduced matrix that no regularization touches: A
+        # and A' on the reduced x and y, and -1 between each Lorentz slack
+        # and its column unless that column is paired
+        T = np.zeros((self.rsize, self.rsize))
+        T[nx : nx + ny, :nx] = emb.Ahat[np.ix_(yk, xk)]
+        T[:nx, nx : nx + ny] = T[nx : nx + ny, :nx].T
+        at = np.full(keep.size, -1)
+        at[self.keep] = np.arange(self.rsize)
+        col, slot = at[emb.cidx[:pl] - n1], nx + ny + np.arange(pl)
+        T[col[col >= 0], slot[col >= 0]] = T[slot[col >= 0], col[col >= 0]] = -1.0
+        self._base = T
         self._static: dict[float, tuple] = {}
+        self._K = T[:0]  # the matrices of the last factored batch, which LAPACK overwrites
 
     @staticmethod
     def _pairs(emb: _Embedding):
@@ -417,8 +484,8 @@ class _KKT:
         holds no one-row Nonneg column, and is the first such column of that
         row in slack order."""
         slots = np.array(emb.soc1)
-        rows = (emb.Ahat[:, emb.cidx[slots]] != 0).argmax(axis=0)
-        ok = ~(emb.Ahat[rows, : emb.n1] != 0).any(axis=1)
+        rows = emb.nz[:, emb.cidx[slots]].argmax(axis=0)
+        ok = ~emb.nz[rows, : emb.n1].any(axis=1)
         first = np.full(emb.mh, slots[-1] + 1)
         np.minimum.at(first, rows[ok], slots[ok])
         rows = np.flatnonzero(first <= slots[-1])
@@ -429,62 +496,68 @@ class _KKT:
     def _bound_rows(emb: _Embedding) -> np.ndarray:
         """The rows that hold a one-row Nonneg column and exactly one other
         nonzero, in a Free column."""
-        nz = emb.Ahat != 0
-        rows = np.flatnonzero(nz[:, : emb.n1].any(axis=1) & (nz[:, emb.n1 :].sum(axis=1) == 1))
-        cols = nz[rows, emb.n1 :].argmax(axis=1) + emb.n1
-        return rows[np.isin(cols, emb.pos[emb.free])]
+        nz, n1 = emb.nz, emb.n1
+        rows = np.flatnonzero(nz[:, :n1].any(axis=1)
+                              & (nz[:, n1:].sum(axis=1, dtype=np.int32) == 1))
+        free = np.zeros(emb.n, dtype=bool)
+        free[emb.pos[emb.free]] = True
+        return rows[free[nz[rows, n1:].argmax(axis=1) + n1]]
 
     def static(self, bump: float) -> tuple:
         """The static reduced matrix at one bump, and the pairs' M^-1 (None
         without pairs)."""
         if bump not in self._static:
-            emb = self.emb
-            n1, mh = emb.n1, emb.mh
-            nx, size = emb.n - n1, self.red.stop - n1
             rr = _STATIC_REG * bump
-            T = np.zeros((size, size))
-            T[:nx, nx : nx + mh] = emb.AhatT[n1:]
-            T[nx : nx + mh, :nx] = emb.Ahat[:, n1:]
-            slots = np.arange(nx + mh, size)
-            T[emb.cidx[: slots.size] - n1, slots] = -1.0
-            T[slots, emb.cidx[: slots.size] - n1] = -1.0
-            T[np.diag_indices(size)] = np.concatenate([np.full(nx, rr), np.full(size - nx, -rr)])
+            T = self._base.copy()
+            diag = T.reshape(-1)[:: self.rsize + 1]
+            diag[: self.nx] = rr
+            diag[self.nx :] = -rr
             Mi = None
-            if self.nP or self.nB:
-                T = T[np.ix_(self.keep, self.keep)]
             if self.nP:
                 # M^-1 = [[r, a], [a, -r]] / d per pair, and the reduced
                 # matrix less C' (M^-1 C), whose only nonzero rows are at the
                 # paired slacks (C's first nP rows are -1 there) and at the
-                # reduced x (C's last nP rows)
-                nP, nx = self.nP, self.nx
+                # reduced x (C's last nP rows). Each entry of M^-1 C is one
+                # product, written as the matrix product rounds it (a sum
+                # of one product and exact zeros, +0 where it vanishes).
+                nP, nx, zP = self.nP, self.nx, self.zP
                 d = rr * rr + self.a * self.a
                 pr, pa = rr / d, self.a / d
-                Mi = np.diag(np.concatenate([pr, -pr])) + np.diag(pa, nP) + np.diag(pa, -nP)
-                MC = Mi @ self.C
-                T[self.zP] += MC[:nP]
-                T[:nx] -= self.C[nP:, :nx].T @ MC[nP:]
+                k = np.arange(nP)
+                Mi = np.zeros((2 * nP, 2 * nP))
+                Mi[np.arange(2 * nP), np.arange(2 * nP)] = np.concatenate([pr, -pr])
+                Mi[k, nP + k] = Mi[nP + k, k] = pa
+                Cx = self.C[nP:, :nx]
+                MC = np.zeros((2 * nP, self.rsize))
+                MC[k, zP], MC[nP + k, zP] = -pr, -pa
+                MC[:nP, :nx] = pa[:, None] * Cx + 0.0
+                MC[nP:, :nx] = -pr[:, None] * Cx + 0.0
+                T[zP] += MC[:nP]
+                T[:nx] -= Cx.T @ MC[nP:]
             self._static[bump] = T, Mi
         return self._static[bump]
 
-    def _assemble(self, wL: np.ndarray, wN: np.ndarray, bump: float):
-        """The reduced matrices of a batch at one bump, given the entries wL
-        of its Lorentz W^2 blocks and the Nonneg diagonal wN of W^2, and the
-        eliminated terms of its rows."""
+    def _assemble(self, wL: np.ndarray, wN: np.ndarray, bump: float, K: np.ndarray):
+        """Write the reduced matrices of a batch at one bump into K, given
+        the entries wL of its Lorentz W^2 blocks and the Nonneg diagonal wN
+        of W^2, and return K and the eliminated terms of its rows."""
         T, Mi = self.static(bump)
         B = len(wL)
-        K = np.repeat(T[None], B, axis=0)
-        if self.rows.size:
-            K[:, self.rows, self.cols] -= wL
+        K[...] = T
+        Kf = K.reshape(B, -1)
+        if self.flat.size:
+            Kf[:, self.flat] -= wL
         if not self.nN:
             return K, _Factors(None, wN[:, None], wN[:, None], Mi)  # (B, 1, 0) each
         r = _STATIC_REG * bump
         n1 = self.n1
         ng = np.divide(-1.0, (wN + r)[:, None])
         ih = np.divide(1.0, r - ng[..., :n1])
-        diag = K.reshape(B, -1)[:, :: self.rsize + 1]
-        diag[:, : self.nN - n1] -= ng[:, 0, n1:]
-        diag[:, self.y] -= (ih @ self.A1sqT)[:, 0]
+        diag = Kf[:, :: self.rsize + 1]
+        if self.nN > n1:
+            diag[:, : self.nN - n1] -= ng[:, 0, n1:]
+        if n1:
+            diag[:, self.y] -= (ih @ self.A1sqT)[:, 0]
         if not self.nB:
             return K, _Factors(None, ng, ih, Mi)
         iD = np.divide(1.0, -r - ih @ self.A1sqTb)
@@ -492,56 +565,54 @@ class _KKT:
         return K, _Factors(None, ng, ih, Mi, iD)
 
     def _reduce(self, R: np.ndarray, f: _Factors):
-        """The reduced right-hand sides of R (..., size), and v: (rx - g rz)/h
-        of the one-row columns, then ry/D of the bound rows; the terms of f
-        broadcast against R's rows."""
-        if not self.nN:
-            return (self._pair_reduce(R, R, f) if self.nP else R.copy()), R[..., :0]
-        rx = f.ng * R[..., self.zN]
-        rx += R[..., : self.nN]
-        v = rx[..., : self.n1] * f.ih
-        Rr = np.concatenate((rx[..., self.n1 :], R[..., self.nN : self.red.stop]), axis=-1)
+        """The reduced right-hand sides of R (..., size), and the terms that
+        `_recover` needs: v, (rx - g rz)/h of the one-row columns then ry/D
+        of the bound rows, and the pairs' [rx_c, ry_i] (None without pairs);
+        the terms of f broadcast against R's rows. Rr is a fresh C-ordered
+        array, which LAPACK solves in place."""
+        Rr = R.take(self.kidx, axis=-1) if self.nP or self.nB else R[..., self.red].copy()
+        n1, z = self.n1, self.zN.start
+        if self.nN > n1:
+            # rx - g rz of the other Nonneg columns
+            Rr[..., : self.nN - n1] += f.ng[..., n1:] * R[..., z + n1 : self.zN.stop]
+        RP = None
         if self.nP:
-            Rr = self._pair_reduce(R, Rr, f)
-        elif self.nB:
-            Rr = np.take(Rr, self.keep, axis=-1)
+            RP = R.take(self.pidx, axis=-1)
+            Rr -= RP @ f.Mi @ self.C
+        if not n1:
+            return Rr, R[..., :0], RP
+        v = f.ng[..., :n1] * R[..., z : z + n1]
+        v += R[..., :n1]
+        v *= f.ih
         Rr[..., self.y] -= v @ self.A1T
         if not self.nB:
-            return Rr, v
-        wy = np.take(R, self.yb, axis=-1)
+            return Rr, v, RP
+        wy = R.take(self.yb, axis=-1)
         wy -= v @ self.A1Tb
         wy *= f.iD
         Rr[..., : self.nx] -= wy @ self.Bv
-        return Rr, np.concatenate((v, wy), axis=-1)
-
-    def _pair_reduce(self, R: np.ndarray, Rr: np.ndarray, f: _Factors) -> np.ndarray:
-        """Rr (..., red) on the reduced unknowns, less C' M^-1 [rx_c, ry_i] of
-        the pairs."""
-        Rr = np.take(Rr, self.keep, axis=-1)  # C-ordered rows, which LAPACK solves in place
-        Rr -= np.take(R, self.pidx, axis=-1) @ f.Mi @ self.C
-        return Rr
+        return Rr, np.concatenate((v, wy), axis=-1), RP
 
     def _recover(self, R: np.ndarray, U: np.ndarray, Rr: np.ndarray, f: _Factors,
-                 v: np.ndarray) -> None:
+                 v: np.ndarray, RP: np.ndarray | None) -> None:
         """Write the reduced solution Rr, dx and dy of the pairs, dy of the
         bound rows, dx of the one-row columns and dz of the Nonneg slacks
-        into U (..., size)."""
-        if self.nP or self.nB:
-            U[..., self.red][..., self.keep] = Rr
-        else:
-            U[..., self.red] = Rr
+        into U (..., size), given the terms v and RP of `_reduce`."""
+        U[..., self.kidx] = Rr
         if self.nP:
-            U[..., self.pidx] = (np.take(R, self.pidx, axis=-1) - Rr @ self.C.T) @ f.Mi
+            U[..., self.pidx] = (RP - Rr @ self.C.T) @ f.Mi
         if not self.nN:
             return
+        n1 = self.n1
         if self.nB:
             dy = Rr[..., : self.nx] @ self.Bv.T
             dy *= f.iD
-            U[..., self.yb] = v[..., self.n1 :] - dy
-            v = v[..., : self.n1]
-        w = U[..., self.ys] @ self.A1
-        w *= f.ih
-        np.subtract(v, w, out=U[..., : self.n1])
+            U[..., self.yb] = v[..., n1:] - dy
+            v = v[..., :n1]
+        if n1:
+            w = U[..., self.ys] @ self.A1
+            w *= f.ih
+            np.subtract(v, w, out=U[..., :n1])
         dz = np.add(R[..., self.zN], U[..., : self.nN], out=U[..., self.zN])
         dz *= f.ng
 
@@ -553,11 +624,14 @@ class _KKT:
         finite is refactored with the regularization, and the eliminated
         terms with it, bumped by 1e2, 1e4 and 1e6 in turn. A row with
         non-finite W^2 or no rescuing bump gets no factor and NaN solutions."""
-        B, nL = len(w2), len(self.rows)
+        nL = len(self.flat)
         w2 = w2[:, : nL + self.nN]
         wL, wN = w2[:, :nL], w2[:, nL:]
-        K, f = self._assemble(wL, wN, _BUMPS[0])
-        Rr, v = self._reduce(R, f)
+        B = len(w2)
+        if len(self._K) < B:
+            self._K = np.empty((B, self.rsize, self.rsize))
+        K, f = self._assemble(wL, wN, _BUMPS[0], self._K[:B])
+        Rr, v, RP = self._reduce(R, f)
         finite = _all_finite(w2)
         f.lu = [self._factor(Ki, Ri, Ri) if ok else None for ok, Ki, Ri in zip(finite, K, Rr)]
         if not (finite.all() and np.isfinite(Rr[:, 0]).all()):
@@ -566,56 +640,60 @@ class _KKT:
                 f.lu[i] = None
                 row = slice(i, i + 1)
                 for bump in _BUMPS[1:]:
-                    K[row], g = self._assemble(wL[row], wN[row], bump)
+                    _, g = self._assemble(wL[row], wN[row], bump, K[row])
                     f.put(row, g)
-                    Rr[row], v[row] = self._reduce(R[row], g)
+                    Rr[row], v[row], _ = self._reduce(R[row], g)
                     lu = self._factor(K[i], Rr[i], Rr[i])
                     if lu is not None and np.isfinite(Rr[i, 0]).all():
                         f.lu[i] = lu
                         break
-        self._recover(R, U, Rr, f, v)
+        self._recover(R, U, Rr, f, v, RP)
         return f
 
     @staticmethod
     def _factor(Ki: np.ndarray, Ri: np.ndarray, Ui: np.ndarray):
         """Factor Ki in place and solve it for the rows of Ri into Ui, in one
-        LAPACK gesv call. Ui may be Ri itself: LAPACK then overwrites Ri and
-        the copy is skipped."""
+        LAPACK gesv call. A C-ordered Ri is solved in place, so Ui may be Ri
+        itself and is then not copied."""
         lu, piv, x, info = lapack.dgesv(Ki.T, Ri.T, overwrite_a=True, overwrite_b=True)
         if info != 0:
             Ui[...] = np.nan
             return None
-        Ui[...] = x.T
+        if not (Ui is Ri and Ri.flags.c_contiguous):
+            Ui[...] = x.T
         return lu, piv
 
     def solve(self, factors: _Factors, R: np.ndarray, U: np.ndarray) -> None:
         """Solve each factored row for R[i] into U[i, :size]; NaN where there
         is no factor."""
         R, U = R[:, None], U[:, None]  # stacks of one row keep each product per row
-        Rr, v = self._reduce(R, factors)
+        Rr, v, RP = self._reduce(R, factors)
         for f, Ri in zip(factors.lu, Rr):
             if f is None:
                 Ri[...] = np.nan
             else:
                 lapack.dgetrs(f[0], f[1], Ri[0], overwrite_b=True)
-        self._recover(R, U, Rr, factors, v)
+        self._recover(R, U, Rr, factors, v, RP)
 
 
 @dataclass
 class _Iterates:
     """The rows of a batch still iterating: their index in the batch, their
-    data ([c, bh], the first KKT right-hand side [-c, bh, 0],
-    feas_tol*(1 + |c|) and feas_tol*(1 + |bh|)) and the embedding's iterates
-    xz = [x, yh, z, tau], laid out like the KKT unknowns followed by tau,
-    and sk = [s, kappa]."""
+    data ([c, bh], feas_tol*(1 + |c|) and feas_tol*(1 + |bh|)), the
+    embedding's iterates xz = [x, yh, z, tau], laid out like the KKT
+    unknowns followed by tau, and sk = [s, kappa], and the predictor's two
+    KKT systems: the right-hand sides R, the first [-c, bh, 0] and the
+    second rewritten in each step, and their solutions U, each with tau's
+    column (1 and 0) after the unknowns."""
 
     ids: np.ndarray
     cb: np.ndarray
-    rhs1: np.ndarray
     ftol_c: np.ndarray
     ftol_b: np.ndarray
     xz: np.ndarray
     sk: np.ndarray
+    R: np.ndarray
+    U: np.ndarray
 
     def take(self, keep: np.ndarray) -> "_Iterates":
         return _Iterates(*(getattr(self, f.name)[keep] for f in fields(self)))
@@ -649,24 +727,29 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
     emb = _Embedding(p)
     work, mh = emb.work, emb.mh
     nm = n + mh
-    Ah, AhT, cidx = emb.Ahat, emb.AhatT, emb.cidx
+    Ah, AhT = emb.Ahat, emb.AhatT
+    # the slacks s = x[cidx]: the first nN columns once the Lorentz slacks
+    # are gone
+    cidx = emb.cidx if work.groups else slice(0, emb.nN)
     ftol, gtol = opts.feas_tol, opts.gap_tol
-    ftol_A = ftol * (1.0 + np.abs(Ah).max(initial=0.0))
+    ftol_A = ftol * (1.0 + emb.amax)
     kkt = _KKT(emb)
 
     e = work.identity()
     cb = np.zeros((B, nm))
     cb[:, :n] = costs[:, emb.perm]
     cb[:, n : n + m] = rhs
-    rhs1 = np.zeros((B, kkt.size))
-    rhs1[:, :nm] = cb
-    rhs1[:, :n] *= -1.0
+    R = np.zeros((B, 2, kkt.size))
+    R[:, 0, :nm] = cb
+    R[:, 0, :n] *= -1.0
+    U = np.zeros((B, 2, kkt.size + 1))
+    U[:, 0, -1] = 1.0
     xz = np.zeros((B, kkt.size + 1))
     xz[:, nm:] = e
-    it = _Iterates(np.arange(B), cb, rhs1, ftol * (1.0 + _inf_norms(costs)),
-                   ftol * (1.0 + _inf_norms(rhs)), xz, np.tile(e, (B, 1)))
+    it = _Iterates(np.arange(B), cb, ftol * (1.0 + _inf_norms(costs)),
+                   ftol * (1.0 + _inf_norms(rhs)), xz, np.tile(e, (B, 1)), R, U)
     out: list[Solution | None] = [None] * B
-    verify = _Verifier(p, opts)
+    verify = _Verifier(p, opts, emb.amax_A)
 
     def screen(it: _Iterates):
         """The termination code of every row (0 go on, 1 optimal, 2 primal
@@ -693,16 +776,14 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
             scale_x = dd + _inf_norms(x)
             code[(code == 0) & (dd > ftol) & (_inf_norms(Ax) <= ftol_A * scale_x)
                  & (_inf_norms(res[:, nm:]) <= ftol * scale_x)] = 3
-        res[:, :n] += c * tau[:, None]
-        res[:, n:nm] -= bh * tau[:, None]
-        # optimality, which takes precedence
-        opt = (
-            (tau > 1e-12)
-            & (_inf_norms(res[:, :n]) <= it.ftol_c * tau)
-            & (_inf_norms(res[:, n:]) <= it.ftol_b * tau)
-            & (np.vecdot(s, z) <= gtol * tau * (tau + np.abs(cx) + np.abs(by)))
-        )
-        code[opt] = 1
+        res[:, :nm] -= it.R[:, 0, :nm] * tau[:, None]  # [-c, bh]
+        # optimality, which takes precedence; each test only while a row passes
+        opt = (tau > 1e-12) & (_inf_norms(res[:, :n]) <= it.ftol_c * tau)
+        if opt.any():
+            opt &= _inf_norms(res[:, n:]) <= it.ftol_b * tau
+        if opt.any():
+            opt &= np.vecdot(s, z) <= gtol * tau * (tau + np.abs(cx) + np.abs(by))
+            code[opt] = 1
         return code, (res, it.sk[:, -1] + cx + by)
 
     def ray(it: _Iterates, r: int, code: int, iters: int) -> Solution:
@@ -751,13 +832,17 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
     with np.errstate(all="ignore"):  # a row that breaks down carries inf/nan to the next top
         for iters in range(1, opts.max_iters + 2):
             code, res = screen(it)
-            for r in np.flatnonzero(code > 1):  # a ray ends its row only once it verifies
-                i, sol = it.ids[r], ray(it, r, code[r], iters - 1)
-                if verify.ray(rhs[i], costs[i], sol):
-                    out[i] = sol
-                else:
-                    code[r] = 0
-            done = (code != 0) | broke | (iters > opts.max_iters)
+            done = broke
+            if code.any():
+                for r in np.flatnonzero(code > 1):  # a ray ends its row only once it verifies
+                    i, sol = it.ids[r], ray(it, r, code[r], iters - 1)
+                    if verify.ray(rhs[i], costs[i], sol):
+                        out[i] = sol
+                    else:
+                        code[r] = 0
+                done = (code != 0) | broke
+            if iters > opts.max_iters:
+                done = np.ones_like(broke)
             if done.any():
                 finish(it.take(done), code[done], iters - 1)
                 if done.all():
@@ -765,9 +850,13 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
                 it = it.take(~done)
                 res = tuple(r[~done] for r in res)
             dxz, dsk, alpha, broke = _newton_step(it, res, work, kkt, e, nm)
-            step = ~broke[:, None]
-            np.add(it.xz, alpha[:, None] * dxz, out=it.xz, where=step)
-            np.add(it.sk, alpha[:, None] * dsk, out=it.sk, where=step)
+            alpha = alpha[:, None]
+            if broke.any():
+                np.add(it.xz, alpha * dxz, out=it.xz, where=~broke[:, None])
+                np.add(it.sk, alpha * dsk, out=it.sk, where=~broke[:, None])
+            else:
+                it.xz += alpha * dxz
+                it.sk += alpha * dsk
             broke |= ~(_all_finite(it.xz[:, :n]) & np.isfinite(it.xz[:, -1])
                        & np.isfinite(it.sk[:, -1]))
     return out
@@ -797,18 +886,17 @@ def _newton_step(it: _Iterates, res: tuple, work: _EmbeddingCone, kkt: _KKT,
         du = u2 + dtau[:, None] * u1
         return du, t - W.sq(du[:, nm:])
 
+    step_max = work.stepper(both)
+
     def step_len(du, ds):
         d = np.concatenate([ds, du[:, nm:]])
-        return np.minimum.reduce(work.step_max(both, d).reshape(2, B), axis=0), d
+        return np.minimum.reduce(step_max(d).reshape(2, B), axis=0), d
 
     # predictor, solved together with the first system [-c, bh, 0]; the
     # solutions carry tau's column: 1 in u1 = d[x, y, z]/dtau, 0 in u2
-    R = np.empty((B, 2, size))
-    R[:, 0] = it.rhs1
+    R, U = it.R, it.U
     np.negative(hres, out=R[:, 1])
     R[:, 1, nm:] -= t_a[:, :-1]
-    U = np.zeros((B, 2, size + 1))
-    U[:, 0, size] = 1.0
     factors = kkt.factor_solve(W.sq_entries(), R, U)
     u1 = U[:, 0]
     denom = np.vecdot(u1[:, :nm], cb) - kappa / tau
@@ -848,10 +936,11 @@ class _Verifier:
     within loose/|c|. Rays are homogeneous, so these bounds scale with the
     data: multiplying b or c by s leaves each check unchanged."""
 
-    def __init__(self, p: ConicProgram, opts: SolverOptions):
+    def __init__(self, p: ConicProgram, opts: SolverOptions, amax_A: float | None = None):
+        """amax_A is max |A|, when the caller has it."""
         self.A = p.A
         self.loose = 100.0 * max(opts.feas_tol, opts.gap_tol)
-        self.scale_A = 1.0 + np.abs(p.A).max(initial=0.0)
+        self.scale_A = 1.0 + (np.abs(p.A).max(initial=0.0) if amax_A is None else amax_A)
         self.cone, self.dual_cone = p.cone, p.cone.dual()
 
     def __call__(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> Solution:
