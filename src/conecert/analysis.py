@@ -494,19 +494,36 @@ def _reflected_rays(handle: SupportHandle) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(rays), np.concatenate(bounds)
 
 
-def _distinct_tight_rays(rays: np.ndarray, gaps: np.ndarray, tol: float) -> list[TightRay]:
+def _distinct_tight_rays(rays: np.ndarray, gaps: np.ndarray, tol: float,
+                         block: int = 64) -> list[TightRay]:
     """The rays with gap <= tol in order of gap, each dropped when it lies
-    within 1e-6 (max norm) of a ray kept before it."""
-    tight = [(z, float(g)) for z, g in zip(rays, gaps) if g <= tol]
-    tight.sort(key=lambda t: t[1])
-    dedup: list[TightRay] = []
-    kept = np.empty((len(tight), rays.shape[1]))
-    for z, g in tight:
-        k = len(dedup)
-        if k == 0 or np.min(np.max(np.abs(kept[:k] - z), axis=1)) > 1e-6:
-            kept[k] = z
-            dedup.append(TightRay(z, g))
-    return dedup
+    within 1e-6 (max norm) of a ray kept before it; a distance that is nan
+    counts as within. Blocks of rays are compared at once with the rays
+    kept from earlier blocks, and among themselves, by a max-norm taken
+    one column at a time."""
+    idx = np.flatnonzero(gaps <= tol)
+    idx = idx[np.argsort(gaps[idx], kind="stable")]
+    kept: list[int] = []
+    for start in range(0, idx.size, block):
+        cand = idx[start : start + block]
+        Z = rays[cand]
+        # not within 1e-6 of a kept ray; nan fails every comparison
+        alive = (_max_dist(Z, rays[kept]) > 1e-6).all(axis=1)
+        apart = _max_dist(Z, Z) > 1e-6
+        for j in range(cand.size):
+            if alive[j]:
+                kept.append(int(cand[j]))
+                alive[j + 1 :] &= apart[j, j + 1 :]
+    return [TightRay(rays[i], float(gaps[i])) for i in kept]
+
+
+def _max_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The (len(X), len(Y)) max-norm distances between rows, nan where a
+    row has a nan."""
+    D = np.zeros((len(X), len(Y)))
+    for c in range(X.shape[1]):
+        np.maximum(D, np.abs(X[:, c, None] - Y[None, :, c]), out=D)
+    return D
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,13 @@ class _Embedding:
     slots of the one-row Lorentz columns and `free` the program's Free
     columns, in program order. The embedding cone
     `work` has one more Nonneg coordinate, last, for the pair (kappa, tau)
-    of the embedding: s carries kappa there and z tau."""
+    of the embedding: s carries kappa there and z tau.
+
+    Everything here depends on (A, K) alone and is built once per
+    `solve_batch` call: Ahat (A with a unit row per Zero coordinate, on the
+    reordered columns) and its transpose, its nonzero pattern nz, from which
+    `_KKT` reads its pairs and bound rows, and max |A| (amax_A, which the
+    verifier shares) and max |Ahat| (amax)."""
 
     def __init__(self, p: ConicProgram):
         n = p.cone.dim
@@ -401,11 +407,24 @@ class _KKT:
     singular, and the solve ends NumericalLimit instead of Optimal in 5
     iterations; the LU pivots on the block as it is.
 
-    The static part of the reduced matrix is built once per regularization
-    r. Each iteration writes the Lorentz W^2 blocks and the eliminated
-    diagonal terms of every row into a copy and factors each row once with
-    LAPACK. The matrix is symmetric, so a C-ordered K[i] is handed to LAPACK
-    as the Fortran-ordered K[i]' = K[i] and factored in place."""
+    Once per (A, K) and at the reduced order, without building the
+    unreduced matrix: the pairs and bound rows, the unknowns that stay
+    (`keep`, offsets in `red`, in their order in [x, y, z], on which the LU
+    pivots), C and the bound rows' coefficients, and the part of the reduced
+    matrix that no regularization touches (A and A' on the reduced x and y,
+    and -1 between each Lorentz slack and its unpaired column). Once per
+    regularization r: a copy of it with r on the diagonal and the pairs'
+    C' M^-1 C subtracted. The eliminated unknowns keep their places in
+    [x, y, z]: one gather R[..., kidx] takes the reduced right-hand side of
+    R (kidx is the slice `red` without pairs and bound rows), one more
+    takes the pairs' [rx_c, ry_i], and the solution goes back by one write
+    each for the reduced unknowns, the pairs and the bound rows. Each
+    iteration copies the static matrix into one buffer per batch, writes
+    the Lorentz W^2 blocks through one flat index and the eliminated
+    diagonal terms of every row, and factors each row once with LAPACK.
+    The matrix is symmetric, so a C-ordered K[i] is handed to LAPACK as the
+    Fortran-ordered K[i]' = K[i] and factored in place; its factors live in
+    the buffer until the next factorization."""
 
     def __init__(self, emb: _Embedding):
         self.emb = emb
@@ -767,12 +786,12 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
         cx, by = np.vecdot(x, c), np.vecdot(bh, yh)
         code = np.zeros(len(tau), dtype=int)
         # primal infeasibility: -b'y > 0 with A'y + G'z ~ 0
-        dp = -by
-        if (dp > ftol).any():
+        if (by < -ftol).any():
+            dp = -by
             code[(dp > ftol) & (_inf_norms(r_d) <= ftol_A * (dp + _inf_norms(yh)))] = 2
         # dual infeasibility: -c'x > 0 with Ax ~ 0, x in K
-        dd = -cx
-        if (dd > ftol).any():
+        if (cx < -ftol).any():
+            dd = -cx
             scale_x = dd + _inf_norms(x)
             code[(code == 0) & (dd > ftol) & (_inf_norms(Ax) <= ftol_A * scale_x)
                  & (_inf_norms(res[:, nm:]) <= ftol * scale_x)] = 3
@@ -880,9 +899,10 @@ def _newton_step(it: _Iterates, res: tuple, work: _EmbeddingCone, kkt: _KKT,
     t_a = -W.mul(lam)
     both = np.concatenate([sk, zt])
 
-    def direction(eta, t, u2):
+    def direction(neta, t, u2):
         # dtau from the tau row of the embedding, where t[:, -1] = dk_rhs / tau
-        dtau = (-eta * hres_k - t[:, -1] - np.vecdot(u2[:, :nm], cb)) / denom
+        # and neta = -eta
+        dtau = (neta * hres_k - t[:, -1] - np.vecdot(u2[:, :nm], cb)) / denom
         du = u2 + dtau[:, None] * u1
         return du, t - W.sq(du[:, nm:])
 
@@ -900,7 +920,7 @@ def _newton_step(it: _Iterates, res: tuple, work: _EmbeddingCone, kkt: _KKT,
     factors = kkt.factor_solve(W.sq_entries(), R, U)
     u1 = U[:, 0]
     denom = np.vecdot(u1[:, :nm], cb) - kappa / tau
-    du_a, ds_a = direction(1.0, t_a, U[:, 1])
+    du_a, ds_a = direction(-1.0, t_a, U[:, 1])
     alpha_a, d_a = step_len(du_a, ds_a)
     alpha_a = np.minimum(alpha_a, 1.0)
     aff = both + np.concatenate([alpha_a, alpha_a])[:, None] * d_a
@@ -913,12 +933,12 @@ def _newton_step(it: _Iterates, res: tuple, work: _EmbeddingCone, kkt: _KKT,
     wdz = W.mul(du_a[:, nm:])
     ds_rhs = (sigma * mu)[:, None] * e + work.jprod(lam + wdz, wdz)
     t_c = W.mul(work.jsolve(lam, ds_rhs)) + t_a
-    eta = 1.0 - sigma
-    rhs3 = -eta[:, None] * hres
+    neta = sigma - 1.0  # -(1 - sigma), as rounded
+    rhs3 = neta[:, None] * hres
     rhs3[:, nm:] -= t_c[:, :-1]
     u2 = np.zeros((B, size + 1))
     kkt.solve(factors, rhs3, u2)
-    du, ds = direction(eta, t_c, u2)
+    du, ds = direction(neta, t_c, u2)
     alpha = np.minimum(0.99 * step_len(du, ds)[0], 1.0)
     ok = (_all_finite(U[:, 1]) & _all_finite(u2) & (np.abs(denom) >= 1e-300)
           & (alpha >= 1e-10))  # false for nan

@@ -424,6 +424,54 @@ def test_tight_rays_cmir_all_five():
     assert len(rays) == 5
 
 
+def _distinct_tight_rays_greedy(rays, gaps, tol):
+    """The reference: the tight rays in order of gap, each kept unless
+    np.min(np.max(...)) of its max-norm distances to the kept rays is not
+    above 1e-6 (nan counts as not above)."""
+    tight = sorted(((z, float(g)) for z, g in zip(rays, gaps) if g <= tol), key=lambda t: t[1])
+    kept: list = []
+    for z, g in tight:
+        if not kept or np.min(np.max(np.abs(np.array([k for k, _ in kept]) - z), axis=1)) > 1e-6:
+            kept.append((z, g))
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_distinct_tight_rays_match_the_greedy_loop(seed, block):
+    # seeded rays with planted near-duplicates (on either side of 1e-6),
+    # ties in gap, gaps above tol and nan, and (seeds 0, 2, 4) a ray with a
+    # nan coordinate: the blockwise search keeps the same rays in the same
+    # order as the greedy loop, with the same gaps
+    rng = np.random.default_rng(seed)
+    k, n = 150, 2 + seed % 4
+    rays = rng.normal(size=(k, n))
+    twin = rng.choice(k, 60, replace=False)
+    rays[twin[:30]] = rays[twin[30:]] + rng.choice([-1.0, 1.0], (30, n)) * rng.choice(
+        [1e-7, 5e-7, 2e-6], (30, n))
+    gaps = rng.choice([-1e-9, 0.0, 1e-8, 5e-8, 1e-6], k)  # ties; 1e-6 is above tol
+    gaps[rng.choice(k, 3, replace=False)] = np.nan
+    if seed % 2 == 0:
+        rays[rng.integers(k), rng.integers(n)] = np.nan
+    # two tight rays exactly 1e-6 apart, which is not distinct
+    rays[twin[0]], rays[twin[30]] = 0.0, 0.0
+    rays[twin[30], 0], gaps[[twin[0], twin[30]]] = 1e-6, 0.0
+    want = _distinct_tight_rays_greedy(rays, gaps, 1e-7)
+    got = analysis._distinct_tight_rays(rays, gaps, 1e-7, block)
+    assert 0 < len(got) < np.count_nonzero(gaps <= 1e-7)
+    assert len(got) == len(want)
+    for r, (z, g) in zip(got, want):
+        assert np.array_equal(r.z, z, equal_nan=True) and r.gap == g
+
+
+def test_distinct_tight_rays_a_nan_ray_first_hides_every_later_ray():
+    # the first tight ray is kept even with a nan, and every later ray then
+    # has a nan distance to it
+    rays, gaps = np.array([[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1e-9, 2e-9])
+    got = analysis._distinct_tight_rays(rays, gaps, 1e-7, 2)
+    assert len(got) == len(_distinct_tight_rays_greedy(rays, gaps, 1e-7)) == 1
+
+
 def _sublinear_sufficient(dset, mu, eta0):
     th = theta(dset, mu)
     rays, _ = tight_extreme_ray_search(th.handle)

@@ -556,6 +556,30 @@ def test_nt_scaling_identities():
         assert np.all(lam[:, sl.start] > np.linalg.norm(lam[:, sl.start + 1 : sl.stop], axis=1))
 
 
+def test_kernels_without_lorentz_groups_are_elementwise():
+    # an embedding cone of Nonneg coordinates alone: every kernel is its
+    # elementwise definition, to the bit
+    rng = np.random.default_rng(9)
+    work = solver._EmbeddingCone([], 7)
+    assert not work.groups and work.dim == 7
+    s, z = _interior(work, rng, 4), _interior(work, rng, 4)
+    u, v, du = rng.normal(size=s.shape), rng.normal(size=s.shape), rng.normal(size=s.shape)
+    du[0] = np.abs(du[0])  # a row that never leaves the cone
+    W = solver._Scaling(work, s, z)
+    w = np.sqrt(s / z)
+    assert np.array_equal(W.w, w) and np.array_equal(W.w2, w * w)
+    assert np.array_equal(W.mul(u), w * u)
+    assert np.array_equal(W.inv(u), u / w)
+    assert np.array_equal(W.sq(u), (w * w) * u)
+    assert np.array_equal(W.sq_entries(), w * w)
+    assert np.array_equal(work.jprod(u, v), u * v)
+    assert np.array_equal(work.jsolve(s, u), u / s)
+    ratio = -s / du
+    want = [min((a for a in row if a > 0), default=math.inf) for row in ratio]
+    assert np.array_equal(work.step_max(s, du), want)
+    assert want[0] == math.inf
+
+
 def test_failed_factorization_is_retried_with_a_bump(monkeypatch):
     rng = np.random.default_rng(5)
     c, A, K, rhs = _batch_family(rng, unbounded=False)
