@@ -204,7 +204,7 @@ class _Scaling:
         self.w = np.sqrt(s[:, work.lp] / z[:, work.lp])
         self.w2 = self.w * self.w
         # per group: its slice and shape, eta as (B, nb, 1), h, h*eta/h0,
-        # eta*J, J*h and the dense W^2 blocks
+        # eta*J and the dense W^2 blocks
         self.groups = []
         for _, nb, d, J, DJ, sl in work.groups:
             S, Z = s[:, sl].reshape(-1, nb, d), z[:, sl].reshape(-1, nb, d)
@@ -218,8 +218,7 @@ class _Scaling:
             h = wbar.copy()
             h[..., 0] += 1.0
             w2 = (eta * eta)[..., None] * (2.0 * wbar[..., :, None] * wbar[..., None, :] - DJ)
-            self.groups.append((sl, (-1, nb, d), eta, h, h * (eta / h[..., :1]), eta * J,
-                                h * J, w2))
+            self.groups.append((sl, (-1, nb, d), eta, h, h * (eta / h[..., :1]), eta * J, w2))
 
     def mul(self, u: np.ndarray) -> np.ndarray:
         if not self.groups:
@@ -227,7 +226,7 @@ class _Scaling:
         out = np.empty_like(u)
         lp = self.work.lp
         np.multiply(self.w, u[:, lp], out=out[:, lp])
-        for sl, shape, _, h, g, etaJ, _, _ in self.groups:
+        for sl, shape, _, h, g, etaJ, _ in self.groups:
             U, O = u[:, sl].reshape(shape), out[:, sl].reshape(shape)
             np.multiply(g, np.vecdot(h, U)[..., None], out=O)
             O -= etaJ * U
@@ -239,9 +238,8 @@ class _Scaling:
         out = np.empty_like(u)
         lp = self.work.lp
         np.divide(u[:, lp], self.w, out=out[:, lp])
-        for (_, _, _, J, *_), (sl, shape, eta, h, _, _, Jh, _) in zip(self.work.groups,
-                                                                      self.groups):
-            U = u[:, sl].reshape(shape)
+        for (_, _, _, J, *_), (sl, shape, eta, h, *_) in zip(self.work.groups, self.groups):
+            U, Jh = u[:, sl].reshape(shape), h * J
             out[:, sl].reshape(shape)[...] = (Jh * (np.vecdot(Jh, U)[..., None] / h[..., :1])
                                               - U * J) / eta
         return out
@@ -313,11 +311,12 @@ class _Embedding:
         self.soc1 = [k for k, j in enumerate(soc) if nnz[j] == 1]
         self.free = free_idx
         self.work = _EmbeddingCone([(d, len(b)) for d, b in soc_blocks.items()], self.nN + 1)
-        self.Ahat = p.A[:, self.perm]
         if zero_idx:
             Zrows = np.zeros((len(zero_idx), n))
             Zrows[np.arange(len(zero_idx)), zero_idx] = 1.0
             self.Ahat = np.vstack([p.A, Zrows])[:, self.perm]
+        else:
+            self.Ahat = p.A[:, self.perm]
         self.nz = self.Ahat != 0
         # max |A| and max |Ahat|, which has a 1 in each Zero row
         self.amax_A = np.abs(p.A).max(initial=0.0)
