@@ -494,8 +494,10 @@ def _reflected_rays(handle: SupportHandle) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(rays), np.concatenate(bounds)
 
 
-def _distinct_tight_rays(rays: np.ndarray, gaps: np.ndarray, tol: float,
-                         block: int = 64) -> list[TightRay]:
+_RAY_BLOCK = 64  # tight rays compared at once in _distinct_tight_rays
+
+
+def _distinct_tight_rays(rays: np.ndarray, gaps: np.ndarray, tol: float) -> list[TightRay]:
     """The rays with gap <= tol in order of gap, each dropped when it lies
     within 1e-6 (max norm) of a ray kept before it; a distance that is nan
     counts as within. Blocks of rays are compared at once with the rays
@@ -504,8 +506,8 @@ def _distinct_tight_rays(rays: np.ndarray, gaps: np.ndarray, tol: float,
     idx = np.flatnonzero(gaps <= tol)
     idx = idx[np.argsort(gaps[idx], kind="stable")]
     kept: list[int] = []
-    for start in range(0, idx.size, block):
-        cand = idx[start : start + block]
+    for start in range(0, idx.size, _RAY_BLOCK):
+        cand = idx[start : start + _RAY_BLOCK]
         Z = rays[cand]
         # not within 1e-6 of a kept ray; nan fails every comparison
         alive = (_max_dist(Z, rays[kept]) > 1e-6).all(axis=1)

@@ -280,8 +280,7 @@ class _Embedding:
     Everything here depends on (A, K) alone and is built once per
     `solve_batch` call: Ahat (A with a unit row per Zero coordinate, on the
     reordered columns) and its transpose, its nonzero pattern nz, from which
-    `_KKT` reads its pairs and bound rows, and max |A| (amax_A, which the
-    verifier shares) and max |Ahat| (amax)."""
+    `_KKT` reads its pairs and bound rows, and max |Ahat| (amax)."""
 
     def __init__(self, p: ConicProgram):
         n = p.cone.dim
@@ -318,9 +317,9 @@ class _Embedding:
         else:
             self.Ahat = p.A[:, self.perm]
         self.nz = self.Ahat != 0
-        # max |A| and max |Ahat|, which has a 1 in each Zero row
-        self.amax_A = np.abs(p.A).max(initial=0.0)
-        self.amax = max(self.amax_A, 1.0) if zero_idx else self.amax_A
+        # max |Ahat|, which is max |A| with a 1 in each Zero row
+        amax_A = np.abs(p.A).max(initial=0.0)
+        self.amax = max(amax_A, 1.0) if zero_idx else amax_A
         self.AhatT = np.ascontiguousarray(self.Ahat.T)
         self.n = n
         self.mh = self.Ahat.shape[0]
@@ -767,7 +766,7 @@ def solve_batch(p: ConicProgram, rhs, opts: SolverOptions | None = None,
     it = _Iterates(np.arange(B), cb, ftol * (1.0 + _inf_norms(costs)),
                    ftol * (1.0 + _inf_norms(rhs)), xz, np.tile(e, (B, 1)), R, U)
     out: list[Solution | None] = [None] * B
-    verify = _Verifier(p, opts, emb.amax_A)
+    verify = _Verifier(p, opts)
 
     def screen(it: _Iterates):
         """The termination code of every row (0 go on, 1 optimal, 2 primal
@@ -898,10 +897,9 @@ def _newton_step(it: _Iterates, res: tuple, work: _EmbeddingCone, kkt: _KKT,
     t_a = -W.mul(lam)
     both = np.concatenate([sk, zt])
 
-    def direction(neta, t, u2):
+    def direction(eta, t, u2):
         # dtau from the tau row of the embedding, where t[:, -1] = dk_rhs / tau
-        # and neta = -eta
-        dtau = (neta * hres_k - t[:, -1] - np.vecdot(u2[:, :nm], cb)) / denom
+        dtau = (-eta * hres_k - t[:, -1] - np.vecdot(u2[:, :nm], cb)) / denom
         du = u2 + dtau[:, None] * u1
         return du, t - W.sq(du[:, nm:])
 
@@ -919,7 +917,7 @@ def _newton_step(it: _Iterates, res: tuple, work: _EmbeddingCone, kkt: _KKT,
     factors = kkt.factor_solve(W.sq_entries(), R, U)
     u1 = U[:, 0]
     denom = np.vecdot(u1[:, :nm], cb) - kappa / tau
-    du_a, ds_a = direction(-1.0, t_a, U[:, 1])
+    du_a, ds_a = direction(1.0, t_a, U[:, 1])
     alpha_a, d_a = step_len(du_a, ds_a)
     alpha_a = np.minimum(alpha_a, 1.0)
     aff = both + np.concatenate([alpha_a, alpha_a])[:, None] * d_a
@@ -932,12 +930,12 @@ def _newton_step(it: _Iterates, res: tuple, work: _EmbeddingCone, kkt: _KKT,
     wdz = W.mul(du_a[:, nm:])
     ds_rhs = (sigma * mu)[:, None] * e + work.jprod(lam + wdz, wdz)
     t_c = W.mul(work.jsolve(lam, ds_rhs)) + t_a
-    neta = sigma - 1.0  # -(1 - sigma), as rounded
-    rhs3 = neta[:, None] * hres
+    eta = 1.0 - sigma
+    rhs3 = -eta[:, None] * hres
     rhs3[:, nm:] -= t_c[:, :-1]
     u2 = np.zeros((B, size + 1))
     kkt.solve(factors, rhs3, u2)
-    du, ds = direction(neta, t_c, u2)
+    du, ds = direction(eta, t_c, u2)
     alpha = np.minimum(0.99 * step_len(du, ds)[0], 1.0)
     ok = (_all_finite(U[:, 1]) & _all_finite(u2) & (np.abs(denom) >= 1e-300)
           & (alpha >= 1e-10))  # false for nan
@@ -955,11 +953,10 @@ class _Verifier:
     within loose/|c|. Rays are homogeneous, so these bounds scale with the
     data: multiplying b or c by s leaves each check unchanged."""
 
-    def __init__(self, p: ConicProgram, opts: SolverOptions, amax_A: float | None = None):
-        """amax_A is max |A|, when the caller has it."""
+    def __init__(self, p: ConicProgram, opts: SolverOptions):
         self.A = p.A
         self.loose = 100.0 * max(opts.feas_tol, opts.gap_tol)
-        self.scale_A = 1.0 + (np.abs(p.A).max(initial=0.0) if amax_A is None else amax_A)
+        self.scale_A = 1.0 + np.abs(p.A).max(initial=0.0)
         self.cone, self.dual_cone = p.cone, p.cone.dual()
 
     def __call__(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> Solution:
