@@ -209,11 +209,7 @@ def cmd_separate(args) -> int:
 
 def cmd_demo(args) -> int:
     opts = _options(args)
-    params = {}
-    if args.name == "cmir":
-        params = {"f": args.f, "M": args.M}
-    elif args.name == "ex4_3":
-        params = {"M": args.M}
+    params = {k: v for k, v in (("f", args.f), ("M", args.M)) if v is not None}
     fx = fixtures.builtin(args.name, **params)
     checks = []
 
@@ -351,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run a built-in example against its known facts")
     p.add_argument("name", choices=fixtures.names())
-    p.add_argument("--f", type=float, default=0.25)
-    p.add_argument("--M", type=int, default=None)
+    p.add_argument("--f", type=float, default=None, help="cmir only")
+    p.add_argument("--M", type=int, default=None, help="cmir and ex4_3 only")
     _add_solver_flags(p)
     _add_ladder_flags(p)
     p.set_defaults(func=cmd_demo)
@@ -371,8 +367,6 @@ def main(argv=None) -> int:
         else:
             joined.append(a)
     args = build_parser().parse_args(joined)
-    if getattr(args, "command", None) == "demo" and args.M is None:
-        args.M = 10 if args.name == "cmir" else 5
     try:
         return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass: caught first

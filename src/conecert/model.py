@@ -38,6 +38,9 @@ class Lattice:
     def __post_init__(self):
         object.__setattr__(self, "base", _finite(self.base, "base"))
         object.__setattr__(self, "step", _finite(self.step, "step"))
+        if self.base.size != self.step.size:
+            raise ProblemFormatError(
+                f"rhs.lattice: base has {self.base.size} entries and step has {self.step.size}")
 
 
 @dataclass(frozen=True)
@@ -193,14 +196,6 @@ def _number(f: float):
 # ---------------------------------------------------------------------------
 # problem files
 
-_KIND_NAMES = {
-    "zero": BlockKind.ZERO,
-    "free": BlockKind.FREE,
-    "nonneg": BlockKind.NONNEG,
-    "lorentz": BlockKind.LORENTZ,
-}
-
-
 @dataclass(frozen=True)
 class Problem:
     dset: DisjunctiveSet
@@ -236,11 +231,13 @@ def load_problem(text: str) -> Problem:
     blocks = []
     for i, blk in enumerate(doc.get("cone", [])):
         kind = blk.get("kind") if isinstance(blk, dict) else None
-        if kind not in _KIND_NAMES:
-            raise ProblemFormatError(f"cone[{i}].kind: unknown kind {kind!r}")
+        try:
+            kind = BlockKind(kind)
+        except ValueError:
+            raise ProblemFormatError(f"cone[{i}].kind: unknown kind {kind!r}") from None
         dim = _integer(blk.get("dim"), f"cone[{i}].dim")
         try:
-            blocks.append(ConeBlock(_KIND_NAMES[kind], dim))
+            blocks.append(ConeBlock(kind, dim))
         except ValueError as exc:
             raise ProblemFormatError(f"cone[{i}]: {exc}") from exc
     if not blocks:

@@ -134,13 +134,9 @@ class _EmbeddingCone:
             e[off : off + nb * d : d] = 1.0
         return e
 
-    def step_max(self, u: np.ndarray, du: np.ndarray) -> np.ndarray:
-        """sup {alpha >= 0 : u + alpha*du in cone} per row, for u strictly inside."""
-        return self.stepper(u)(du)
-
     def stepper(self, u: np.ndarray):
-        """step_max(u, .) as a function of du, with the terms of u computed
-        once."""
+        """The step length du -> sup {alpha >= 0 : u + alpha*du in cone} per
+        row, for u strictly inside, with the terms of u computed once."""
         nu = -u[:, self.edges]
         # per group: J, nb, d, its slice, U and the Lorentz form U'JU
         form = [(J, nb, d, sl, U, np.vecdot(U, U * J))
@@ -946,8 +942,8 @@ class _Verifier:
     """Independent checks, on the original program (c, A, K) of a row (b, c),
     of the status the row ends with, at loose = 100*max(feas_tol, gap_tol)
     scaled by the data. An optimum must meet its KKT conditions; the
-    candidate optima of a batch are checked as one stack, and the one-row
-    entry points are stacks of one. A primal infeasibility ray y, normalized
+    candidate optima of a batch are checked as one stack, and a screened
+    ray on its own. A primal infeasibility ray y, normalized
     to b.y = 1, needs -A'y in K* within loose*|A|/|b|; a dual infeasibility
     ray x, normalized to c.x = -1, needs |Ax| <= loose*|A|/|c| and x in K
     within loose/|c|. Rays are homogeneous, so these bounds scale with the
@@ -958,21 +954,6 @@ class _Verifier:
         self.loose = 100.0 * max(opts.feas_tol, opts.gap_tol)
         self.scale_A = 1.0 + np.abs(p.A).max(initial=0.0)
         self.cone, self.dual_cone = p.cone, p.cone.dual()
-
-    def __call__(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> Solution:
-        """The solution, or NUMERICAL_LIMIT if it is an optimum that fails its
-        check."""
-        if sol.status is SolveStatus.OPTIMAL and not self.optimal(b, c, sol):
-            return Solution(SolveStatus.NUMERICAL_LIMIT, x=sol.x, y=sol.y, s=sol.s,
-                            objective=sol.objective, iterations=sol.iterations)
-        return sol
-
-    def residuals(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> dict:
-        rec = self.residual_stack(*_stack_of_one(b, c, sol))
-        return {k: float(v[0]) for k, v in rec.items()}
-
-    def optimal(self, b: np.ndarray, c: np.ndarray, sol: Solution) -> bool:
-        return bool(self.optimal_stack(*_stack_of_one(b, c, sol), np.array([sol.objective]))[0])
 
     def residual_stack(self, b, c, x, y, s) -> dict:
         """The residuals of k candidate optima, given as (k, .) stacks of
@@ -1014,13 +995,6 @@ class _Verifier:
         x, size_c = r / -cx, np.abs(c).max()
         return bool(np.abs(A @ x).max(initial=0.0) * size_c <= tol_A
                     and _violation(self.cone, x) * size_c <= self.loose)
-
-
-def _stack_of_one(b, c, sol: Solution) -> list[np.ndarray]:
-    """b, c and the iterates x, y, s of sol, each as a stack of one row."""
-    if sol.x is None or sol.y is None or sol.s is None:
-        raise ValueError("solution carries no iterates to check")
-    return [np.asarray(v, dtype=float)[None] for v in (b, c, sol.x, sol.y, sol.s)]
 
 
 def _violation(cone: ConeProduct, v: np.ndarray):

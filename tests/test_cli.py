@@ -294,6 +294,34 @@ def test_demo_cmir_vertices(capsys):
     assert "np.float64" not in out
 
 
+def test_demo_checks_theta_of_both_cmir_inequalities(capsys):
+    code, out, _ = run(capsys, "demo", "cmir", "--json")
+    assert code == 0
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    for name in ("cmir_cut", "t_eq_gamma2"):
+        assert checks[f"{name} theta"]["pass"] is True, checks
+
+
+@pytest.mark.parametrize("argv", [("ex2_1", "--M", "3"), ("ex2_2", "--f", "0.5"),
+                                  ("ex4_3", "--f", "0.5")])
+def test_demo_rejects_a_parameter_the_fixture_does_not_take(capsys, argv):
+    code, out, err = run(capsys, "demo", *argv)
+    assert code == 2 and not out
+    assert f"fixture {argv[0]} takes no parameter {argv[1][2:]}" in err
+
+
+@pytest.mark.parametrize("base, step", [([0.5, 0.5], [1.0]), ([0.5], [1.0, 0.0])])
+def test_theta_rejects_a_lattice_whose_base_and_step_differ_in_length(
+        tmp_path, capsys, base, step):
+    doc = json.loads((DATA / "ex4_3.json").read_text())
+    doc["rhs"]["lattice"].update(base=base, step=step)
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "theta", str(path))
+    assert code == 2 and not out
+    assert "base" in err and "step" in err
+
+
 def test_negative_vectors_parse(capsys):
     code, out, _ = run(capsys, "separate", str(DATA / "ex2_4.json"), "--point", "-1,0", "--json")
     assert code == 0

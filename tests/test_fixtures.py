@@ -27,6 +27,33 @@ def test_parameter_validation():
         fixtures.builtin("ex4_3", M=0)
 
 
+def test_parameters_only_where_a_family_takes_them():
+    with pytest.raises(ValueError, match="ex2_1 takes no parameter M"):
+        fixtures.builtin("ex2_1", M=3)
+    with pytest.raises(ValueError, match="ex4_3 takes no parameter f"):
+        fixtures.builtin("ex4_3", f=0.5, M=3)
+    assert fixtures.builtin("ex4_3", M=3).dset.B.lattice.k_max == 3
+
+
+def test_facts_and_file_must_name_the_same_inequalities(monkeypatch):
+    facts, notes = fixtures._FACTS["ex2_4"]
+    for renamed in ({"x1-x2>=-2": facts["x1-x2>=-2"], "x1>=1": facts["x1>=0"]},
+                    {"x1-x2>=-2": facts["x1-x2>=-2"]},
+                    dict(reversed(facts.items()))):
+        monkeypatch.setitem(fixtures._FACTS, "ex2_4", (renamed, notes))
+        with pytest.raises(ValueError, match=r"fixture ex2_4: the table names .* ex2_4\.json names"):
+            fixtures.builtin("ex2_4")
+
+
+def test_fixtures_do_not_share_their_facts():
+    fx = fixtures.builtin("ex4_2")
+    fx.notes["tight_ray"].append(1.0)
+    fx.inequalities[0].scalars["theta"] = 7.0
+    again = fixtures.builtin("ex4_2")
+    assert len(again.notes["tight_ray"]) == 3
+    assert again.inequalities[0].scalars["theta"] == 0.5
+
+
 def test_every_fixture_round_trips():
     for name in fixtures.names():
         fx = fixtures.builtin(name)
@@ -89,7 +116,7 @@ def test_cmir_parameterization():
     for f in (0.3, 0.7):
         fx = fixtures.builtin("cmir", f=f, M=6)
         cut = fx.inequalities[0]
-        assert cut.scalars["eta0"] == pytest.approx(f * (2 - 2 * f))
+        assert cut.scalars["theta"] == pytest.approx(f * (2 - 2 * f))
         th_mu = cut.inequality.mu
         assert th_mu[0] == pytest.approx(2 - 2 * f)
         assert th_mu[3] == pytest.approx(2 * f - 1)

@@ -121,6 +121,25 @@ def test_load_rejects_malformed_values(path, value, field):
     assert str(exc.value).startswith(field + ":")
 
 
+@pytest.mark.parametrize("base, step", [([0.5, 0.5], [1.0]), ([0.5], [1.0, 0.0])])
+def test_lattice_base_and_step_must_have_one_length(base, step):
+    # ex4_3 has two rows, so either vector would broadcast to the other
+    doc = json.loads(save_problem(builtin("ex4_3").to_problem()))
+    doc["rhs"]["lattice"].update(base=base, step=step)
+    with pytest.raises(ProblemFormatError, match=(
+            rf"^rhs\.lattice: base has {len(base)} entries and step has {len(step)}$")):
+        load_problem(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", [3, None, [1, 2], "Lorentz", "psd"])
+def test_load_rejects_unknown_cone_kinds(kind):
+    doc = json.loads(save_problem(builtin("ex2_4").to_problem()))
+    doc["cone"][0]["kind"] = kind
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(json.dumps(doc))
+    assert str(exc.value) == f"cone[0].kind: unknown kind {kind!r}"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_model_data_must_be_finite(bad):
     # checked where each object is built, not first inside the solver

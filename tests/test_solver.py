@@ -22,6 +22,11 @@ from oracles import oracle_lp
 from test_separation import _seeded_split
 
 
+def _one_row(b, c, sol):
+    """b, c and the iterates x, y, s of sol, each as a stack of one row."""
+    return [np.asarray(v, dtype=float)[None] for v in (b, c, sol.x, sol.y, sol.s)]
+
+
 def test_small_lp_optimal():
     p = ConicProgram(
         c=[1.0, 2.0],
@@ -33,7 +38,8 @@ def test_small_lp_optimal():
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-7)
     assert np.allclose(sol.x, [1.0, 0.0], atol=1e-6)
-    assert _Verifier(p, SolverOptions()).optimal(p.b, p.c, sol)
+    assert _Verifier(p, SolverOptions()).optimal_stack(*_one_row(p.b, p.c, sol),
+                                                       np.array([sol.objective]))[0]
 
 
 def test_lorentz_optimal():
@@ -236,9 +242,12 @@ def test_verifier_cone_checks_read_the_margin():
     check = solver._Verifier(p, SolverOptions())
 
     def violations(x, s):
-        rec = check.residuals(p.b, p.c, Solution(SolveStatus.OPTIMAL, x=np.array(x),
-                                                 y=np.zeros(1), s=np.array(s), objective=0.0))
-        return rec["cone_violation"], rec["dual_cone_violation"]
+        rec = check.residual_stack(*_one_row(p.b, p.c, Solution(
+            SolveStatus.OPTIMAL, x=np.array(x), y=np.zeros(1), s=np.array(s), objective=0.0)))
+        return rec["cone_violation"][0], rec["dual_cone_violation"][0]
+
+    def optimal(sol):
+        return check.optimal_stack(*_one_row(p.b, p.c, sol), np.array([sol.objective]))[0]
 
     # Free blocks are ignored, Zero blocks are checked by |v|
     assert violations([-5.0, 0.0, 1.0], [0.0, -7.0, 2.0]) == (0.0, 0.0)
@@ -248,13 +257,13 @@ def test_verifier_cone_checks_read_the_margin():
     assert math.isnan(violations([0.0, 0.0, math.nan], [0.0, 0.0, 1.0])[0])
     sol = solve(p)
     assert sol.status is SolveStatus.OPTIMAL
-    assert check(p.b, p.c, sol).status is SolveStatus.OPTIMAL
+    assert optimal(sol)
     for i in range(3):
         x = sol.x.copy()
         x[i] = math.nan
         doctored = Solution(SolveStatus.OPTIMAL, x=x, y=sol.y, s=sol.s,
                             objective=sol.objective, iterations=sol.iterations)
-        assert check(p.b, p.c, doctored).status is SolveStatus.NUMERICAL_LIMIT
+        assert not optimal(doctored)
 
 
 def test_stacked_check_rejects_only_the_doctored_row():
@@ -262,7 +271,7 @@ def test_stacked_check_rejects_only_the_doctored_row():
     each row alone. With exactly one row doctored (a nan in x, a primal
     residual above loose, or s outside K*), that row alone is rejected and
     every other row's residuals are, bit for bit, those of the clean stack;
-    the one-row entry points give each row's residuals of the stack."""
+    a one-row slice of the stack gives that row's residuals of the stack."""
     rng = np.random.default_rng(5)
     c, A, K, rhs = _batch_family(rng, unbounded=False)
     C = c + rng.normal(size=(len(rhs), A.shape[0])) @ A
@@ -276,8 +285,9 @@ def test_stacked_check_rejects_only_the_doctored_row():
     check = solver._Verifier(p, SolverOptions())
     clean = check.residual_stack(b, cs, x, y, s)
     assert check.optimal_stack(b, cs, x, y, s, objective).all()
-    for r, i in enumerate(rows):
-        assert check.residuals(b[r], cs[r], sols[i]) == {k: v[r] for k, v in clean.items()}
+    for r in range(len(rows)):
+        one = check.residual_stack(*(v[r : r + 1] for v in (b, cs, x, y, s)))
+        assert {k: v[0] for k, v in one.items()} == {k: v[r] for k, v in clean.items()}
     j = next(off for blk, off in K.offsets() if blk.kind is BlockKind.NONNEG)
     for r in range(len(rows)):
         for doctor in ("nan in x", "primal residual", "s outside K*"):
@@ -521,7 +531,7 @@ def test_grouped_lorentz_kernels_match_block_loop():
     work = _grouped_cone()
     u, v = _interior(work, rng, 6), _interior(work, rng, 6)
     du = rng.normal(size=u.shape)
-    alpha = work.step_max(u, du)
+    alpha = work.stepper(u)(du)
     for r in range(len(u)):
         want = _step_max_loop(work, u[r], du[r])
         assert alpha[r] == pytest.approx(want, rel=1e-9)
@@ -576,7 +586,7 @@ def test_kernels_without_lorentz_groups_are_elementwise():
     assert np.array_equal(work.jsolve(s, u), u / s)
     ratio = -s / du
     want = [min((a for a in row if a > 0), default=math.inf) for row in ratio]
-    assert np.array_equal(work.step_max(s, du), want)
+    assert np.array_equal(work.stepper(s)(du), want)
     assert want[0] == math.inf
 
 
